@@ -105,7 +105,19 @@ def load_job_from_text(text: str) -> Job:
     return _job_from_config(cfg)
 
 
+_REQUIRED_KEYS = (
+    ("algebra", "family"),
+    ("algebra", "m"),
+    ("algebra", "n"),
+    ("algebra", "functional"),
+    ("realization", "blocks"),
+)
+
+
 def _job_from_config(cfg: configparser.ConfigParser) -> Job:
+    for section, key in _REQUIRED_KEYS:
+        if not cfg.has_option(section, key):
+            raise ValueError(f"config is missing '{key}' in [{section}]")
     alg = cfg["algebra"]
     family = alg["family"].strip()
     m = alg.getint("m")

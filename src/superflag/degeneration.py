@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .linalg import (
-    Independent,
+    RankAccumulator,
     Rat,
     SparseVector,
-    SpanAccumulator,
     fourier_motzkin_solve,
     nullspace,
 )
@@ -672,8 +671,7 @@ def hilbert_check(
         for h in degrees:
             monoms = ring.monomials_of_degree(h)
             index = {m: i for i, m in enumerate(monoms)}
-            acc = SpanAccumulator()
-            rank = 0
+            acc = RankAccumulator()
             for g in gens:
                 dg = g.max_degree()
                 if dg > h or g.is_zero():
@@ -687,9 +685,8 @@ def hilbert_check(
                     vec = SparseVector(
                         {index[e]: c for e, c in shifted.terms.items()}
                     )
-                    if isinstance(acc.insert(vec), Independent):
-                        rank += 1
-            table[(a, h)] = len(monoms) - rank
+                    acc.insert(vec)
+            table[(a, h)] = len(monoms) - acc.rank
     return HilbertReport(
         samples=samples, degrees=degrees, table=table, expected=expected
     )

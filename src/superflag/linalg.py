@@ -1,8 +1,12 @@
 """Exact rational sparse linear algebra.
 
-Incremental span/rank tracking, right-kernel computation, integer Smith
-normal form, and a small exact Fourier-Motzkin solver.  All arithmetic is
-over ``fractions.Fraction``; there is no floating point anywhere, so rank
+Incremental elimination in two forms, right-kernel computation, integer
+Smith normal form, and a small exact Fourier-Motzkin solver.  The expressing
+``SpanAccumulator`` keeps the inserted vectors and each reduced row's
+expansion over them, so it can write a vector of its span in terms of the
+inserted ones; the rank-only ``RankAccumulator`` keeps one pivot row per
+pivot and nothing else, for callers that need only the rank.  All arithmetic
+is over ``fractions.Fraction``; there is no floating point anywhere, so rank
 and membership decisions are exact.
 """
 
@@ -20,6 +24,7 @@ __all__ = [
     "Independent",
     "Dependent",
     "SpanAccumulator",
+    "RankAccumulator",
     "nullspace",
     "smith_normal_form",
     "fourier_motzkin_solve",
@@ -45,12 +50,6 @@ class SparseVector:
     @classmethod
     def from_dense(cls, values: Iterable[Rat | int]) -> "SparseVector":
         return cls({i: Rat(v) for i, v in enumerate(values) if v != 0})
-
-    def to_dense(self, dim: int) -> list[Rat]:
-        out = [Rat(0)] * dim
-        for i, c in self.entries.items():
-            out[i] = c
-        return out
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -191,14 +190,40 @@ class SpanAccumulator:
         self._expansions.insert(pos, new_exp)
         return Independent()
 
-    def span_insert(self, v: SparseVector) -> Independent | Dependent:
-        """Alias for :meth:`insert` (the canonical operation name)."""
-        return self.insert(v)
 
+@dataclass
+class RankAccumulator:
+    """Incremental rank tracker without expansions.
 
-def _sorted_accumulator_invariant(acc: SpanAccumulator) -> bool:
-    ps = [p for p, _ in acc.pivots]
-    return ps == sorted(ps) and len(set(ps)) == len(ps)
+    ``rows[p]`` is the pivot row whose smallest index is p, scaled so that
+    its entry at p is 1.  An inserted vector is reduced only against the
+    rows whose pivots it meets, smallest index first; no originals are kept
+    and rows are never back-eliminated.
+    """
+
+    rows: dict[int, dict[int, Rat]] = field(default_factory=dict)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def insert(self, v: SparseVector) -> bool:
+        """Insert v; True when the span grew."""
+        w = dict(v.entries)
+        while w:
+            p = min(w)
+            c = w[p]
+            row = self.rows.get(p)
+            if row is None:
+                self.rows[p] = {i: x / c for i, x in w.items()}
+                return True
+            for i, x in row.items():
+                val = w.get(i, 0) - c * x
+                if val:
+                    w[i] = val
+                else:
+                    del w[i]
+        return False
 
 
 def nullspace(rows: list[SparseVector], dim: int) -> list[SparseVector]:

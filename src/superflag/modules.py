@@ -5,7 +5,9 @@ action.  Cyclic modules are generated from an even highest-weight vector by
 ordered products of negative-root generators; the scan simultaneously
 produces the module dimension, the stabilization degree, and the set of
 leading (scan-independent) exponents together with per-weight-block span
-accumulators reused by the expansion machinery downstream.
+accumulators reused by the expansion machinery downstream.  The scan shares
+prefixes: each monomial vector is one operator application to the vector of
+its parent monomial from the previous degree layer.
 """
 
 from __future__ import annotations
@@ -84,14 +86,16 @@ class Representation:
         return out
 
     def apply(self, op: dict[int, dict[int, Rat]], v: SparseVector) -> SparseVector:
-        out = SparseVector()
+        out: dict[int, Rat] = {}
         for j, c in v.entries.items():
             col = op.get(j)
             if not col:
                 continue
             for i, a in col.items():
-                out = out.add_scaled(SparseVector.unit(i), c * a)
-        return out
+                out[i] = out.get(i, 0) + c * a
+        w = SparseVector.__new__(SparseVector)
+        w.entries = {i: x for i, x in out.items() if x}
+        return w
 
     def apply_element(
         self, coords: tuple[tuple[int, Rat], ...], v: SparseVector
@@ -417,6 +421,9 @@ class CyclicModule:
     stabilization_degree: int
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]]
     divided: bool = True
+    _expand_memo: dict[MultiExponent, dict[MultiExponent, Rat]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def essential_exponents(self) -> list[MultiExponent]:
         return [e for e, _ in self.essentials]
@@ -426,8 +433,15 @@ class CyclicModule:
         essential vectors of its weight block.
 
         The monomial image always lies in the cyclic span, so failure to
-        express it indicates an internal inconsistency and raises.
+        express it indicates an internal inconsistency and raises.  Results
+        are memoized per module: callers must not change the returned dict.
         """
+        out = self._expand_memo.get(exp)
+        if out is None:
+            out = self._expand_memo[exp] = self._expand(exp)
+        return out
+
+    def _expand(self, exp: MultiExponent) -> dict[MultiExponent, Rat]:
         vec = pbw_act(self.realization, self.basis, exp, divided=self.divided)
         if vec.is_zero():
             return {}
@@ -460,6 +474,14 @@ def cyclic_span(
     """Scan ordered monomials degree by degree (within a degree, ascending in
     the monomial order) and collect the scan-independent exponents.
 
+    Monomial vectors share prefixes.  The generator at the highest occupied
+    position acts last, so a degree-d vector is that generator applied once
+    to the vector of its parent, the exponent with one copy of it fewer;
+    under ``divided`` an even generator of new multiplicity m also divides
+    by m, since f^(m) = f * f^(m-1) / m.  Each vector equals ``pbw_act`` of
+    its exponent.  Only the previous layer's nonzero vectors are kept: a
+    parent missing from it has a zero vector, and so has the child.
+
     Stops once a full degree layer contributes no new vectors (the span of
     monomial images of degree <= d generates all higher layers once layer d
     stalls) or once the span fills the weight blocks it can reach.  Raises
@@ -474,6 +496,16 @@ def cyclic_span(
         degree_cap = real.rep.dim + 1
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]] = {}
     essentials: list[tuple[MultiExponent, SparseVector]] = []
+    rep = real.rep
+    # (odd?, coordinate, operator) per generator, highest position first
+    generators = [
+        (odd, k, rep.element_action(basis.elements[pos].algebra_coords))
+        for pos, odd, k in sorted(
+            [(pos, 1, s) for s, pos in enumerate(basis.odd_positions)]
+            + [(pos, 0, t) for t, pos in enumerate(basis.even_positions)],
+            reverse=True,
+        )
+    ]
 
     def insert(exp: MultiExponent, vec: SparseVector) -> bool:
         w = exponent_weight(basis, real.weight, exp)
@@ -484,7 +516,9 @@ def cyclic_span(
             return True
         return False
 
-    insert(MultiExponent.zero(n, q), real.hw_vector)
+    zero = MultiExponent.zero(n, q)
+    insert(zero, real.hw_vector)
+    previous = {zero: real.hw_vector}
     stab = 0
     d = 0
     while True:
@@ -498,15 +532,35 @@ def cyclic_span(
             for e in enumerate_monomials(order, d, n, q)
             if e.degree == d
         ]
+        current: dict[MultiExponent, SparseVector] = {}
         added = 0
         for exp in layer:
-            vec = pbw_act(real, basis, exp, divided=divided)
+            for odd, k, op in generators:
+                mult = (exp.odd if odd else exp.even)[k]
+                if mult:
+                    break
+            if odd:
+                parent = MultiExponent(
+                    exp.odd[:k] + (0,) + exp.odd[k + 1:], exp.even
+                )
+            else:
+                parent = MultiExponent(
+                    exp.odd, exp.even[:k] + (mult - 1,) + exp.even[k + 1:]
+                )
+            pvec = previous.get(parent)
+            if pvec is None:
+                continue
+            vec = rep.apply(op, pvec)
             if vec.is_zero():
                 continue
+            if divided and not odd and mult > 1:
+                vec = vec.scaled(Rat(1, mult))
+            current[exp] = vec
             if insert(exp, vec):
                 added += 1
         if added == 0:
             break
+        previous = current
         stab = d
     return CyclicModule(
         realization=real,

@@ -101,7 +101,10 @@ def parse_exponent_set(text: str) -> ExponentSet:
         odd = tuple(int(c) for c in bits) if bits != "-" else ()
         evens = fields["m"].strip("()")
         even = tuple(int(x) for x in evens.split(",")) if evens else ()
-        points.append(VPoint(MultiExponent(odd, even), int(fields["k"])))
+        k = int(fields["k"])
+        if k < 1:
+            raise ValueError(f"v-degree must be at least 1, got k={k}: {line}")
+        points.append(VPoint(MultiExponent(odd, even), k))
     if n is None or q is None:
         if not points:
             raise ValueError("empty exponent-set file without ambient header")
@@ -134,19 +137,46 @@ class _Membership:
         self._memo: dict = {}
 
     def member(self, exp: MultiExponent, v: int) -> bool:
-        """Is (exp, v) a sum of generators with v-degrees summing to v?"""
-        return self._search(0, exp, v)
+        """Is (exp, v) a sum of generators with v-degrees summing to v?
 
-    def _search(self, idx: int, exp: MultiExponent, v: int) -> bool:
+        Depth-first over the generators in order, trying 0, 1, ... uses of
+        each; the stack is explicit because the depth is one level per
+        generator.
+        """
+        root = (0, exp, v)
+        known = self._known(root)
+        if known is not None:
+            return known
+        stack = [(root, self._children(root))]
+        while stack:
+            state, children = stack[-1]
+            for child in children:
+                known = self._known(child)
+                if known is None:
+                    stack.append((child, self._children(child)))
+                    break
+                if known:
+                    # each state on the stack reaches this child
+                    for reached, _ in stack:
+                        self._memo[reached] = True
+                    return True
+            else:
+                self._memo[state] = False
+                stack.pop()
+        return False
+
+    def _known(self, state: tuple[int, MultiExponent, int]) -> bool | None:
+        """The answer for a state, or None while it is undecided."""
+        idx, exp, v = state
         if v == 0:
             return exp.is_zero()
         if idx >= len(self.points):
             return False
-        key = (idx, exp, v)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
+        return self._memo.get(state)
+
+    def _children(self, state: tuple[int, MultiExponent, int]):
+        """The states left after using generator ``idx`` 0, 1, ... times."""
+        idx, exp, v = state
         p = self.points[idx]
         # how many copies of p can we use?
         max_uses = v // p.v
@@ -164,13 +194,7 @@ class _Membership:
             )
             if any(c < 0 for c in rest_even) or any(c < 0 for c in rest_odd):
                 break
-            if self._search(
-                idx + 1, MultiExponent(rest_odd, rest_even), v - uses * p.v
-            ):
-                result = True
-                break
-        self._memo[key] = result
-        return result
+            yield (idx + 1, MultiExponent(rest_odd, rest_even), v - uses * p.v)
 
 
 # ---------------------------------------------------------------------------

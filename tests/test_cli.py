@@ -240,6 +240,22 @@ class TestErrorsAndConfig:
         assert code == 2
         assert "error:" in err
 
+    def test_config_without_realization_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SL3_CFG.split("[realization]")[0], encoding="utf-8")
+        code, out, err = run(["essential", "--config", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "[realization]" in err
+
+    def test_zero_v_degree_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "zero.txt"
+        bad.write_text("# ambient n=1 q=0\nI=- m=(1) k=0\n", encoding="utf-8")
+        code, out, err = run(["toric", "--exponents", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "k=0" in err
+
     def test_config_parsing(self):
         job = load_job_from_text(SL3_CFG)
         assert job.family == "sl"

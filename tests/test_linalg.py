@@ -10,6 +10,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from superflag.linalg import (
     Dependent,
     Independent,
+    RankAccumulator,
     Rat,
     SparseVector,
     SpanAccumulator,
@@ -105,6 +106,48 @@ class TestSpanAccumulator:
                     for c, w in zip(res.coefficients, vecs):
                         recon = recon.add_scaled(w, c)
                     assert recon == v
+
+
+class TestRankAccumulator:
+    def test_insert_reports_growth(self):
+        acc = RankAccumulator()
+        assert acc.insert(dense(0, 2, 4))
+        assert acc.insert(dense(1, 1, 0))
+        assert not acc.insert(dense(2, 3, 2))
+        assert not acc.insert(SparseVector())
+        assert acc.rank == 2
+
+    def test_rank_matches_span_accumulator_and_sympy(self):
+        rng = random.Random(20261018)
+        for _ in range(30):
+            cols = rng.randint(1, 12)
+            basis_rows = [
+                SparseVector(
+                    {
+                        i: Rat(rng.randint(-5, 5), rng.randint(1, 4))
+                        for i in rng.sample(range(cols), rng.randint(1, 3))
+                    }
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+            rows = list(basis_rows)
+            # planted dependent rows: sparse combinations of earlier rows
+            for _ in range(rng.randint(1, 6)):
+                combo = SparseVector()
+                for r in rng.sample(rows, min(len(rows), 2)):
+                    combo = combo.add_scaled(
+                        r, Rat(rng.randint(-3, 3), rng.randint(1, 3))
+                    )
+                rows.insert(rng.randint(0, len(rows)), combo)
+            rank_only, span = RankAccumulator(), SpanAccumulator()
+            for r in rows:
+                rank_only.insert(r)
+                span.insert(r)
+            mat = sympy.Matrix(
+                [[sympy.Rational(r.get(i)) for i in range(cols)] for r in rows]
+            )
+            assert rank_only.rank == span.rank == mat.rank()
+            assert rank_only.rank < len(rows)
 
 
 class TestNullspace:

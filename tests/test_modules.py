@@ -210,6 +210,12 @@ class TestCyclicSpan:
         for e in module.essential_exponents():
             assert module.expand(e) == {e: Rat(1)}
 
+    def test_expand_is_memoized(self, osp_context, osp_real):
+        module = cyclic_span(tensor_power(osp_real, 2), osp_context.basis)
+        e = exp_of(osp_context.basis, d1=1, **{"2d1": 1})
+        assert module.expand(e)
+        assert module.expand(e) is module.expand(e)
+
     def test_expand_nonessential_monomial(self, osp_context, osp_real):
         basis = osp_context.basis
         square = tensor_power(osp_real, 2)
@@ -235,6 +241,98 @@ class TestCyclicSpan:
             assert recon == vec
             checked += 1
         assert checked > 0
+
+
+def _scanned_exponents(module):
+    """Every exponent the scan visits, in visiting order (degree 0 first)."""
+    from superflag.superpoly import enumerate_monomials
+
+    n, q = module.basis.n, module.basis.q
+    out = [MultiExponent.zero(n, q)]
+    for d in range(1, module.stabilization_degree + 2):
+        out.extend(
+            e for e in enumerate_monomials(module.order, d, n, q)
+            if e.degree == d
+        )
+    return out
+
+
+def _parent(basis, exp):
+    """The exponent with one copy fewer of its highest-position generator."""
+    odd, even = list(exp.odd), list(exp.even)
+    coords = [(pos, odd, s) for s, pos in enumerate(basis.odd_positions)]
+    coords += [(pos, even, t) for t, pos in enumerate(basis.even_positions)]
+    for _, block, k in sorted(coords, key=lambda c: c[0], reverse=True):
+        if block[k]:
+            block[k] -= 1
+            return MultiExponent(tuple(odd), tuple(even))
+    raise ValueError("the zero exponent has no parent")
+
+
+SCANS = [
+    ("sl3_context", "sl3_adjoint", 2),
+    ("osp_context", "osp_real", 3),
+]
+
+
+class TestPrefixSharedScan:
+    @pytest.mark.parametrize("context_name, real_name, level", SCANS)
+    @pytest.mark.parametrize("kind", ["graded-lex", "graded-revlex"])
+    @pytest.mark.parametrize("divided", [True, False])
+    def test_scanned_vectors_equal_pbw_act(
+        self, request, monkeypatch, context_name, real_name, level, kind,
+        divided,
+    ):
+        from superflag.linalg import SpanAccumulator
+
+        basis = request.getfixturevalue(context_name).basis
+        real = tensor_power(request.getfixturevalue(real_name), level)
+        inserted = []
+        original = SpanAccumulator.insert
+
+        def recording(acc, v):
+            inserted.append(v)
+            return original(acc, v)
+
+        monkeypatch.setattr(SpanAccumulator, "insert", recording)
+        module = cyclic_span(
+            real, basis, order=MonomialOrder(kind), divided=divided
+        )
+        monkeypatch.undo()
+        expected = []
+        for e in _scanned_exponents(module):
+            vec = pbw_act(real, basis, e, divided=divided)
+            if not vec.is_zero():
+                expected.append(vec)
+        assert inserted == expected
+        for e, vec in module.essentials:
+            assert vec == pbw_act(real, basis, e, divided=divided)
+
+    @pytest.mark.parametrize("context_name, real_name, level", SCANS)
+    def test_one_application_per_monomial_with_nonzero_parent(
+        self, request, monkeypatch, context_name, real_name, level
+    ):
+        from superflag.modules import Representation
+
+        basis = request.getfixturevalue(context_name).basis
+        real = tensor_power(request.getfixturevalue(real_name), level)
+        calls = []
+        original = Representation.apply
+
+        def counting(rep, op, v):
+            calls.append(1)
+            return original(rep, op, v)
+
+        monkeypatch.setattr(Representation, "apply", counting)
+        module = cyclic_span(real, basis)
+        monkeypatch.undo()
+        expected = sum(
+            1
+            for e in _scanned_exponents(module)[1:]
+            if not pbw_act(real, basis, _parent(basis, e)).is_zero()
+        )
+        assert len(calls) == expected
+        assert expected > module.dimension
 
 
 class TestCartanExpand:

@@ -89,6 +89,17 @@ class TestMembership:
         assert member.member(MultiExponent((0, 0), (0, 0, 0, 0)), 0)
         assert member.member(MultiExponent((0, 0), (0, 0, 0, 0)), 3)
 
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # one generator m=(i) per i: deciding m=(1600) at v-degree 1 walks
+        # past every smaller generator before it reaches the last one
+        many = ExponentSet(
+            n=1, q=0, points=[vp((), (i,)) for i in range(1, 1601)]
+        )
+        member = _Membership(many)
+        assert member.member(MultiExponent((), (1600,)), 1)
+        assert not member.member(MultiExponent((), (1601,)), 1)
+        assert member.member(MultiExponent((), (5,)), 2)
+
 
 class TestHypotheses:
     def test_removal_passes_on_the_good_set(self, ten_points):
