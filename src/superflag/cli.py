@@ -40,7 +40,6 @@ from .degeneration import (
 )
 from .essential import (
     check_semigroup_property,
-    essential_monomials,
     is_favourable,
     search_order_catalog,
     serialize_essential_set,
@@ -250,31 +249,25 @@ def cmd_essential(args) -> int:
     context = job.context()
     real = job.realization(context)
 
-    level = args.level
+    tower = LevelTower(context.basis, real, job.order, job.degree_cap)
+    es = tower.essential(args.level)
     extra: list[str] = []
-    if level == 1 and not args.favourable_k:
-        es, _ = essential_monomials(
-            real, context.basis, job.order, degree_cap=job.degree_cap
+    if args.favourable_k:
+        max_level = max(args.level, args.favourable_k)
+        levels = [tower.essential(k) for k in range(1, max_level + 1)]
+        fav = is_favourable(levels)
+        extra.append(
+            f"# favourable up to level {max_level}: "
+            f"{'yes' if fav.favourable else 'no'}"
         )
-    else:
-        max_level = max(level, args.favourable_k or 1)
-        tower = LevelTower(context.basis, real, job.order)
-        es = tower.essential(level)
-        if args.favourable_k:
-            levels = [tower.essential(k) for k in range(1, max_level + 1)]
-            fav = is_favourable(levels)
-            extra.append(
-                f"# favourable up to level {max_level}: "
-                f"{'yes' if fav.favourable else 'no'}"
+        for k in range(2, max_level + 1):
+            rep = check_semigroup_property(
+                tower.essential(1), tower.essential(k - 1), tower.essential(k)
             )
-            for k in range(2, max_level + 1):
-                rep = check_semigroup_property(
-                    tower.essential(1), tower.essential(k - 1), tower.essential(k)
-                )
-                extra.append(
-                    f"# semigroup additivity at level {k}: "
-                    f"{'ok' if rep.passed else 'FAIL'}"
-                )
+            extra.append(
+                f"# semigroup additivity at level {k}: "
+                f"{'ok' if rep.passed else 'FAIL'}"
+            )
 
     if args.json:
         payload = {
@@ -304,7 +297,7 @@ def cmd_degenerate(args) -> int:
     samples = [Rat(Fraction(tok)) for tok in args.samples.split()]
     max_degree = args.max_degree if args.max_degree is not None else bound
 
-    tower = LevelTower(context.basis, real, job.order)
+    tower = LevelTower(context.basis, real, job.order, job.degree_cap)
     ring = SRing(tower.essential(1))
     graded = gr_ideal(ring, bound)
     lifted = lift_relations(graded, tower, ring, job.order)
@@ -441,7 +434,7 @@ def cmd_verify_example(args) -> int:
     job = load_job_from_text(_data_text("osp14_w1.cfg"))
     context = job.context()
     real = job.realization(context)
-    tower = LevelTower(context.basis, real, job.order)
+    tower = LevelTower(context.basis, real, job.order, job.degree_cap)
     es1 = tower.essential(1)
     stage(
         "essential-computation",

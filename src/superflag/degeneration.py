@@ -3,11 +3,13 @@
 The dual basis of a cyclic module tower multiplies with structure constants
 computed by splitting ordered monomials across tensor factors and expanding
 each factor over the essential vectors.  Grouping presentation-ring monomials
-by their semigroup component yields the kernel binomials of the degenerate
-(initial) algebra; lifting rewrites each binomial as an exact relation by
-absorbing higher components, and a weight vector turns the corrections into
-positive powers of one parameter t, giving a family with fibers interpolating
-between the original algebra (t = 1) and its monomial degeneration (t = 0).
+by their semigroup component yields the kernel of the degenerate (initial)
+algebra: each component's signed collapse map is one row of +-1 entries, so
+its kernel is spanned by binomials written down in closed form.  Lifting
+rewrites each binomial as an exact relation by absorbing higher components,
+and a weight vector turns the corrections into positive powers of one
+parameter t, giving a family with fibers interpolating between the original
+algebra (t = 1) and its monomial degeneration (t = 0).
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .linalg import (
-    RankAccumulator,
-    Rat,
-    SparseVector,
-    fourier_motzkin_solve,
-    nullspace,
-)
+from .linalg import RankAccumulator, Rat, SparseVector, fourier_motzkin_solve
 from .liesuper import NegativeBasis
 from .modules import (
     CyclicModule,
@@ -35,7 +31,7 @@ from .superpoly import (
     MonomialOrder,
     MultiExponent,
     SuperPolynomial,
-    enumerate_monomials,
+    monomials_of_degree,
     multiply,
     sort_key,
 )
@@ -53,7 +49,6 @@ __all__ = [
     "FamilyGenerator",
     "DegenerationFamily",
     "family_ideal",
-    "specialize",
     "HilbertReport",
     "hilbert_check",
     "LiftError",
@@ -70,16 +65,19 @@ class LiftError(RuntimeError):
 
 
 class LevelTower:
-    """Realizations, cyclic modules, and essential sets for levels 1..K."""
+    """Realizations, cyclic modules, and essential sets for levels 1..K;
+    ``degree_cap`` bounds the span scan of every level."""
 
     def __init__(
         self,
         basis: NegativeBasis,
         real1: HighestWeightRealization,
         order: MonomialOrder | None = None,
+        degree_cap: int | None = None,
     ):
         self.basis = basis
         self.order = order if order is not None else MonomialOrder("graded-lex")
+        self.degree_cap = degree_cap
         self.reals: dict[int, HighestWeightRealization] = {1: real1}
         self.modules: dict[int, CyclicModule] = {}
         self.es: dict[int, EssentialSet] = {}
@@ -92,7 +90,9 @@ class LevelTower:
         if k not in self.reals:
             self._ensure_level(k - 1)
             self.reals[k] = tensor(self.reals[k - 1], self.reals[1])
-        es, module = essential_monomials(self.reals[k], self.basis, self.order)
+        es, module = essential_monomials(
+            self.reals[k], self.basis, self.order, degree_cap=self.degree_cap
+        )
         self.es[k] = es
         self.modules[k] = module
 
@@ -200,6 +200,7 @@ class SRing:
         self.n_mod = es1.n
         self.q_mod = es1.q
         self._gamma_cache: dict[MultiExponent, tuple[object, int]] = {}
+        self._components: dict[int, dict[object, list[tuple[MultiExponent, int]]]] = {}
 
     def generator_names(self) -> dict[str, MultiExponent]:
         names: dict[str, MultiExponent] = {}
@@ -261,11 +262,32 @@ class SRing:
         return result
 
     def monomials_of_degree(self, h: int) -> list[MultiExponent]:
-        order = MonomialOrder("graded-lex")
+        return monomials_of_degree(MonomialOrder("graded-lex"), h, self.nS, self.qS)
+
+    def components(self, h: int) -> dict[object, list[tuple[MultiExponent, int]]]:
+        """Degree-h ring monomials grouped by component, each with its sign
+        (BOTTOM collects the monomials whose odd coordinates collide).
+        Memoized: callers must not change the result."""
+        groups = self._components.get(h)
+        if groups is None:
+            groups = self._components[h] = {}
+            for sexp in self.monomials_of_degree(h):
+                comp, sign = self.gamma_and_sign(sexp)
+                groups.setdefault(comp, []).append((sexp, sign))
+        return groups
+
+    def kernel_binomials(
+        self, items: Sequence[tuple[MultiExponent, int]]
+    ) -> list[SuperPolynomial]:
+        """Kernel of one component's signed collapse map.
+
+        With signs s_0..s_k the map sends x^{e_i} to s_i times the component,
+        so its kernel is spanned by x^{e_i} - s_0*s_i*x^{e_0} for i >= 1.
+        """
+        (e0, s0), rest = items[0], items[1:]
         return [
-            e
-            for e in enumerate_monomials(order, h, self.nS, self.qS)
-            if e.degree == h
+            SuperPolynomial(self.nS, self.qS, {e: Rat(1), e0: Rat(-s0 * s)})
+            for e, s in rest
         ]
 
 
@@ -301,41 +323,25 @@ def gr_ideal(ring: SRing, degree_bound: int) -> list[GradedRelation]:
     """Kernel generators of the component-collapse map up to ``degree_bound``.
 
     Degree by degree, ring monomials are grouped by semigroup component;
-    within a component the signed collapse map has a binomial kernel computed
-    by exact elimination.  Monomials with bottom component are themselves
-    kernel generators.
+    within a component the signed collapse map has the closed-form binomial
+    kernel of ``SRing.kernel_binomials``.  Monomials with bottom component
+    are themselves kernel generators.
     """
     relations: list[GradedRelation] = []
     for h in range(2, degree_bound + 1):
-        groups: dict[object, list[tuple[MultiExponent, int]]] = {}
-        for sexp in ring.monomials_of_degree(h):
-            comp, sign = ring.gamma_and_sign(sexp)
+        groups = ring.components(h)
+        for comp in sorted(groups, key=sort_key_component):
             if comp is BOTTOM:
-                relations.append(
-                    GradedRelation(
-                        degree=h,
-                        component=BOTTOM,
-                        lead=SuperPolynomial.monomial(ring.nS, ring.qS, sexp),
-                    )
-                )
-                continue
-            groups.setdefault(comp, []).append((sexp, sign))
-        for comp in sorted(groups, key=lambda c: (sort_key_component(c))):
-            items = groups[comp]
-            if len(items) < 2:
-                continue
-            row = SparseVector(
-                {i: Rat(s) for i, (_, s) in enumerate(items)}
+                leads = [
+                    SuperPolynomial.monomial(ring.nS, ring.qS, sexp)
+                    for sexp, _ in groups[comp]
+                ]
+            else:
+                leads = ring.kernel_binomials(groups[comp])
+            relations.extend(
+                GradedRelation(degree=h, component=comp, lead=lead)
+                for lead in leads
             )
-            for kvec in nullspace([row], len(items)):
-                poly = SuperPolynomial.zero(ring.nS, ring.qS)
-                for i, c in kvec.entries.items():
-                    poly = poly + SuperPolynomial.monomial(
-                        ring.nS, ring.qS, items[i][0], c
-                    )
-                relations.append(
-                    GradedRelation(degree=h, component=comp, lead=poly)
-                )
     return relations
 
 
@@ -581,30 +587,16 @@ def family_ideal(
         )
 
     exchange: list[GradedRelation] = []
+    already = {(rel.component, rel.lead) for rel in lifted if not rel.corrections}
     for h in range(2, degree_bound + 1):
-        groups: dict[object, list[tuple[MultiExponent, int]]] = {}
-        for sexp in ring.monomials_of_degree(h):
-            comp, sign = ring.gamma_and_sign(sexp)
-            if comp is BOTTOM:
-                continue
-            groups.setdefault(comp, []).append((sexp, sign))
-        eligible = [c for c, items in groups.items() if len(items) >= 2]
+        groups = ring.components(h)
+        eligible = [
+            c for c, items in groups.items() if c is not BOTTOM and len(items) >= 2
+        ]
         if not eligible:
             continue
         top = max(eligible, key=lambda c: key(c[0]))
-        items = groups[top]
-        already = {
-            (rel.component, rel.lead)
-            for rel in lifted
-            if not rel.corrections
-        }
-        row = SparseVector({i: Rat(s) for i, (_, s) in enumerate(items)})
-        for kvec in nullspace([row], len(items)):
-            poly = SuperPolynomial.zero(ring.nS, ring.qS)
-            for i, c in kvec.entries.items():
-                poly = poly + SuperPolynomial.monomial(
-                    ring.nS, ring.qS, items[i][0], c
-                )
+        for poly in ring.kernel_binomials(groups[top]):
             if evaluate_in_tower(tower, ring, poly):
                 raise LiftError(
                     "order-maximal component produced a non-exact binomial; "
@@ -622,11 +614,6 @@ def family_ideal(
         exchange=exchange,
         degree_bound=degree_bound,
     )
-
-
-def specialize(family: DegenerationFamily, a: Rat) -> list[SuperPolynomial]:
-    """The fiber ideal generators at t = a."""
-    return family.all_specialized(Rat(a))
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +654,7 @@ def hilbert_check(
     table: dict[tuple[Rat, int], int] = {}
     expected = {h: tower.essential(h).size for h in degrees}
     for a in samples:
-        gens = specialize(family, a)
+        gens = family.all_specialized(a)
         for h in degrees:
             monoms = ring.monomials_of_degree(h)
             index = {m: i for i, m in enumerate(monoms)}

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .linalg import Independent, Rat, SpanAccumulator
+from .linalg import Independent, SpanAccumulator
 from .liesuper import AlgebraContext, NegativeBasis, negative_basis
 from .modules import (
     CyclicModule,
@@ -80,8 +80,6 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
-
-SemigroupElement = "tuple[MultiExponent, int] | _Bottom"
 
 
 def essential_monomials(
@@ -400,6 +398,8 @@ def parse_essential_set(text: str) -> EssentialSet:
                 n, q = int(parts["n"]), int(parts["q"])
             elif body.startswith("labels"):
                 labels = dict(p.split("=", 1) for p in body.split()[1:])
+            elif body.startswith("order"):
+                order = MonomialOrder.parse(body[len("order"):])
             continue
         fields = dict(p.split("=", 1) for p in line.split())
         bits = fields["I"]

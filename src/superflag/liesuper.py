@@ -8,13 +8,11 @@ systems selected by a linear functional, and ordered negative-root bases
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Dependent, Rat, SparseVector, SpanAccumulator, nullspace
+from .linalg import Dependent, Rat, SparseVector, SpanAccumulator
 
 __all__ = [
     "SuperMatrix",
@@ -208,13 +206,6 @@ class LieSuperalgebra:
     def bracket_coords(self, i: int, j: int) -> list[Rat]:
         """Structure constants of [basis_i, basis_j] over the basis."""
         return self.coordinates(superbracket(self.basis[i], self.basis[j]))
-
-    def bracket_table(self) -> dict[tuple[int, int], list[Rat]]:
-        return {
-            (i, j): self.bracket_coords(i, j)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        }
 
 
 def _finish(family, params, space, basis, parities, cartan_indices) -> LieSuperalgebra:
@@ -444,122 +435,56 @@ def _root_label(algebra: LieSuperalgebra, coords: tuple[Rat, ...],
 
 
 def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
-    """Simultaneous adjoint eigendecomposition for the diagonal Cartan.
+    """Root spaces of the diagonal Cartan, read off the basis.
 
-    Raises RootDecompositionError when the adjoint action of the diagonal
-    subalgebra is not rationally diagonalizable or the zero-weight space is
-    larger than the Cartan (e.g. osp(m|2n) with m >= 2 in the identity-form
-    realization, whose rotational part has imaginary eigenvalues).
+    Every basis element ``build_algebra`` makes is a weight vector of the
+    diagonal Cartan (a matrix unit, or two matrix units of equal weight), so
+    the weight of basis element j on h is coefficient j of [h, x_j].  Each
+    root vector is its basis element scaled to a first nonzero entry of 1.
+
+    Raises RootDecompositionError when a basis element is not a weight
+    vector, when a root space (in ascending weight order) is not
+    one-dimensional (e.g. the odd spaces of osp(m|2n) with m >= 2), or when
+    the zero-weight space is larger than the Cartan (e.g. sl(1|1)).
     """
     cartan = algebra.cartan
-    dim = algebra.dim
-
-    # adjoint matrices of the Cartan basis over algebra coordinates
-    ad: list[list[list[Rat]]] = []
-    for h in cartan:
-        cols = [algebra.coordinates(superbracket(h, x)) for x in algebra.basis]
-        ad.append([[cols[j][i] for j in range(dim)] for i in range(dim)])
-
-    # candidate eigenvalues: differences of diagonal entries
-    def candidates(h: SuperMatrix) -> list[Rat]:
-        diag = [h.rows[i][i] for i in range(h.size)]
-        vals = {a - b for a in diag for b in diag}
-        return sorted(vals)
-
-    # subspace = list of coordinate vectors; eigs = tuple of eigenvalues so far
-    subspaces: list[tuple[tuple[Rat, ...], list[SparseVector]]] = [
-        ((), [SparseVector.unit(i) for i in range(dim)])
-    ]
-    for idx, h in enumerate(cartan):
-        mat = ad[idx]
-        new_subspaces: list[tuple[tuple[Rat, ...], list[SparseVector]]] = []
-        for eigs, vecs in subspaces:
-            # local matrix of ad(h) on this subspace
-            acc = SpanAccumulator()
-            for v in vecs:
-                acc.insert(v)
-            local: list[list[Rat]] = []
-            for v in vecs:
-                image = SparseVector()
-                for j, c in v.entries.items():
-                    col = SparseVector(
-                        {i: mat[i][j] for i in range(dim) if mat[i][j] != 0}
-                    )
-                    image = image.add_scaled(col, c)
-                coeffs = acc.express(image)
-                if coeffs is None:
-                    raise RootDecompositionError(
-                        "adjoint action does not preserve a Cartan eigenspace; "
-                        "the diagonal subalgebra is not a rational Cartan for "
-                        f"{algebra.family}{algebra.params}"
-                    )
-                local.append(coeffs + [Rat(0)] * (len(vecs) - len(coeffs)))
-            k = len(vecs)
-            found = 0
-            for c in candidates(h):
-                rows = []
-                for i in range(k):
-                    entries = {j: local[j][i] for j in range(k) if local[j][i] != 0}
-                    if i in entries:
-                        entries[i] = entries[i] - c
-                    elif c != 0:
-                        entries[i] = -c
-                    entries = {j: x for j, x in entries.items() if x != 0}
-                    rows.append(SparseVector(entries))
-                kern = nullspace(rows, k)
-                if not kern:
-                    continue
-                found += len(kern)
-                lifted = []
-                for w in kern:
-                    vec = SparseVector()
-                    for j, x in w.entries.items():
-                        vec = vec.add_scaled(vecs[j], x)
-                    lifted.append(vec)
-                new_subspaces.append((eigs + (c,), lifted))
-            if found != k:
+    spaces: dict[tuple[Rat, ...], list[int]] = {}
+    for j, x in enumerate(algebra.basis):
+        weight = []
+        for h in cartan:
+            coords = algebra.coordinates(superbracket(h, x))
+            if any(c for i, c in enumerate(coords) if i != j):
                 raise RootDecompositionError(
-                    "adjoint action of the diagonal Cartan is not rationally "
-                    f"diagonalizable for {algebra.family}{algebra.params}; "
-                    "no rational root decomposition exists in this realization"
+                    f"basis element {j} is not a weight vector of the "
+                    f"diagonal Cartan for {algebra.family}{algebra.params}"
                 )
-        subspaces = new_subspaces
+            weight.append(coords[j])
+        spaces.setdefault(tuple(weight), []).append(j)
 
     roots: list[Root] = []
     zero = tuple(Rat(0) for _ in cartan)
-    zero_dim = 0
-    for eigs, vecs in subspaces:
-        if eigs == zero:
-            zero_dim += len(vecs)
+    for weight in sorted(spaces):
+        if weight == zero:
             continue
-        if len(vecs) != 1:
+        if len(spaces[weight]) != 1:
             raise RootDecompositionError(
-                f"root space of weight {eigs} has dimension {len(vecs)} != 1"
+                f"root space of weight {weight} has dimension "
+                f"{len(spaces[weight])} != 1"
             )
-        coeffs = vecs[0]
-        mat = SuperMatrix.zero(*algebra.space)
-        for j, c in coeffs.entries.items():
-            mat = mat + algebra.basis[j].scaled(c)
-        parity = mat.parity()
-        if parity is None:
-            raise RootDecompositionError(
-                f"root vector of weight {eigs} is not homogeneous"
-            )
-        # normalize: scale so the first nonzero entry is 1
-        first = next(
-            c for row in mat.rows for c in row if c != 0
-        )
+        [j] = spaces[weight]
+        mat = algebra.basis[j]
+        first = next(c for row in mat.rows for c in row if c != 0)
         mat = mat.scaled(1 / first)
         roots.append(
-            Root(eigs, parity, mat, _root_label(algebra, eigs, mat))
+            Root(weight, algebra.parities[j], mat, _root_label(algebra, weight, mat))
         )
+    zero_dim = len(spaces.get(zero, []))
     if zero_dim != len(cartan):
         raise RootDecompositionError(
             "the zero-weight space is larger than the diagonal subalgebra "
             f"({zero_dim} > {len(cartan)}); it is not a Cartan subalgebra "
             "in this realization"
         )
-    roots.sort(key=lambda r: r.coords)
     return RootDatum(algebra=algebra, cartan=cartan, roots=roots)
 
 

@@ -1,12 +1,12 @@
 """Exact rational sparse linear algebra.
 
-Incremental elimination in two forms, right-kernel computation, integer
-Smith normal form, and a small exact Fourier-Motzkin solver.  The expressing
-``SpanAccumulator`` keeps the inserted vectors and each reduced row's
-expansion over them, so it can write a vector of its span in terms of the
-inserted ones; the rank-only ``RankAccumulator`` keeps one pivot row per
-pivot and nothing else, for callers that need only the rank.  All arithmetic
-is over ``fractions.Fraction``; there is no floating point anywhere, so rank
+One reduction loop, ``_reduce``, serves every elimination: the expressing
+``SpanAccumulator``, the rank-only ``RankAccumulator`` and ``nullspace``.
+Pivot rows are keyed by their smallest index and scaled to 1 there; a vector
+is reduced only against the rows whose pivots it meets, smallest index
+first, and rows are never back-eliminated.  Beside them sit integer Smith
+normal form and a small exact Fourier-Motzkin solver.  All arithmetic is
+over ``fractions.Fraction``; there is no floating point anywhere, so rank
 and membership decisions are exact.
 """
 
@@ -90,9 +90,6 @@ class SparseVector:
             a, b = b, a
         return sum((c * b[i] for i, c in a.items() if i in b), Rat(0))
 
-    def min_index(self) -> int:
-        return min(self.entries)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SparseVector) and self.entries == other.entries
 
@@ -123,85 +120,97 @@ class Dependent:
     coefficients: list[Rat]
 
 
+Row = dict[int, Rat]
+
+
+def _reduce(
+    rows: dict[int, Row],
+    w: Row,
+    combos: dict[int, Row] | None = None,
+    combo: Row | None = None,
+) -> int | None:
+    """Reduce ``w`` in place against the pivot rows it meets, smallest index
+    first; return the pivot of the residual, or None when it is zero.
+
+    ``rows[p]`` has smallest index p with entry 1 there.  With ``combos``,
+    each subtracted ``c * rows[p]`` also adds ``c * combos[p]`` to ``combo``,
+    so ``combo`` ends as the expansion of (original w - residual).
+    """
+    while w:
+        p = min(w)
+        row = rows.get(p)
+        if row is None:
+            return p
+        c = w[p]
+        for i, x in row.items():
+            val = w.get(i, 0) - c * x
+            if val:
+                w[i] = val
+            else:
+                del w[i]
+        if combos is not None:
+            for j, t in combos[p].items():
+                val = combo.get(j, 0) + c * t
+                if val:
+                    combo[j] = val
+                else:
+                    del combo[j]
+    return None
+
+
 @dataclass
 class SpanAccumulator:
-    """Incremental reduced-row-echelon span tracker.
+    """Incremental span tracker that expresses vectors of its span.
 
-    Maintains reduced rows with strictly increasing pivot indices, plus the
-    original independent vectors (in insertion order) and, for each reduced
-    row, its expansion over those originals, so that dependent insertions can
-    report exact expansion coefficients by back-substitution.
+    ``rows[p]`` is the pivot row with smallest index p (entry 1 there) and
+    ``combos[p]`` its sparse expansion over the independent inserted
+    vectors, numbered in insertion order.  That expansion is unique, so
+    ``Dependent`` and ``express`` report exact coefficients.
     """
 
-    pivots: list[tuple[int, SparseVector]] = field(default_factory=list)
-    originals: list[SparseVector] = field(default_factory=list)
-    _expansions: list[list[Rat]] = field(default_factory=list)
+    rows: dict[int, Row] = field(default_factory=dict)
+    combos: dict[int, Row] = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
-    def _reduce(self, v: SparseVector) -> tuple[SparseVector, list[Rat]]:
-        """Reduce v against the current rows; return (residual, combo).
-
-        combo gives the expansion of (v - residual) over the originals.
-        """
-        combo = [Rat(0)] * len(self.originals)
-        w = v.copy()
-        for (p, row), exp in zip(self.pivots, self._expansions):
-            c = w.get(p)
-            if c != 0:
-                w = w.add_scaled(row, -c)
-                for j, t in enumerate(exp):
-                    combo[j] += c * t
-        return w, combo
+    def _dense(self, combo: Row) -> list[Rat]:
+        out = [Rat(0)] * self.rank
+        for j, t in combo.items():
+            out[j] = t
+        return out
 
     def express(self, v: SparseVector) -> list[Rat] | None:
-        """Expansion of v over the original inserted vectors, or None if v
-        lies outside the current span.  Does not modify the accumulator."""
-        w, combo = self._reduce(v)
-        return None if not w.is_zero() else combo
+        """Expansion of v over the independent inserted vectors, or None if
+        v lies outside the current span.  Does not modify the accumulator."""
+        combo: Row = {}
+        if _reduce(self.rows, dict(v.entries), self.combos, combo) is not None:
+            return None
+        return self._dense(combo)
 
     def insert(self, v: SparseVector) -> Independent | Dependent:
         """Insert v; returns Independent (span grew) or Dependent(coeffs)."""
-        w, combo = self._reduce(v)
-        if w.is_zero():
-            return Dependent(combo)
-        p = w.min_index()
-        lead = w.get(p)
-        row = w.scaled(1 / lead)
-        # row = (v - sum combo_j * originals_j) / lead
-        new_exp = [-c / lead for c in combo] + [Rat(1) / lead]
-        for exp in self._expansions:
-            exp.append(Rat(0))
-        # back-eliminate the new pivot so rows stay fully reduced
-        for idx, (q, r) in enumerate(self.pivots):
-            c = r.get(p)
-            if c != 0:
-                self.pivots[idx] = (q, r.add_scaled(row, -c))
-                self._expansions[idx] = [
-                    a - c * b for a, b in zip(self._expansions[idx], new_exp)
-                ]
-        self.originals.append(v.copy())
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos][0] < p:
-            pos += 1
-        self.pivots.insert(pos, (p, row))
-        self._expansions.insert(pos, new_exp)
+        w = dict(v.entries)
+        combo: Row = {}
+        p = _reduce(self.rows, w, self.combos, combo)
+        if p is None:
+            return Dependent(self._dense(combo))
+        c = w[p]
+        # row = (v - sum combo_j * independent_j) / c
+        new = {j: -t / c for j, t in combo.items()}
+        new[self.rank] = 1 / c
+        self.combos[p] = new
+        self.rows[p] = {i: x / c for i, x in w.items()}
         return Independent()
 
 
 @dataclass
 class RankAccumulator:
-    """Incremental rank tracker without expansions.
+    """Incremental rank tracker: the pivot rows of ``SpanAccumulator``
+    without their expansions, for callers that need only the rank."""
 
-    ``rows[p]`` is the pivot row whose smallest index is p, scaled so that
-    its entry at p is 1.  An inserted vector is reduced only against the
-    rows whose pivots it meets, smallest index first; no originals are kept
-    and rows are never back-eliminated.
-    """
-
-    rows: dict[int, dict[int, Rat]] = field(default_factory=dict)
+    rows: dict[int, Row] = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -210,55 +219,35 @@ class RankAccumulator:
     def insert(self, v: SparseVector) -> bool:
         """Insert v; True when the span grew."""
         w = dict(v.entries)
-        while w:
-            p = min(w)
-            c = w[p]
-            row = self.rows.get(p)
-            if row is None:
-                self.rows[p] = {i: x / c for i, x in w.items()}
-                return True
-            for i, x in row.items():
-                val = w.get(i, 0) - c * x
-                if val:
-                    w[i] = val
-                else:
-                    del w[i]
-        return False
+        p = _reduce(self.rows, w)
+        if p is None:
+            return False
+        c = w[p]
+        self.rows[p] = {i: x / c for i, x in w.items()}
+        return True
 
 
 def nullspace(rows: list[SparseVector], dim: int) -> list[SparseVector]:
     """Basis of the right kernel of the matrix with the given rows.
 
     Each row is a functional on Q^dim; returns vectors v with row.dot(v) = 0
-    for every row.  Empty list iff the kernel is trivial.
+    for every row.  The vector for free column f is 1 at f and 0 at every
+    other free column (the reduced-echelon basis, as sympy's
+    ``Matrix.nullspace`` gives it), found by back-substitution over the
+    pivots in descending order.  Empty list iff the kernel is trivial.
     """
-    # Gaussian elimination to reduced echelon form.
-    reduced: list[tuple[int, SparseVector]] = []
+    acc = RankAccumulator()
     for r in rows:
-        w = r.copy()
-        for p, row in reduced:
-            c = w.get(p)
-            if c != 0:
-                w = w.add_scaled(row, -c)
-        if w.is_zero():
-            continue
-        p = w.min_index()
-        w = w.scaled(1 / w.get(p))
-        for i, (q, row) in enumerate(reduced):
-            c = row.get(p)
-            if c != 0:
-                reduced[i] = (q, row.add_scaled(w, -c))
-        reduced.append((p, w))
-    reduced.sort(key=lambda t: t[0])
-    pivot_cols = {p for p, _ in reduced}
+        acc.insert(r)
+    pivots = sorted(acc.rows, reverse=True)
     basis: list[SparseVector] = []
     for free in range(dim):
-        if free in pivot_cols:
+        if free in acc.rows:
             continue
         v = {free: Rat(1)}
-        for p, row in reduced:
-            c = row.get(free)
-            if c != 0:
+        for p in pivots:
+            c = sum((x * v[i] for i, x in acc.rows[p].items() if i in v), Rat(0))
+            if c:
                 v[p] = -c
         basis.append(SparseVector(v))
     return basis

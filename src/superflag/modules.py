@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .linalg import Independent, Rat, SparseVector, SpanAccumulator
 from .liesuper import AlgebraContext, LieSuperalgebra, NegativeBasis
-from .superpoly import MonomialOrder, MultiExponent, koszul_count
+from .superpoly import MonomialOrder, MultiExponent, koszul_count, monomials_of_degree
 
 __all__ = [
     "Representation",
@@ -487,8 +487,6 @@ def cyclic_span(
     stalls) or once the span fills the weight blocks it can reach.  Raises
     NotConvergedError if the cap (default ambient dimension + 1) is hit.
     """
-    from .superpoly import enumerate_monomials
-
     n, q = basis.n, basis.q
     if order is None:
         order = MonomialOrder("graded-lex")
@@ -527,14 +525,9 @@ def cyclic_span(
             raise NotConvergedError(
                 f"cyclic span did not stabilize within degree {degree_cap}"
             )
-        layer = [
-            e
-            for e in enumerate_monomials(order, d, n, q)
-            if e.degree == d
-        ]
         current: dict[MultiExponent, SparseVector] = {}
         added = 0
-        for exp in layer:
+        for exp in monomials_of_degree(order, d, n, q):
             for odd, k, op in generators:
                 mult = (exp.odd if odd else exp.even)[k]
                 if mult:

@@ -28,6 +28,7 @@ __all__ = [
     "multiply",
     "compare",
     "enumerate_monomials",
+    "monomials_of_degree",
 ]
 
 
@@ -171,6 +172,18 @@ class MonomialOrder:
             parts.append("perm=" + ",".join(str(p) for p in self.priority))
         return " ".join(parts)
 
+    @classmethod
+    def parse(cls, text: str) -> "MonomialOrder":
+        """Inverse of ``describe``: ``kind [w=a,b,..] [perm=i,j,..]``."""
+        kind, *rest = text.split() or [""]
+        fields = {}
+        for part in rest:
+            key, sep, value = part.partition("=")
+            if not sep or key not in ("w", "perm") or key in fields:
+                raise ValueError(f"malformed monomial order: {text!r}")
+            fields[key] = tuple(int(x) for x in value.split(","))
+        return cls(kind, weights=fields.get("w"), priority=fields.get("perm"))
+
 
 def compare(order: MonomialOrder, a: MultiExponent, b: MultiExponent) -> int:
     """Total order comparison: -1 if a < b, 0 if equal, +1 if a > b."""
@@ -204,30 +217,46 @@ def sort_key(order: MonomialOrder):
     return cmp_to_key(lambda a, b: compare(order, a, b))
 
 
+def monomials_of_degree(
+    order: MonomialOrder, degree: int, n: int, q: int
+) -> list[MultiExponent]:
+    """All exponents of total degree exactly ``degree``, ascending in order."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    out = [
+        MultiExponent(bits, m)
+        for bits in itertools.product((0, 1), repeat=q)
+        if sum(bits) <= degree
+        for m in _compositions(n, degree - sum(bits))
+    ]
+    out.sort(key=sort_key(order))
+    return out
+
+
 def enumerate_monomials(
     order: MonomialOrder, degree_bound: int, n: int, q: int
 ) -> list[MultiExponent]:
     """All exponents with total degree <= degree_bound, ascending in order."""
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    out: list[MultiExponent] = []
-    for bits in itertools.product((0, 1), repeat=q):
-        rem = degree_bound - sum(bits)
-        if rem < 0:
-            continue
-        for m in _compositions_upto(n, rem):
-            out.append(MultiExponent(bits, m))
+    out = [
+        e
+        for d in range(degree_bound + 1)
+        for e in monomials_of_degree(order, d, n, q)
+    ]
+    # graded orders keep the layers in place; weighted orders interleave them
     out.sort(key=sort_key(order))
     return out
 
 
-def _compositions_upto(n: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All vectors in N^n with coordinate sum <= bound."""
+def _compositions(n: int, total: int) -> Iterator[tuple[int, ...]]:
+    """All vectors in N^n with coordinate sum exactly ``total``."""
     if n == 0:
-        yield ()
+        if total == 0:
+            yield ()
         return
-    for first in range(bound + 1):
-        for rest in _compositions_upto(n - 1, bound - first):
+    for first in range(total + 1):
+        for rest in _compositions(n - 1, total - first):
             yield (first,) + rest
 
 

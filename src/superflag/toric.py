@@ -67,9 +67,6 @@ class ExponentSet:
     def odd_points(self) -> list[VPoint]:
         return [p for p in self.points if any(p.exp.odd)]
 
-    def contains(self, exp: MultiExponent, v: int) -> bool:
-        return VPoint(exp, v) in set(self.points)
-
 
 def exponent_set_from_essential(es: EssentialSet) -> ExponentSet:
     return ExponentSet(
@@ -417,7 +414,7 @@ def verify_derivation_closure(
 
 @dataclass
 class ToricCertificate:
-    verdict: str  # "toric" | "hypotheses-not-met" | "inconclusive"
+    verdict: str  # "toric" | "hypotheses-not-met"
     reasons: list[str]
     removal: RemovalReport
     laurent: LaurentReport
@@ -487,8 +484,6 @@ def certify(ks: ExponentSet, bound: int | None = None) -> ToricCertificate:
     The verdict is "toric" when every hypothesis holds and the derivations
     close over the v-graded action solution; any failed hypothesis gives
     "hypotheses-not-met" (which does not assert the algebra is not toric).
-    The "inconclusive" verdict is reserved for bound-limited searches; with
-    the exact v-graded membership decisions used here it does not occur.
     """
     removal = check_odd_removal(ks)
     laurent = check_even_laurent(ks)

@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,18 @@ from superflag.cli import load_job_from_text, main
 from superflag.essential import parse_essential_set
 
 DATA = resources.files("superflag") / "data"
+GOLDEN = Path(__file__).parent / "data"
+
+LEVEL_ONE_REPORT = """\
+# ambient n=4 q=2
+# labels x1=d1-d2 x2=2d2 x3=d1+d2 x4=2d1 xi1=d2 xi2=d1
+# order graded-lex
+I=00 m=(0,0,0,0) k=1
+I=01 m=(0,0,0,0) k=1
+I=00 m=(0,0,0,1) k=1
+I=00 m=(0,0,1,0) k=1
+I=00 m=(1,0,0,0) k=1
+"""
 
 SL3_CFG = """\
 [algebra]
@@ -92,6 +105,42 @@ class TestEssentialCommand:
             assert code == 0
             assert out == ""
         assert first.read_bytes() == second.read_bytes()
+
+
+    def test_uncapped_level_one_report(self, bundled_cfg, capsys):
+        code, out, err = run(["essential", "--config", bundled_cfg], capsys)
+        assert (code, out, err) == (0, LEVEL_ONE_REPORT, "")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--level", "1"],
+            ["--level", "2"],
+            ["--level", "1", "--favourable-k", "2"],
+        ],
+        ids=["level-1", "level-2", "favourable"],
+    )
+    def test_degree_bound_applies_at_every_level(self, bundled_cfg, extra, capsys):
+        code, out, err = run(
+            ["essential", "--config", bundled_cfg, "--degree-bound", "1"] + extra,
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cyclic span did not stabilize within degree 1\n"
+
+    def test_config_degree_cap_applies_at_level_two(self, tmp_path, capsys):
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text(
+            (DATA / "osp14_w1.cfg").read_text(encoding="utf-8")
+            + "\n[bounds]\ndegree_cap = 1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            ["essential", "--config", str(cfg), "--level", "2"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestDegenerateCommand:
@@ -221,6 +270,43 @@ class TestVerifyExample:
             code, _, _ = run(["verify-example", "--out", str(p)], capsys)
             assert code == 1
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestGoldenReports:
+    """Reports recorded before the exact core was simplified; every byte
+    must stay the same."""
+
+    def test_orthosymplectic_flip_square_degeneration(self, capsys):
+        code, out, err = run(
+            [
+                "degenerate",
+                "--config",
+                str(GOLDEN / "osp14_flip_flip.cfg"),
+                "--degree-bound",
+                "2",
+                "--json",
+            ],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        golden = GOLDEN / "osp14_flip_flip_degenerate_b2.json"
+        assert out == golden.read_text(encoding="utf-8")
+        assert json.loads(out)["family"]["generators"] == 46
+
+    def test_region_union_toric_certificate(self, capsys):
+        code, out, err = run(
+            [
+                "toric",
+                "--exponents",
+                str(GOLDEN / "region_union_1_2.txt"),
+                "--json",
+            ],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "region_union_1_2_toric.json").read_text(
+            encoding="utf-8"
+        )
 
 
 class TestErrorsAndConfig:

@@ -1,5 +1,7 @@
 """Structure constants, presentation ring, graded kernel, lifts, t-family."""
 
+import random
+
 import pytest
 
 from superflag.degeneration import (
@@ -14,9 +16,10 @@ from superflag.degeneration import (
     gr_ideal,
     hilbert_check,
     lift_relations,
+    sort_key_component,
     structure_constants,
 )
-from superflag.linalg import Rat
+from superflag.linalg import Rat, SparseVector, nullspace
 from superflag.superpoly import MultiExponent, SuperPolynomial, koszul_count
 
 
@@ -35,6 +38,30 @@ def sl2_tower(sl2_context):
 @pytest.fixture(scope="module")
 def sl12_tower(sl12_context, sl12_real):
     return LevelTower(sl12_context.basis, sl12_real)
+
+
+@pytest.fixture(scope="module")
+def osp_square_ring(osp_context):
+    """Presentation ring of the orthosymplectic flip-natural square: 10 even
+    and 4 odd generators, so components mix signs and odd collisions."""
+    from superflag.modules import build_realization
+
+    real = build_realization(
+        osp_context, [("flip-natural", 1), ("flip-natural", 1)]
+    )
+    return SRing(LevelTower(osp_context.basis, real).essential(1))
+
+
+def eliminated_kernel(ring, items):
+    """Kernel polynomials of one component's signed collapse row, found by
+    elimination; the reference for the closed form."""
+    row = SparseVector({i: Rat(s) for i, (_, s) in enumerate(items)})
+    return [
+        SuperPolynomial(
+            ring.nS, ring.qS, {items[i][0]: c for i, c in kvec.entries.items()}
+        )
+        for kvec in nullspace([row], len(items))
+    ]
 
 
 class TestStructureConstants:
@@ -153,6 +180,39 @@ class TestGradedKernel:
         for rel in gr_ideal(ring, 2):
             residual = evaluate_in_tower(sl3_tower, ring, rel.lead)
             assert rel.component not in residual
+
+    def test_closed_form_binomials_match_elimination(self, osp_square_ring):
+        ring = osp_square_ring
+        monomials = ring.monomials_of_degree(2)
+        rng = random.Random(31)
+        for _ in range(60):
+            picked = rng.sample(monomials, rng.randint(1, 7))
+            items = [(e, rng.choice((1, -1))) for e in picked]
+            assert ring.kernel_binomials(items) == eliminated_kernel(ring, items)
+
+    @pytest.mark.parametrize("ring_name", ["osp_square_ring", "sl3_tower"])
+    def test_graded_kernel_matches_elimination(self, ring_name, request):
+        ring = request.getfixturevalue(ring_name)
+        if isinstance(ring, LevelTower):
+            ring = SRing(ring.essential(1))
+        want = []
+        for h in (2, 3):
+            groups = {}
+            for sexp in ring.monomials_of_degree(h):
+                comp, sign = ring.gamma_and_sign(sexp)
+                groups.setdefault(comp, []).append((sexp, sign))
+            for comp in sorted(groups, key=sort_key_component):
+                if comp is BOTTOM:
+                    leads = [
+                        SuperPolynomial.monomial(ring.nS, ring.qS, e)
+                        for e, _ in groups[comp]
+                    ]
+                else:
+                    leads = eliminated_kernel(ring, groups[comp])
+                want.extend((h, comp, lead) for lead in leads)
+        got = [(r.degree, r.component, r.lead) for r in gr_ideal(ring, 3)]
+        assert got == want
+        assert any(comp is BOTTOM for _, comp, _ in got) == (ring.qS > 0)
 
 
 class TestLifting:

@@ -221,6 +221,27 @@ class TestSerialization:
         back = parse_essential_set(text)
         assert back.monomials == es.monomials
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            MonomialOrder("graded-revlex"),
+            MonomialOrder(
+                "weighted", weights=(1, 2, 1, 3, 1, 1), priority=(5, 4, 3, 2, 1, 0)
+            ),
+        ],
+        ids=["revlex", "weighted-priority"],
+    )
+    def test_order_header_round_trips(self, osp_tower, order):
+        es = osp_tower.essential(1)
+        es = EssentialSet(
+            level=es.level, n=es.n, q=es.q, monomials=es.monomials,
+            order=order, labels=es.labels,
+        )
+        text = serialize_essential_set(es)
+        back = parse_essential_set(text)
+        assert back.order == order
+        assert serialize_essential_set(back) == text
+
     def test_mixed_levels_rejected(self):
         text = "I=- m=(1) k=1\nI=- m=(2) k=2\n"
         with pytest.raises(ValueError, match="mixed levels"):

@@ -169,6 +169,83 @@ class TestRootDecomposition:
             "d1-d2", "-d1+d2", "d1+d2", "-d1-d2",
         }
 
+    # (coordinates, parity, label) per root, sorted by coordinates, as the
+    # simultaneous adjoint eigendecomposition found them.
+    PINNED = {
+        ("gl", 2, 1): [
+            ((-1, 0, 1), 1, "e3-e1"), ((-1, 1, 0), 0, "e2-e1"),
+            ((0, -1, 1), 1, "e3-e2"), ((0, 1, -1), 1, "e2-e3"),
+            ((1, -1, 0), 0, "e1-e2"), ((1, 0, -1), 1, "e1-e3"),
+        ],
+        ("sl", 3, 1): [
+            ((-2, 1, 0), 0, "e2-e1"), ((-1, -1, 1), 0, "e3-e1"),
+            ((-1, 0, 1), 1, "e4-e1"), ((-1, 1, -1), 1, "e2-e4"),
+            ((-1, 2, -1), 0, "e2-e3"), ((0, -1, 0), 1, "e3-e4"),
+            ((0, 1, 0), 1, "e4-e3"), ((1, -2, 1), 0, "e3-e2"),
+            ((1, -1, 1), 1, "e4-e2"), ((1, 0, -1), 1, "e1-e4"),
+            ((1, 1, -1), 0, "e1-e3"), ((2, -1, 0), 0, "e1-e2"),
+        ],
+        ("osp", 1, 3): [
+            ((-2, 0, 0), 0, "-2d1"), ((-1, -1, 0), 0, "-d1-d2"),
+            ((-1, 0, -1), 0, "-d1-d3"), ((-1, 0, 0), 1, "-d1"),
+            ((-1, 0, 1), 0, "-d1+d3"), ((-1, 1, 0), 0, "-d1+d2"),
+            ((0, -2, 0), 0, "-2d2"), ((0, -1, -1), 0, "-d2-d3"),
+            ((0, -1, 0), 1, "-d2"), ((0, -1, 1), 0, "-d2+d3"),
+            ((0, 0, -2), 0, "-2d3"), ((0, 0, -1), 1, "-d3"),
+            ((0, 0, 1), 1, "d3"), ((0, 0, 2), 0, "2d3"),
+            ((0, 1, -1), 0, "d2-d3"), ((0, 1, 0), 1, "d2"),
+            ((0, 1, 1), 0, "d2+d3"), ((0, 2, 0), 0, "2d2"),
+            ((1, -1, 0), 0, "d1-d2"), ((1, 0, -1), 0, "d1-d3"),
+            ((1, 0, 0), 1, "d1"), ((1, 0, 1), 0, "d1+d3"),
+            ((1, 1, 0), 0, "d1+d2"), ((2, 0, 0), 0, "2d1"),
+        ],
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_root_data(self, key):
+        datum = root_decomposition(build_algebra(*key))
+        got = [
+            (tuple(r.coords), r.parity, r.label) for r in datum.roots
+        ]
+        assert got == [
+            (tuple(Rat(c) for c in coords), parity, label)
+            for coords, parity, label in self.PINNED[key]
+        ]
+        for r in datum.roots:
+            first = next(c for row in r.vector.rows for c in row if c != 0)
+            assert first == 1
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (
+                ("sl", 2, 2),
+                "root space of weight (Fraction(-1, 1), Fraction(0, 1), "
+                "Fraction(-1, 1)) has dimension 2 != 1",
+            ),
+            (
+                ("osp", 3, 2),
+                "root space of weight (Fraction(-1, 1), Fraction(0, 1)) "
+                "has dimension 3 != 1",
+            ),
+            (
+                ("sl", 1, 1),
+                "the zero-weight space is larger than the diagonal "
+                "subalgebra (3 > 1); it is not a Cartan subalgebra in this "
+                "realization",
+            ),
+        ],
+    )
+    def test_pinned_decomposition_errors(self, key, message):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            algebra = build_algebra(*key)
+        with pytest.raises(RootDecompositionError) as info:
+            root_decomposition(algebra)
+        assert str(info.value) == message
+
 
 class TestBorelChoice:
     def test_positive_system_sizes(self):

@@ -107,6 +107,48 @@ class TestSpanAccumulator:
                         recon = recon.add_scaled(w, c)
                     assert recon == v
 
+    def test_expansions_match_sympy_solutions(self):
+        rng = random.Random(20261018)
+        for _ in range(25):
+            cols = rng.randint(1, 7)
+            acc = SpanAccumulator()
+            independent = []
+            for _ in range(rng.randint(1, 9)):
+                if independent and rng.random() < 0.5:
+                    # a rational combination of the independent vectors so far
+                    v = SparseVector()
+                    k = rng.randint(1, len(independent))
+                    for w in rng.sample(independent, k):
+                        c = Rat(rng.randint(-4, 4), rng.randint(1, 3))
+                        v = v.add_scaled(w, c)
+                else:
+                    v = SparseVector.from_dense(
+                        [
+                            Rat(rng.randint(-3, 3), rng.randint(1, 2))
+                            for _ in range(cols)
+                        ]
+                    )
+                expressed = acc.express(v)
+                res = acc.insert(v)
+                if isinstance(res, Independent):
+                    assert expressed is None
+                    independent.append(v)
+                    continue
+                basis = sympy.Matrix(
+                    [
+                        [sympy.Rational(w.get(i)) for w in independent]
+                        for i in range(cols)
+                    ]
+                )
+                target = sympy.Matrix(
+                    [sympy.Rational(v.get(i)) for i in range(cols)]
+                )
+                solution, params = basis.gauss_jordan_solve(target)
+                assert params.shape[0] == 0
+                want = [Fraction(int(x.p), int(x.q)) for x in solution]
+                assert res.coefficients == want
+                assert expressed == want
+
 
 class TestRankAccumulator:
     def test_insert_reports_growth(self):
@@ -166,6 +208,37 @@ class TestNullspace:
                 for r in rows:
                     assert r.dot(v) == 0
             assert len(basis) == cols - sympy.Matrix(mat).rank()
+
+    def test_vectors_equal_sympy_nullspace(self):
+        rng = random.Random(4711)
+        for _ in range(40):
+            rows_n = rng.randint(1, 6)
+            cols = rng.randint(1, 9)
+            mat = [
+                [
+                    Rat(rng.randint(-3, 3), rng.randint(1, 3))
+                    if rng.random() < 0.6
+                    else Rat(0)
+                    for _ in range(cols)
+                ]
+                for _ in range(rows_n)
+            ]
+            if rng.random() < 0.3:  # a zero row
+                mat.insert(rng.randint(0, len(mat)), [Rat(0)] * cols)
+            if rng.random() < 0.5:  # a dependent row
+                a, b = rng.choice(mat), rng.choice(mat)
+                c = Rat(rng.randint(-2, 2), rng.randint(1, 2))
+                row = [x + c * y for x, y in zip(a, b)]
+                mat.insert(rng.randint(0, len(mat)), row)
+            rows = [SparseVector.from_dense(r) for r in mat]
+            got = [[v.get(i) for i in range(cols)] for v in nullspace(rows, cols)]
+            want = [
+                [Fraction(int(x.p), int(x.q)) for x in vec]
+                for vec in sympy.Matrix(
+                    [[sympy.Rational(x) for x in row] for row in mat]
+                ).nullspace()
+            ]
+            assert got == want
 
     def test_trivial_kernel(self):
         rows = [dense(1, 0), dense(0, 1)]

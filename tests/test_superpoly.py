@@ -14,6 +14,7 @@ from superflag.superpoly import (
     enumerate_monomials,
     koszul_count,
     koszul_sign,
+    monomials_of_degree,
     multiply,
     sort_key,
 )
@@ -166,6 +167,38 @@ class TestEnumeration:
         out = enumerate_monomials(order, 3, 2, 1)
         for a, b in zip(out, out[1:]):
             assert compare(order, a, b) == -1
+
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            MonomialOrder("graded-lex"),
+            MonomialOrder("graded-revlex"),
+            MonomialOrder("graded-lex", priority=(2, 0, 3, 1)),
+            MonomialOrder("weighted", weights=(3, 1, 2, 1)),
+        ],
+        ids=["lex", "revlex", "lex-priority", "weighted"],
+    )
+    def test_monomials_of_degree_is_the_filtered_enumeration(self, order):
+        shapes = [(2, 2), (4, 0), (0, 4), (3, 1)]
+        if order.weights is None and order.priority is None:
+            shapes += [(0, 0), (1, 0), (0, 1)]
+        for n, q in shapes:
+            for d in range(5):
+                full = enumerate_monomials(order, d, n, q)
+                assert monomials_of_degree(order, d, n, q) == [
+                    e for e in full if e.degree == d
+                ]
+
+    def test_monomials_of_degree_edge_cases(self):
+        order = MonomialOrder("graded-lex")
+        assert monomials_of_degree(order, 0, 3, 2) == [MultiExponent.zero(3, 2)]
+        assert monomials_of_degree(order, 0, 0, 0) == [MultiExponent.zero(0, 0)]
+        assert monomials_of_degree(order, 2, 0, 0) == []
+        assert monomials_of_degree(order, 3, 0, 2) == []
+        assert monomials_of_degree(order, 2, 0, 2) == [exp((1, 1), ())]
+        with pytest.raises(ValueError):
+            monomials_of_degree(order, -1, 1, 1)
 
 
 class TestSuperPolynomial:
