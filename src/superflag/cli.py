@@ -91,17 +91,26 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def load_job(path: str) -> Job:
-    cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-    return _job_from_config(cfg)
+    def read(cfg: configparser.ConfigParser) -> None:
+        if not cfg.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+
+    return _load(read)
 
 
 def load_job_from_text(text: str) -> Job:
+    return _load(lambda cfg: cfg.read_string(text))
+
+
+def _load(read) -> Job:
+    """Read a config and build its job; config syntax errors (and bad
+    interpolations, raised on access) become ValueError."""
     cfg = configparser.ConfigParser()
-    cfg.read_string(text)
-    return _job_from_config(cfg)
+    try:
+        read(cfg)
+        return _job_from_config(cfg)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
 
 
 _REQUIRED_KEYS = (
@@ -239,6 +248,12 @@ def family_lines(family: DegenerationFamily) -> list[str]:
 
 
 def cmd_essential(args) -> int:
+    for flag, value in (
+        ("--level", args.level),
+        ("--favourable-k", args.favourable_k),
+    ):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     job = load_job(args.config)
     if args.order:
         job.order = MonomialOrder(args.order)
@@ -252,7 +267,7 @@ def cmd_essential(args) -> int:
     tower = LevelTower(context.basis, real, job.order, job.degree_cap)
     es = tower.essential(args.level)
     extra: list[str] = []
-    if args.favourable_k:
+    if args.favourable_k is not None:
         max_level = max(args.level, args.favourable_k)
         levels = [tower.essential(k) for k in range(1, max_level + 1)]
         fav = is_favourable(levels)

@@ -33,7 +33,6 @@ from .superpoly import (
     SuperPolynomial,
     monomials_of_degree,
     multiply,
-    sort_key,
 )
 
 __all__ = [
@@ -87,6 +86,8 @@ class LevelTower:
     def _ensure_level(self, k: int) -> None:
         if k in self.es:
             return
+        if k < 1:
+            raise ValueError(f"tower level must be >= 1, got {k}")
         if k not in self.reals:
             self._ensure_level(k - 1)
             self.reals[k] = tensor(self.reals[k - 1], self.reals[1])
@@ -414,7 +415,7 @@ def lift_relations(
     """
     if order is None:
         order = tower.order
-    key = sort_key(order)
+    key = order.key
     lifted: list[GradedRelation] = []
     for rel in relations:
         h = rel.degree
@@ -558,7 +559,7 @@ def family_ideal(
     """
     if order is None:
         order = tower.order
-    key = sort_key(order)
+    key = order.key
     generators: list[FamilyGenerator] = []
     for rel in lifted:
         pieces: dict[int, SuperPolynomial] = {0: rel.lead}

@@ -13,17 +13,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .linalg import Independent, SpanAccumulator
 from .liesuper import AlgebraContext, NegativeBasis, negative_basis
-from .modules import (
-    CyclicModule,
-    HighestWeightRealization,
-    NotConvergedError,
-    cyclic_span,
-    exponent_weight,
-    pbw_act,
-)
-from .superpoly import MonomialOrder, MultiExponent, sort_key
+from .modules import CyclicModule, HighestWeightRealization, cyclic_span
+from .superpoly import MonomialOrder, MultiExponent
 
 __all__ = [
     "EssentialSet",
@@ -53,16 +45,20 @@ class EssentialSet:
     monomials: list[MultiExponent]
     order: MonomialOrder
     labels: dict[str, str] = field(default_factory=dict)
+    _members: frozenset[MultiExponent] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._members = frozenset(self.monomials)
 
     @property
     def size(self) -> int:
         return len(self.monomials)
 
-    def as_set(self) -> set[MultiExponent]:
-        return set(self.monomials)
+    def as_set(self) -> frozenset[MultiExponent]:
+        return self._members
 
     def __contains__(self, exp: MultiExponent) -> bool:
-        return exp in self.as_set()
+        return exp in self._members
 
 
 class _Bottom:
@@ -90,127 +86,20 @@ def essential_monomials(
 ) -> tuple[EssentialSet, CyclicModule]:
     """Essential exponents of the cyclic module generated inside ``real``.
 
-    For graded orders a single degree-by-degree scan is simultaneously
-    ascending in the order, so the cyclic-span scan already yields the
-    essential exponents.  For weighted orders (positive integer weights
-    required) the module dimension is found by a graded pre-pass and the
-    scan is redone along ascending weighted value.
+    The cyclic-span scan runs ascending in the monomial order (weighted
+    orders need positive integer weights), so it already yields the
+    essential exponents.
     """
-    if order is None:
-        order = MonomialOrder("graded-lex")
-    if order.kind in ("graded-lex", "graded-revlex"):
-        module = cyclic_span(real, basis, order=order, degree_cap=degree_cap)
-        es = EssentialSet(
-            level=real.level,
-            n=basis.n,
-            q=basis.q,
-            monomials=module.essential_exponents(),
-            order=order,
-            labels=basis.labels(),
-        )
-        return es, module
-    if order.kind != "weighted":
-        raise ValueError(f"unknown order kind {order.kind!r}")
-    weights = order.weights
-    if weights is None or len(weights) != basis.n + basis.q:
-        raise ValueError("weighted order needs one weight per variable")
-    if any((not isinstance(w, int)) or w < 1 for w in weights):
-        raise ValueError(
-            "weighted scans require positive integer weights; otherwise "
-            "ascending-value truncation is unsound"
-        )
-    pre = cyclic_span(
-        real, basis, order=MonomialOrder("graded-lex"), degree_cap=degree_cap
-    )
-    target_dim = pre.dimension
-    vmax = pre.stabilization_degree * max(weights) + max(weights)
-
-    module = _weighted_scan(real, basis, order, weights, target_dim, vmax)
+    module = cyclic_span(real, basis, order=order, degree_cap=degree_cap)
     es = EssentialSet(
         level=real.level,
         n=basis.n,
         q=basis.q,
         monomials=module.essential_exponents(),
-        order=order,
+        order=module.order,
         labels=basis.labels(),
     )
     return es, module
-
-
-def _weighted_value(exp: MultiExponent, weights: Sequence[int]) -> int:
-    vec = exp.as_vector()
-    return sum(w * m for w, m in zip(weights, vec))
-
-
-def _exponents_of_value(
-    n: int, q: int, weights: Sequence[int], value: int
-) -> list[MultiExponent]:
-    """All exponents with exact weighted value (even weights first)."""
-    out: list[MultiExponent] = []
-    we, wo = weights[:n], weights[n:]
-
-    def rec_even(idx: int, rem: int, acc: list[int]):
-        if idx == n:
-            rec_odd(0, rem, acc, [])
-            return
-        top = rem // we[idx]
-        for m in range(top + 1):
-            rec_even(idx + 1, rem - m * we[idx], acc + [m])
-
-    def rec_odd(idx: int, rem: int, evens: list[int], acc: list[int]):
-        if idx == q:
-            if rem == 0:
-                out.append(MultiExponent(tuple(acc), tuple(evens)))
-            return
-        rec_odd(idx + 1, rem, evens, acc + [0])
-        if wo[idx] <= rem:
-            rec_odd(idx + 1, rem - wo[idx], evens, acc + [1])
-
-    rec_even(0, value, [])
-    return out
-
-
-def _weighted_scan(real, basis, order, weights, target_dim, vmax) -> CyclicModule:
-    n, q = basis.n, basis.q
-    blocks: dict = {}
-    essentials: list[tuple[MultiExponent, object]] = []
-    key = sort_key(order)
-
-    def insert(exp: MultiExponent, vec) -> bool:
-        w = exponent_weight(basis, real.weight, exp)
-        acc, idxs = blocks.setdefault(w, (SpanAccumulator(), []))
-        if isinstance(acc.insert(vec), Independent):
-            idxs.append(len(essentials))
-            essentials.append((exp, vec))
-            return True
-        return False
-
-    insert(MultiExponent.zero(n, q), real.hw_vector)
-    stab = 0
-    v = 0
-    while len(essentials) < target_dim:
-        v += 1
-        if v > vmax:
-            raise NotConvergedError(
-                "weighted scan failed to reach the module dimension within "
-                f"weighted value {vmax}"
-            )
-        for exp in sorted(_exponents_of_value(n, q, weights, v), key=key):
-            vec = pbw_act(real, basis, exp, divided=True)
-            if vec.is_zero():
-                continue
-            if insert(exp, vec):
-                stab = max(stab, exp.degree)
-    return CyclicModule(
-        realization=real,
-        basis=basis,
-        order=order,
-        essentials=essentials,
-        dimension=len(essentials),
-        stabilization_degree=stab,
-        blocks=blocks,
-        divided=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +132,6 @@ def check_semigroup_property(
     es1: EssentialSet, es2: EssentialSet, es_sum: EssentialSet
 ) -> SemigroupReport:
     """Verify es(k1) + es(k2) lands inside es(k1+k2) (bottom absorbs)."""
-    target = es_sum.as_set()
     violations = []
     checked = 0
     for a in es1.monomials:
@@ -255,7 +143,7 @@ def check_semigroup_property(
             exp, level = s
             if level != es_sum.level:
                 raise ValueError("level bookkeeping mismatch in semigroup check")
-            if exp not in target:
+            if exp not in es_sum:
                 violations.append((a, b))
     return SemigroupReport(checked=checked, violations=violations)
 
@@ -285,11 +173,11 @@ def decompose_to_chain(
     if key in _memo:
         return _memo[key]
     if level == 1:
-        result = [exp] if exp in es_by_level[1].as_set() else None
+        result = [exp] if exp in es_by_level[1] else None
         _memo[key] = result
         return result
     result = None
-    if exp in es_by_level[level].as_set():
+    if exp in es_by_level[level]:
         for a in es_by_level[1].monomials:
             rest_odd = tuple(x - y for x, y in zip(exp.odd, a.odd))
             rest_even = tuple(x - y for x, y in zip(exp.even, a.even))
@@ -349,10 +237,10 @@ def search_order_catalog(
     """Scan all basis permutations x {graded-lex, graded-revlex} and return
     the combinations whose essential exponents match ``target_labeled``
     (as sets of label -> multiplicity dictionaries)."""
-    size = len(context.basis.elements)
+    default = negative_basis(context.borel)
     matches: list[CatalogMatch] = []
-    for perm in itertools.permutations(range(size)):
-        basis_p = negative_basis(context.borel, perm)
+    for perm in itertools.permutations(range(len(default.elements))):
+        basis_p = default.permuted(perm)
         for kind in kinds:
             es, _ = essential_monomials(real, basis_p, MonomialOrder(kind))
             labeled = {basis_p.exponent_as_labeled(e) for e in es.monomials}

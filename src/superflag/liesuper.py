@@ -557,6 +557,14 @@ class NegativeBasis:
     borel: BorelChoice
     elements: list[NegativeBasisElement]
 
+    def permuted(self, permutation: Sequence[int]) -> "NegativeBasis":
+        """The basis with new_elements[i] = elements[permutation[i]]."""
+        if sorted(permutation) != list(range(len(self.elements))):
+            raise ValueError("permutation must reorder all positions")
+        return NegativeBasis(
+            borel=self.borel, elements=[self.elements[p] for p in permutation]
+        )
+
     @property
     def odd_positions(self) -> list[int]:
         return [i for i, e in enumerate(self.elements) if e.parity == 1]
@@ -662,11 +670,8 @@ def negative_basis(
                 ),
             )
         )
-    if permutation is not None:
-        if sorted(permutation) != list(range(len(elements))):
-            raise ValueError("permutation must reorder all positions")
-        elements = [elements[p] for p in permutation]
-    return NegativeBasis(borel=borel, elements=elements)
+    basis = NegativeBasis(borel=borel, elements=elements)
+    return basis if permutation is None else basis.permuted(permutation)
 
 
 # ---------------------------------------------------------------------------

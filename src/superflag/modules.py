@@ -5,9 +5,10 @@ action.  Cyclic modules are generated from an even highest-weight vector by
 ordered products of negative-root generators; the scan simultaneously
 produces the module dimension, the stabilization degree, and the set of
 leading (scan-independent) exponents together with per-weight-block span
-accumulators reused by the expansion machinery downstream.  The scan shares
+accumulators reused by the expansion machinery downstream.  The scan runs
+by degree (graded orders) or weighted value (weighted orders) and shares
 prefixes: each monomial vector is one operator application to the vector of
-its parent monomial from the previous degree layer.
+its parent monomial from an earlier layer.
 """
 
 from __future__ import annotations
@@ -471,33 +472,65 @@ def cyclic_span(
     degree_cap: int | None = None,
     divided: bool = True,
 ) -> CyclicModule:
-    """Scan ordered monomials degree by degree (within a degree, ascending in
-    the monomial order) and collect the scan-independent exponents.
+    """Scan ordered monomials layer by layer, ascending in the monomial
+    order, and collect the scan-independent exponents.
+
+    Layers are degrees for graded orders and weighted values for weighted
+    orders (positive integer weights required), so the scan itself is
+    ascending in the order and the scan-independent exponents are the
+    essential ones.
 
     Monomial vectors share prefixes.  The generator at the highest occupied
-    position acts last, so a degree-d vector is that generator applied once
-    to the vector of its parent, the exponent with one copy of it fewer;
-    under ``divided`` an even generator of new multiplicity m also divides
-    by m, since f^(m) = f * f^(m-1) / m.  Each vector equals ``pbw_act`` of
-    its exponent.  Only the previous layer's nonzero vectors are kept: a
-    parent missing from it has a zero vector, and so has the child.
+    position acts last, so a monomial's vector is that generator applied
+    once to the vector of its parent, the exponent with one copy of it
+    fewer, which lies as many layers back as the generator weighs; under
+    ``divided`` an even generator of new multiplicity m also divides by m,
+    since f^(m) = f * f^(m-1) / m.  Each vector equals ``pbw_act`` of its
+    exponent.  Only the nonzero vectors of the last max-weight layers are
+    kept: a parent missing from them has a zero vector, and so has the
+    child.
 
-    Stops once a full degree layer contributes no new vectors (the span of
-    monomial images of degree <= d generates all higher layers once layer d
-    stalls) or once the span fills the weight blocks it can reach.  Raises
-    NotConvergedError if the cap (default ambient dimension + 1) is hit.
+    A graded scan stops once a full layer contributes no new vectors (the
+    span of monomial images of degree <= d generates all higher layers once
+    layer d stalls), and raises NotConvergedError if the degree cap (default
+    ambient dimension + 1) is hit.  A weighted scan first finds the module
+    dimension by a graded-lex scan and stops once it reaches it.
     """
     n, q = basis.n, basis.q
     if order is None:
         order = MonomialOrder("graded-lex")
     if degree_cap is None:
         degree_cap = real.rep.dim + 1
+    if order.kind == "weighted":
+        weights = order.weights
+        if len(weights) != n + q:
+            raise ValueError("weighted order needs one weight per variable")
+        if any((not isinstance(w, int)) or w < 1 for w in weights):
+            raise ValueError(
+                "weighted scans require positive integer weights; otherwise "
+                "ascending-value truncation is unsound"
+            )
+        graded = cyclic_span(
+            real, basis, degree_cap=degree_cap, divided=divided
+        )
+        target = graded.dimension
+        cap = graded.stabilization_degree * max(weights) + max(weights)
+        failure = (
+            "weighted scan failed to reach the module dimension within "
+            f"weighted value {cap}"
+        )
+    else:
+        weights = (1,) * (n + q)
+        target = None
+        cap = degree_cap
+        failure = f"cyclic span did not stabilize within degree {cap}"
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]] = {}
     essentials: list[tuple[MultiExponent, SparseVector]] = []
     rep = real.rep
-    # (odd?, coordinate, operator) per generator, highest position first
+    # (odd?, coordinate, weight, operator) per generator, top position first
     generators = [
-        (odd, k, rep.element_action(basis.elements[pos].algebra_coords))
+        (odd, k, weights[k + n * odd],
+         rep.element_action(basis.elements[pos].algebra_coords))
         for pos, odd, k in sorted(
             [(pos, 1, s) for s, pos in enumerate(basis.odd_positions)]
             + [(pos, 0, t) for t, pos in enumerate(basis.even_positions)],
@@ -505,30 +538,25 @@ def cyclic_span(
         )
     ]
 
-    def insert(exp: MultiExponent, vec: SparseVector) -> bool:
+    def insert(exp: MultiExponent, vec: SparseVector) -> None:
         w = exponent_weight(basis, real.weight, exp)
         acc, idxs = blocks.setdefault(w, (SpanAccumulator(), []))
         if isinstance(acc.insert(vec), Independent):
             idxs.append(len(essentials))
             essentials.append((exp, vec))
-            return True
-        return False
 
     zero = MultiExponent.zero(n, q)
     insert(zero, real.hw_vector)
-    previous = {zero: real.hw_vector}
-    stab = 0
-    d = 0
-    while True:
-        d += 1
-        if d > degree_cap:
-            raise NotConvergedError(
-                f"cyclic span did not stabilize within degree {degree_cap}"
-            )
-        current: dict[MultiExponent, SparseVector] = {}
-        added = 0
-        for exp in monomials_of_degree(order, d, n, q):
-            for odd, k, op in generators:
+    kept = {0: {zero: real.hw_vector}}
+    v = 0
+    while target is None or len(essentials) < target:
+        v += 1
+        if v > cap:
+            raise NotConvergedError(failure)
+        layer: dict[MultiExponent, SparseVector] = {}
+        found = len(essentials)
+        for exp in monomials_of_degree(order, v, n, q, weights):
+            for odd, k, w, op in generators:
                 mult = (exp.odd if odd else exp.even)[k]
                 if mult:
                     break
@@ -540,7 +568,7 @@ def cyclic_span(
                 parent = MultiExponent(
                     exp.odd, exp.even[:k] + (mult - 1,) + exp.even[k + 1:]
                 )
-            pvec = previous.get(parent)
+            pvec = kept[v - w].get(parent)
             if pvec is None:
                 continue
             vec = rep.apply(op, pvec)
@@ -548,20 +576,19 @@ def cyclic_span(
                 continue
             if divided and not odd and mult > 1:
                 vec = vec.scaled(Rat(1, mult))
-            current[exp] = vec
-            if insert(exp, vec):
-                added += 1
-        if added == 0:
+            layer[exp] = vec
+            insert(exp, vec)
+        if target is None and len(essentials) == found:
             break
-        previous = current
-        stab = d
+        kept[v] = layer
+        kept.pop(v - max(weights), None)
     return CyclicModule(
         realization=real,
         basis=basis,
         order=order,
         essentials=essentials,
         dimension=len(essentials),
-        stabilization_degree=stab,
+        stabilization_degree=max(e.degree for e, _ in essentials),
         blocks=blocks,
         divided=divided,
     )

@@ -14,8 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Rat
 
@@ -26,7 +25,6 @@ __all__ = [
     "koszul_sign",
     "koszul_count",
     "multiply",
-    "compare",
     "enumerate_monomials",
     "monomials_of_degree",
 ]
@@ -141,9 +139,9 @@ class MonomialOrder:
     kind: "graded-lex", "graded-revlex", or "weighted".  The flat variable
     vector is (even block, then odd block); ``priority`` permutes it before
     the lex/revlex tie-break (priority[0] is the most significant variable).
-    Weighted orders compare the weight functional first and break ties with
-    graded-lex; essential-monomial scans additionally require all weights
-    strictly positive so that degree truncation is sound.
+    Weighted orders rank by the weight functional (on the unpermuted flat
+    vector) first and break ties with graded-lex; essential-monomial scans
+    run by ascending weighted value and so require positive integer weights.
     """
 
     kind: str = "graded-lex"
@@ -156,13 +154,19 @@ class MonomialOrder:
         if self.kind == "weighted" and self.weights is None:
             raise ValueError("weighted order needs a weight vector")
 
-    def _vec(self, e: MultiExponent) -> tuple[int, ...]:
-        v = e.as_vector()
+    def key(self, e: MultiExponent) -> tuple:
+        """Sort key: ``a`` precedes ``b`` in the order iff key(a) < key(b)."""
+        v = flat = e.as_vector()
         if self.priority is not None:
             if len(self.priority) != len(v):
                 raise ValueError("priority permutation has wrong length")
-            v = tuple(v[i] for i in self.priority)
-        return v
+            v = tuple(flat[i] for i in self.priority)
+        deg = e.degree
+        if self.kind == "graded-revlex":
+            return (deg, tuple(-x for x in reversed(v)))
+        if self.kind == "weighted":
+            return (sum(w * x for w, x in zip(self.weights, flat)), deg, v)
+        return (deg, v)
 
     def describe(self) -> str:
         parts = [self.kind]
@@ -185,51 +189,31 @@ class MonomialOrder:
         return cls(kind, weights=fields.get("w"), priority=fields.get("perm"))
 
 
-def compare(order: MonomialOrder, a: MultiExponent, b: MultiExponent) -> int:
-    """Total order comparison: -1 if a < b, 0 if equal, +1 if a > b."""
-    if a.q != b.q or a.n != b.n:
-        raise ValueError("ambient mismatch")
-    if a == b:
-        return 0
-    va, vb = order._vec(a), order._vec(b)
-    if order.kind == "weighted":
-        wa = sum(w * x for w, x in zip(order.weights, a.as_vector()))
-        wb = sum(w * x for w, x in zip(order.weights, b.as_vector()))
-        if wa != wb:
-            return -1 if wa < wb else 1
-        # fall through to graded-lex tie-break
-    da, db = sum(va), sum(vb)
-    if da != db:
-        return -1 if da < db else 1
-    if order.kind == "graded-revlex":
-        for x, y in zip(reversed(va), reversed(vb)):
-            if x != y:
-                return 1 if x < y else -1
-        return 0
-    for x, y in zip(va, vb):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
-def sort_key(order: MonomialOrder):
-    """Key function sorting MultiExponents ascending in the given order."""
-    return cmp_to_key(lambda a, b: compare(order, a, b))
-
-
 def monomials_of_degree(
-    order: MonomialOrder, degree: int, n: int, q: int
+    order: MonomialOrder,
+    degree: int,
+    n: int,
+    q: int,
+    weights: Sequence[int] | None = None,
 ) -> list[MultiExponent]:
-    """All exponents of total degree exactly ``degree``, ascending in order."""
+    """All exponents of total degree exactly ``degree``, ascending in order.
+
+    With ``weights`` (positive, one per variable, even block first) the
+    degree is weighted: the exponents of weighted value exactly ``degree``.
+    """
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    if weights is None:
+        weights = (1,) * (n + q)
+    even_w, odd_w = weights[:n], weights[n:]
     out = [
         MultiExponent(bits, m)
         for bits in itertools.product((0, 1), repeat=q)
-        if sum(bits) <= degree
-        for m in _compositions(n, degree - sum(bits))
+        for m in _compositions(
+            even_w, degree - sum(w * b for w, b in zip(odd_w, bits))
+        )
     ]
-    out.sort(key=sort_key(order))
+    out.sort(key=order.key)
     return out
 
 
@@ -245,18 +229,21 @@ def enumerate_monomials(
         for e in monomials_of_degree(order, d, n, q)
     ]
     # graded orders keep the layers in place; weighted orders interleave them
-    out.sort(key=sort_key(order))
+    out.sort(key=order.key)
     return out
 
 
-def _compositions(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All vectors in N^n with coordinate sum exactly ``total``."""
-    if n == 0:
+def _compositions(
+    weights: Sequence[int], total: int
+) -> Iterator[tuple[int, ...]]:
+    """All vectors x in N^len(weights) with sum(w * x) == ``total``."""
+    if not weights:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(n - 1, total - first):
+    w = weights[0]
+    for first in range(total // w + 1):
+        for rest in _compositions(weights[1:], total - first * w):
             yield (first,) + rest
 
 
@@ -387,7 +374,7 @@ class SuperPolynomial:
         if not self.terms:
             return "0"
         order = MonomialOrder("graded-lex")
-        exps = sorted(self.terms, key=sort_key(order), reverse=True)
+        exps = sorted(self.terms, key=order.key, reverse=True)
         pieces: list[str] = []
         for idx, e in enumerate(exps):
             c = self.terms[e]

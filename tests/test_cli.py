@@ -129,6 +129,18 @@ class TestEssentialCommand:
         assert out == ""
         assert err == "error: cyclic span did not stabilize within degree 1\n"
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--level", "0"), ("--level", "-1"), ("--favourable-k", "0"),
+         ("--favourable-k", "-1")],
+    )
+    def test_levels_below_one_exit_two(self, bundled_cfg, flag, value, capsys):
+        code, out, err = run(
+            ["essential", "--config", bundled_cfg, flag, value], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be >= 1, got {value}\n"
+
     def test_config_degree_cap_applies_at_level_two(self, tmp_path, capsys):
         cfg = tmp_path / "capped.cfg"
         cfg.write_text(
@@ -272,9 +284,37 @@ class TestVerifyExample:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+WEIGHTED_GOLDENS = [
+    ("osp14_w1_weighted.cfg", ["essential", "--level", "3", "--json"],
+     "osp14_w1_weighted_l3.json"),
+    ("osp14_w1_weighted.cfg",
+     ["essential", "--level", "2", "--favourable-k", "3"],
+     "osp14_w1_weighted_l2_f3.txt"),
+    ("osp14_w1_weighted_priority.cfg",
+     ["essential", "--level", "3", "--json"],
+     "osp14_w1_weighted_priority_l3.json"),
+    ("osp14_w1_weighted_priority.cfg",
+     ["essential", "--level", "2", "--favourable-k", "3"],
+     "osp14_w1_weighted_priority_l2_f3.txt"),
+    ("sl3_adjoint_weighted.cfg", ["degenerate", "--degree-bound", "3"],
+     "sl3_adjoint_weighted_degenerate_b3.txt"),
+]
+
+
 class TestGoldenReports:
-    """Reports recorded before the exact core was simplified; every byte
-    must stay the same."""
+    """Reports recorded before the code they exercise was refactored (the
+    exact core; the monomial order and the weighted scan); every byte must
+    stay the same."""
+
+    @pytest.mark.parametrize(
+        "cfg, argv, golden",
+        WEIGHTED_GOLDENS,
+        ids=[golden for _, _, golden in WEIGHTED_GOLDENS],
+    )
+    def test_weighted_order_reports(self, cfg, argv, golden, capsys):
+        code, out, err = run(argv + ["--config", str(GOLDEN / cfg)], capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_orthosymplectic_flip_square_degeneration(self, capsys):
         code, out, err = run(
@@ -341,6 +381,23 @@ class TestErrorsAndConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "k=0" in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("family = sl\n" + SL3_CFG, "no section headers"),
+            (SL3_CFG.replace("m = 3\n", "m = 3\nm = 4\n"), "already exists"),
+        ],
+        ids=["missing-header", "duplicate-option"],
+    )
+    def test_config_syntax_error_exits_two(self, tmp_path, text, reason, capsys):
+        with pytest.raises(ValueError, match=reason):
+            load_job_from_text(text)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(["essential", "--config", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed config:") and reason in err
 
     def test_config_parsing(self):
         job = load_job_from_text(SL3_CFG)

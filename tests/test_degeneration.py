@@ -64,6 +64,13 @@ def eliminated_kernel(ring, items):
     ]
 
 
+class TestLevelTower:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_levels_below_one_rejected(self, osp_tower, k):
+        with pytest.raises(ValueError, match="tower level must be >= 1"):
+            osp_tower.essential(k)
+
+
 class TestStructureConstants:
     @pytest.mark.parametrize("tower_name", ["osp_tower", "sl12_tower"])
     def test_leading_coefficient_law(self, tower_name, request):

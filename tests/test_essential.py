@@ -39,6 +39,12 @@ class TestEssentialMonomials:
         assert me((0, 1), (0, 0, 0, 0)) in as_set  # the odd generator d1
         assert me((0, 0), (0, 1, 0, 0)) not in as_set  # 2d2 is not essential
 
+    def test_membership_set_is_built_once(self, osp_tower):
+        es = osp_tower.essential(2)
+        assert es.as_set() is es.as_set()
+        assert all(e in es for e in es.monomials)
+        assert me((1, 1), (0, 0, 0, 0)) not in es
+
     def test_level_two_is_exactly_the_compatible_pairwise_sums(self, osp_tower):
         es1, es2 = osp_tower.essential(1), osp_tower.essential(2)
         sums = set()

@@ -311,6 +311,16 @@ class TestNegativeBasis:
             "2d1", "d1+d2", "d1", "2d2", "d1-d2", "d2",
         ]
 
+    def test_permuted_basis(self):
+        context = build_context("osp", 1, 2, (2, 1))
+        perm = (1, 0, 2, 5, 3, 4)
+        basis = context.basis.permuted(perm)
+        assert basis.elements == negative_basis(context.borel, perm).elements
+        assert basis.elements == [context.basis.elements[p] for p in perm]
+        for bad in ((0, 1, 2), (0, 0, 1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="reorder all positions"):
+                context.basis.permuted(bad)
+
     def test_elements_are_negative_root_vectors(self):
         context = build_context("osp", 1, 2, (2, 1))
         pos_coords = {r.coords for r in context.borel.positive_roots}

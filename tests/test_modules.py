@@ -244,14 +244,28 @@ class TestCyclicSpan:
 
 
 def _scanned_exponents(module):
-    """Every exponent the scan visits, in visiting order (degree 0 first)."""
+    """Every exponent the scan visits, in visiting order (layer 0 first).
+
+    A graded scan runs one degree past its last essential exponent; a
+    weighted scan ends with the weighted-value layer of its last one.
+    """
     from superflag.superpoly import enumerate_monomials
 
+    order = module.order
     n, q = module.basis.n, module.basis.q
+    if order.kind == "weighted":
+        def value(e):
+            return sum(w * x for w, x in zip(order.weights, e.as_vector()))
+
+        last = max(value(e) for e in module.essential_exponents())
+        return [
+            e for e in enumerate_monomials(order, last, n, q)
+            if value(e) <= last
+        ]
     out = [MultiExponent.zero(n, q)]
     for d in range(1, module.stabilization_degree + 2):
         out.extend(
-            e for e in enumerate_monomials(module.order, d, n, q)
+            e for e in enumerate_monomials(order, d, n, q)
             if e.degree == d
         )
     return out
@@ -274,10 +288,24 @@ SCANS = [
     ("osp_context", "osp_real", 3),
 ]
 
+# Orders by name, given the number m of variables.
+SCAN_ORDERS = {
+    "graded-lex": lambda m: MonomialOrder("graded-lex"),
+    "graded-revlex": lambda m: MonomialOrder("graded-revlex"),
+    "weighted": lambda m: MonomialOrder(
+        "weighted", weights=(2, 1, 3, 1, 1, 2)[:m]
+    ),
+    "weighted-priority": lambda m: MonomialOrder(
+        "weighted",
+        weights=(1, 2, 1, 3, 1, 1)[:m],
+        priority=tuple(reversed(range(m))),
+    ),
+}
+
 
 class TestPrefixSharedScan:
     @pytest.mark.parametrize("context_name, real_name, level", SCANS)
-    @pytest.mark.parametrize("kind", ["graded-lex", "graded-revlex"])
+    @pytest.mark.parametrize("kind", list(SCAN_ORDERS))
     @pytest.mark.parametrize("divided", [True, False])
     def test_scanned_vectors_equal_pbw_act(
         self, request, monkeypatch, context_name, real_name, level, kind,
@@ -287,6 +315,7 @@ class TestPrefixSharedScan:
 
         basis = request.getfixturevalue(context_name).basis
         real = tensor_power(request.getfixturevalue(real_name), level)
+        order = SCAN_ORDERS[kind](basis.n + basis.q)
         inserted = []
         original = SpanAccumulator.insert
 
@@ -295,15 +324,18 @@ class TestPrefixSharedScan:
             return original(acc, v)
 
         monkeypatch.setattr(SpanAccumulator, "insert", recording)
-        module = cyclic_span(
-            real, basis, order=MonomialOrder(kind), divided=divided
-        )
+        module = cyclic_span(real, basis, order=order, divided=divided)
         monkeypatch.undo()
+        scans = [module]
+        if order.kind == "weighted":
+            # a weighted scan first finds the dimension by a graded-lex scan
+            scans.insert(0, cyclic_span(real, basis, divided=divided))
         expected = []
-        for e in _scanned_exponents(module):
-            vec = pbw_act(real, basis, e, divided=divided)
-            if not vec.is_zero():
-                expected.append(vec)
+        for scan in scans:
+            for e in _scanned_exponents(scan):
+                vec = pbw_act(real, basis, e, divided=divided)
+                if not vec.is_zero():
+                    expected.append(vec)
         assert inserted == expected
         for e, vec in module.essentials:
             assert vec == pbw_act(real, basis, e, divided=divided)

@@ -1,5 +1,6 @@
 """Exponents, sign bookkeeping, monomial orders, and superpolynomials."""
 
+import functools
 import itertools
 import random
 
@@ -10,13 +11,11 @@ from superflag.superpoly import (
     MonomialOrder,
     MultiExponent,
     SuperPolynomial,
-    compare,
     enumerate_monomials,
     koszul_count,
     koszul_sign,
     monomials_of_degree,
     multiply,
-    sort_key,
 )
 
 
@@ -98,6 +97,43 @@ class TestKoszul:
         assert koszul_sign((1, 1), (0, 0)) == (0, 0)
 
 
+def reference_compare(order, a, b):
+    """The order as a pairwise comparison, written from its definition:
+    -1 if a < b, 0 if equal, +1 if a > b.  ``MonomialOrder.key`` must sort
+    exactly as this does."""
+    if a == b:
+        return 0
+
+    def permuted(e):
+        v = e.as_vector()
+        return v if order.priority is None else tuple(v[i] for i in order.priority)
+
+    va, vb = permuted(a), permuted(b)
+    if order.kind == "weighted":
+        wa = sum(w * x for w, x in zip(order.weights, a.as_vector()))
+        wb = sum(w * x for w, x in zip(order.weights, b.as_vector()))
+        if wa != wb:
+            return -1 if wa < wb else 1
+        # fall through to graded-lex tie-break
+    da, db = sum(va), sum(vb)
+    if da != db:
+        return -1 if da < db else 1
+    if order.kind == "graded-revlex":
+        for x, y in zip(reversed(va), reversed(vb)):
+            if x != y:
+                return 1 if x < y else -1
+        return 0
+    for x, y in zip(va, vb):
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+def key_compare(order, a, b):
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
+
+
 class TestMonomialOrder:
     def orders(self):
         yield MonomialOrder("graded-lex")
@@ -112,32 +148,54 @@ class TestMonomialOrder:
         for order in self.orders():
             for a in es:
                 for b in es:
-                    c1 = compare(order, a, b)
-                    c2 = compare(order, b, a)
+                    c1 = key_compare(order, a, b)
+                    c2 = key_compare(order, b, a)
                     assert c1 == -c2
                     assert (c1 == 0) == (a == b)
 
     def test_transitivity(self):
         es = self.all_exponents(2, 1, 2)
         for order in self.orders():
-            key = sort_key(order)
-            ranked = sorted(es, key=key)
+            ranked = sorted(es, key=order.key)
             for i, a in enumerate(ranked):
                 for b in ranked[i + 1 :]:
-                    assert compare(order, a, b) == -1
+                    assert key_compare(order, a, b) == -1
+
+    @pytest.mark.parametrize("n, q", [(2, 2), (3, 1), (0, 3), (4, 2), (1, 0)])
+    def test_key_sorts_as_the_reference_comparator(self, n, q):
+        rng = random.Random(100 * n + q)
+        m = n + q
+        orders = [MonomialOrder("graded-lex"), MonomialOrder("graded-revlex")]
+        for _ in range(3):
+            perm = tuple(rng.sample(range(m), m))
+            weights = tuple(rng.randint(-1, 3) for _ in range(m))
+            orders += [
+                MonomialOrder("graded-lex", priority=perm),
+                MonomialOrder("graded-revlex", priority=perm),
+                MonomialOrder("weighted", weights=weights),
+                MonomialOrder("weighted", weights=weights, priority=perm),
+            ]
+        es = self.all_exponents(n, q, 4)
+        rng.shuffle(es)
+        for order in orders:
+            reference = functools.cmp_to_key(
+                functools.partial(reference_compare, order)
+            )
+            assert sorted(es, key=order.key) == sorted(es, key=reference)
 
     def test_degree_dominates_graded_orders(self):
         order = MonomialOrder("graded-lex")
         a = exp((0,), (0, 1))
         b = exp((1,), (2, 0))
-        assert compare(order, a, b) == -1
+        assert order.key(a) < order.key(b)
 
     def test_lex_vs_revlex_disagree(self):
         # same degree: x1*x3 vs x2^2 ordered differently by the two kinds
         a = exp((), (1, 0, 1))
         b = exp((), (0, 2, 0))
-        assert compare(MonomialOrder("graded-lex"), a, b) == 1
-        assert compare(MonomialOrder("graded-revlex"), a, b) == -1
+        lex, revlex = MonomialOrder("graded-lex"), MonomialOrder("graded-revlex")
+        assert lex.key(a) > lex.key(b)
+        assert revlex.key(a) < revlex.key(b)
 
     def test_weighted_requires_weights(self):
         with pytest.raises(ValueError):
@@ -150,9 +208,10 @@ class TestMonomialOrder:
     def test_priority_permutes_significance(self):
         a = exp((), (1, 0))
         b = exp((), (0, 1))
-        assert compare(MonomialOrder("graded-lex"), a, b) == 1
+        lex = MonomialOrder("graded-lex")
+        assert lex.key(a) > lex.key(b)
         flipped = MonomialOrder("graded-lex", priority=(1, 0))
-        assert compare(flipped, a, b) == -1
+        assert flipped.key(a) < flipped.key(b)
 
 
 class TestEnumeration:
@@ -166,7 +225,7 @@ class TestEnumeration:
         order = MonomialOrder("graded-revlex")
         out = enumerate_monomials(order, 3, 2, 1)
         for a, b in zip(out, out[1:]):
-            assert compare(order, a, b) == -1
+            assert order.key(a) < order.key(b)
 
 
     @pytest.mark.parametrize(
@@ -188,6 +247,17 @@ class TestEnumeration:
                 full = enumerate_monomials(order, d, n, q)
                 assert monomials_of_degree(order, d, n, q) == [
                     e for e in full if e.degree == d
+                ]
+                if order.weights is None:
+                    continue
+                # positive weights: weighted value d implies degree <= d
+                assert monomials_of_degree(order, d, n, q, order.weights) == [
+                    e
+                    for e in full
+                    if sum(
+                        w * x for w, x in zip(order.weights, e.as_vector())
+                    )
+                    == d
                 ]
 
     def test_monomials_of_degree_edge_cases(self):
