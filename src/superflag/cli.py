@@ -30,6 +30,7 @@ from .degeneration import (
     DegenerationFamily,
     GradedRelation,
     LevelTower,
+    LiftError,
     SRing,
     evaluate_in_tower,
     family_ideal,
@@ -315,7 +316,25 @@ def cmd_degenerate(args) -> int:
     tower = LevelTower(context.basis, real, job.order, job.degree_cap)
     ring = SRing(tower.essential(1))
     graded = gr_ideal(ring, bound)
-    lifted = lift_relations(graded, tower, ring, job.order)
+    head = {
+        "essential_level_1": tower.essential(1).size,
+        "ring": {"even_variables": ring.nS, "odd_variables": ring.qS},
+        "graded_generators": len(graded),
+    }
+    head_lines = [
+        f"level-1 essential monomials: {tower.essential(1).size}",
+        f"presentation ring: {ring.nS} even, {ring.qS} odd variables",
+        f"graded kernel generators (degree <= {bound}): {len(graded)}",
+    ]
+    try:
+        lifted = lift_relations(graded, tower, ring, job.order)
+    except LiftError as exc:
+        # a negative outcome for this order, not an input error
+        if args.json:
+            _emit(_json_text({**head, "lift_failure": str(exc)}), args.out)
+        else:
+            _emit("\n".join(head_lines + [f"lift failed: {exc}"]) + "\n", args.out)
+        return 1
     weight = find_weight_vector(lifted)
     if weight is None:
         _emit(
@@ -329,9 +348,7 @@ def cmd_degenerate(args) -> int:
 
     if args.json:
         payload = {
-            "essential_level_1": tower.essential(1).size,
-            "ring": {"even_variables": ring.nS, "odd_variables": ring.qS},
-            "graded_generators": len(graded),
+            **head,
             "lifted": [relation_dict(rel) for rel in lifted],
             "weight_vector": list(weight),
             "family": {
@@ -352,11 +369,7 @@ def cmd_degenerate(args) -> int:
         }
         _emit(_json_text(payload), args.out)
     else:
-        lines = [
-            f"level-1 essential monomials: {tower.essential(1).size}",
-            f"presentation ring: {ring.nS} even, {ring.qS} odd variables",
-            f"graded kernel generators (degree <= {bound}): {len(graded)}",
-        ]
+        lines = list(head_lines)
         for rel in lifted:
             lines.append("  " + relation_text(rel))
         lines.append("weight vector: (" + ", ".join(str(w) for w in weight) + ")")

@@ -1,5 +1,13 @@
 """Structure constants, graded kernel ideals, lifting, and flat families.
 
+Level K of the tower is the cyclic module M_K generated by the
+highest-weight vector of M_{K-1} (x) M_1, both factors written on their
+essential vectors; it is the Cartan component, of highest weight K lambda.
+The factors embed g-equivariantly in the ambient representations with the
+highest-weight vector fixed, so the scan sees the same linear dependencies
+as in the K-th tensor power of the level-1 representation, on a space of
+dimension dim M_{K-1} * dim M_1 instead of d^K.
+
 The dual basis of a cyclic module tower multiplies with structure constants
 computed by splitting ordered monomials across tensor factors and expanding
 each factor over the essential vectors.  Grouping presentation-ring monomials
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .linalg import RankAccumulator, Rat, SparseVector, fourier_motzkin_solve
@@ -24,6 +33,7 @@ from .modules import (
     CyclicModule,
     HighestWeightRealization,
     cartan_expand,
+    module_realization,
     tensor,
 )
 from .essential import BOTTOM, EssentialSet, decompose_to_chain, essential_monomials
@@ -65,7 +75,15 @@ class LiftError(RuntimeError):
 
 class LevelTower:
     """Realizations, cyclic modules, and essential sets for levels 1..K;
-    ``degree_cap`` bounds the span scan of every level."""
+    ``degree_cap`` bounds the span scan of every level.
+
+    Level K >= 2 is realized in M_{K-1} (x) M_1, each factor written on its
+    own essential vectors (``module_realization``), not in the K-th tensor
+    power of the level-1 representation.  M_{K-1} (x) M_1 embeds in
+    rep_{K-1} (x) rep_1 by an injective g-map that fixes the highest-weight
+    vector, so every monomial image has the same linear dependencies there:
+    essential sets, expansions and structure tables do not change.
+    """
 
     def __init__(
         self,
@@ -90,12 +108,20 @@ class LevelTower:
             raise ValueError(f"tower level must be >= 1, got {k}")
         if k not in self.reals:
             self._ensure_level(k - 1)
-            self.reals[k] = tensor(self.reals[k - 1], self.reals[1])
+            below = (
+                self._module1 if k == 2
+                else module_realization(self.modules[k - 1])
+            )
+            self.reals[k] = tensor(below, self._module1)
         es, module = essential_monomials(
             self.reals[k], self.basis, self.order, degree_cap=self.degree_cap
         )
         self.es[k] = es
         self.modules[k] = module
+
+    @cached_property
+    def _module1(self) -> HighestWeightRealization:
+        return module_realization(self.modules[1])
 
     def essential(self, k: int) -> EssentialSet:
         self._ensure_level(k)

@@ -8,7 +8,9 @@ leading (scan-independent) exponents together with per-weight-block span
 accumulators reused by the expansion machinery downstream.  The scan runs
 by degree (graded orders) or weighted value (weighted orders) and shares
 prefixes: each monomial vector is one operator application to the vector of
-its parent monomial from an earlier layer.
+its parent monomial from an earlier layer.  A scanned module can itself be
+written as a representation on its essential vectors, which is how the
+level tower keeps each level's representation small.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "pbw_act",
     "exponent_weight",
     "cyclic_span",
+    "module_realization",
     "cartan_expand",
     "act_via_expansion",
 ]
@@ -463,6 +466,53 @@ class CyclicModule:
             if c != 0:
                 out[self.essentials[idxs[pos]][0]] = c
         return out
+
+
+def module_realization(mod: CyclicModule) -> HighestWeightRealization:
+    """The cyclic module as a representation on its own essential vectors.
+
+    Basis vector j is the j-th essential vector, so index 0 (the zero
+    exponent) is the highest-weight vector.  The column of generator g at j
+    is g applied once to essential vector j, expanded over the essential
+    vectors of the weight block it lands in.  The module U(n-)v = U(g)v is a
+    g-submodule, so the expansion exists; a failure is an internal
+    inconsistency and raises.
+    """
+    real = mod.realization
+    rep = real.rep
+    vecs = [vec for _, vec in mod.essentials]
+    # the weight and parity of a weight vector are those of any entry
+    entry = [next(iter(vec.entries)) for vec in vecs]
+    action: list[dict[int, dict[int, Rat]]] = []
+    for g in range(rep.algebra.dim):
+        op = rep.action[g]
+        cols: dict[int, dict[int, Rat]] = {}
+        for j, vec in enumerate(vecs):
+            image = rep.apply(op, vec)
+            if image.is_zero():
+                continue
+            block = mod.blocks.get(rep.weights[next(iter(image.entries))])
+            coeffs = None if block is None else block[0].express(image)
+            if coeffs is None:
+                raise RuntimeError(
+                    f"generator {g} maps essential vector "
+                    f"{mod.essentials[j][0]} outside the recorded cyclic span"
+                )
+            idxs = block[1]
+            cols[j] = {idxs[p]: c for p, c in enumerate(coeffs) if c != 0}
+        action.append(cols)
+    return HighestWeightRealization(
+        rep=Representation(
+            algebra=rep.algebra,
+            dim=len(vecs),
+            parities=tuple(rep.parities[i] for i in entry),
+            weights=tuple(rep.weights[i] for i in entry),
+            action=action,
+        ),
+        hw_index=0,
+        weight=real.weight,
+        level=real.level,
+    )
 
 
 def cyclic_span(

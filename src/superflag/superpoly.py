@@ -10,6 +10,7 @@ sign-normalized to that form, with signs governed by the inversion count
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -153,6 +154,10 @@ class MonomialOrder:
             raise ValueError(f"unknown order kind: {self.kind}")
         if self.kind == "weighted" and self.weights is None:
             raise ValueError("weighted order needs a weight vector")
+        # tuples keep the order hashable (layers are memoized per order)
+        for name in ("weights", "priority"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def key(self, e: MultiExponent) -> tuple:
         """Sort key: ``a`` precedes ``b`` in the order iff key(a) < key(b)."""
@@ -205,6 +210,15 @@ def monomials_of_degree(
         raise ValueError("degree must be >= 0")
     if weights is None:
         weights = (1,) * (n + q)
+    return list(_monomials_of_degree(order, degree, n, q, tuple(weights)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _monomials_of_degree(
+    order: MonomialOrder, degree: int, n: int, q: int, weights: tuple[int, ...]
+) -> tuple[MultiExponent, ...]:
+    """Memoized ``monomials_of_degree``: scans and Hilbert checks ask for the
+    same layers again and again."""
     even_w, odd_w = weights[:n], weights[n:]
     out = [
         MultiExponent(bits, m)
@@ -214,7 +228,7 @@ def monomials_of_degree(
         )
     ]
     out.sort(key=order.key)
-    return out
+    return tuple(out)
 
 
 def enumerate_monomials(

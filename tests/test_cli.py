@@ -191,6 +191,29 @@ class TestDegenerateCommand:
             "t=5",
         }
 
+    LIFT_FAILURE = (
+        "residual component I=00 m=(0,0,0,1) at level 2 admits no "
+        "essential-chain decomposition; the essential sets are not "
+        "favourable enough to lift this relation"
+    )
+
+    def test_lift_failure_is_a_negative_report(self, capsys):
+        cfg = str(GOLDEN / "osp14_w1_weighted_priority.cfg")
+        argv = ["degenerate", "--config", cfg, "--degree-bound", "2"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "level-1 essential monomials: 5",
+            "presentation ring: 4 even, 1 odd variables",
+            "graded kernel generators (degree <= 2): 1",
+            f"lift failed: {self.LIFT_FAILURE}",
+        ]
+        code, out, err = run(argv + ["--json"], capsys)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["lift_failure"] == self.LIFT_FAILURE
+        assert payload["graded_generators"] == 1
+
 
 class TestToricCommand:
     def test_good_fixture(self, capsys):
@@ -303,8 +326,8 @@ WEIGHTED_GOLDENS = [
 
 class TestGoldenReports:
     """Reports recorded before the code they exercise was refactored (the
-    exact core; the monomial order and the weighted scan); every byte must
-    stay the same."""
+    exact core; the monomial order and the weighted scan; the submodule
+    tower); every byte must stay the same."""
 
     @pytest.mark.parametrize(
         "cfg, argv, golden",
@@ -332,6 +355,26 @@ class TestGoldenReports:
         golden = GOLDEN / "osp14_flip_flip_degenerate_b2.json"
         assert out == golden.read_text(encoding="utf-8")
         assert json.loads(out)["family"]["generators"] == 46
+
+    @pytest.mark.parametrize(
+        "cfg, argv, golden",
+        [
+            (str(DATA / "osp14_w1.cfg"),
+             ["essential", "--level", "6", "--favourable-k", "6", "--json"],
+             "osp14_w1_l6_f6.json"),
+            (str(DATA / "osp14_w1.cfg"),
+             ["essential", "--level", "6", "--favourable-k", "6"],
+             "osp14_w1_l6_f6.txt"),
+            (str(GOLDEN / "osp14_flip_flip.cfg"),
+             ["degenerate", "--degree-bound", "3"],
+             "osp14_flip_flip_degenerate_b3.txt"),
+        ],
+        ids=["osp-l6-json", "osp-l6-text", "flip-square-b3"],
+    )
+    def test_submodule_tower_reports(self, cfg, argv, golden, capsys):
+        code, out, err = run(argv + ["--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_region_union_toric_certificate(self, capsys):
         code, out, err = run(

@@ -19,8 +19,16 @@ from superflag.degeneration import (
     sort_key_component,
     structure_constants,
 )
+from superflag.essential import essential_monomials
 from superflag.linalg import Rat, SparseVector, nullspace
-from superflag.superpoly import MultiExponent, SuperPolynomial, koszul_count
+from superflag.modules import tensor_power
+from superflag.superpoly import (
+    MonomialOrder,
+    MultiExponent,
+    SuperPolynomial,
+    enumerate_monomials,
+    koszul_count,
+)
 
 
 def me(odd, even):
@@ -64,11 +72,73 @@ def eliminated_kernel(ring, items):
     ]
 
 
+class TensorPowerTower(LevelTower):
+    """The tower built the old way, level K inside the K-th tensor power of
+    the level-1 representation: the oracle for the submodule tower."""
+
+    def _ensure_level(self, k):
+        if k not in self.es:
+            self.reals[k] = tensor_power(self.reals[1], k)
+            self.es[k], self.modules[k] = essential_monomials(
+                self.reals[k], self.basis, self.order
+            )
+
+
+TOWER_CASES = {
+    "sl3-adjoint": ("sl3_context", "sl3_adjoint", None),
+    "osp-graded-lex": ("osp_context", "osp_real", None),
+    "osp-weighted": (
+        "osp_context",
+        "osp_real",
+        MonomialOrder("weighted", weights=(2, 1, 3, 1, 1, 2)),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TOWER_CASES))
+def tower_pair(request):
+    """(submodule tower, tensor-power tower) of one job, levels 1..4."""
+    ctx_name, real_name, order = TOWER_CASES[request.param]
+    basis = request.getfixturevalue(ctx_name).basis
+    real = request.getfixturevalue(real_name)
+    return LevelTower(basis, real, order), TensorPowerTower(basis, real, order)
+
+
 class TestLevelTower:
     @pytest.mark.parametrize("k", [0, -1])
     def test_levels_below_one_rejected(self, osp_tower, k):
         with pytest.raises(ValueError, match="tower level must be >= 1"):
             osp_tower.essential(k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_level_is_the_product_of_the_modules_below(self, tower_pair, k):
+        tower, _ = tower_pair
+        assert tower.realization(k).rep.dim == (
+            tower.module(k - 1).dimension * tower.module(1).dimension
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_essentials_and_expansions_match_tensor_powers(self, tower_pair, k):
+        tower, oracle = tower_pair
+        new, old = tower.module(k), oracle.module(k)
+        assert new.essential_exponents() == old.essential_exponents()
+        assert tower.essential(k).monomials == oracle.essential(k).monomials
+        scanned = enumerate_monomials(
+            MonomialOrder("graded-lex"),
+            old.stabilization_degree + 1,
+            tower.basis.n,
+            tower.basis.q,
+        )
+        for e in scanned:
+            assert new.expand(e) == old.expand(e)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_structure_tables_match_tensor_powers(self, tower_pair, k):
+        tower, oracle = tower_pair
+        assert (
+            structure_constants(tower, k - 1, 1).products
+            == structure_constants(oracle, k - 1, 1).products
+        )
 
 
 class TestStructureConstants:

@@ -1,5 +1,7 @@
 """Representations, highest-weight realizations, cyclic spans, expansions."""
 
+import dataclasses
+
 import pytest
 
 from superflag.linalg import Rat, SparseVector
@@ -13,6 +15,7 @@ from superflag.modules import (
     dual_natural,
     exponent_weight,
     flip_parities,
+    module_realization,
     natural,
     pbw_act,
     single_block_realization,
@@ -20,7 +23,7 @@ from superflag.modules import (
     tensor_power,
     tensor_representations,
 )
-from superflag.superpoly import MonomialOrder, MultiExponent
+from superflag.superpoly import MonomialOrder, MultiExponent, enumerate_monomials
 
 
 def exp_of(basis, **labeled):
@@ -241,6 +244,57 @@ class TestCyclicSpan:
             assert recon == vec
             checked += 1
         assert checked > 0
+
+
+class TestModuleRealization:
+    """The cyclic module written on its own essential vectors."""
+
+    @pytest.mark.parametrize(
+        "ctx_name, real_name, k",
+        [
+            ("sl3_context", "sl3_adjoint", 1),
+            ("osp_context", "osp_real", 1),
+            ("osp_context", "osp_real", 2),
+        ],
+    )
+    def test_is_a_representation(self, ctx_name, real_name, k, request):
+        basis = request.getfixturevalue(ctx_name).basis
+        real = request.getfixturevalue(real_name)
+        module = cyclic_span(tensor_power(real, k), basis)
+        sub = module_realization(module)
+        sub.rep.validate()
+        assert sub.rep.dim == module.dimension
+        assert (sub.hw_index, sub.weight, sub.level) == (
+            0, module.realization.weight, k
+        )
+        for j, (_, vec) in enumerate(module.essentials):
+            i = next(iter(vec.entries))
+            assert sub.rep.weights[j] == module.realization.rep.weights[i]
+            assert sub.rep.parities[j] == module.realization.rep.parities[i]
+
+    def test_scan_of_the_realization_matches_the_ambient_scan(
+        self, osp_context, osp_real
+    ):
+        basis = osp_context.basis
+        square = cyclic_span(tensor_power(osp_real, 2), basis)
+        sub = cyclic_span(module_realization(square), basis)
+        assert sub.essential_exponents() == square.essential_exponents()
+        for e in enumerate_monomials(MonomialOrder("graded-lex"), 3, 4, 2):
+            assert sub.expand(e) == square.expand(e)
+
+    def test_failed_expansion_names_generator_and_exponent(
+        self, osp_context, osp_real
+    ):
+        module = cyclic_span(osp_real, osp_context.basis)
+        # keep only the highest-weight block: every lowering leaves it
+        hw_block = {osp_real.weight: module.blocks[osp_real.weight]}
+        broken = dataclasses.replace(module, blocks=hw_block)
+        with pytest.raises(
+            RuntimeError,
+            match=r"generator \d+ maps essential vector I=\d+ m=\([\d,]+\) "
+            "outside the recorded cyclic span",
+        ):
+            module_realization(broken)
 
 
 def _scanned_exponents(module):

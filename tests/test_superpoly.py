@@ -270,6 +270,26 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             monomials_of_degree(order, -1, 1, 1)
 
+    def test_memoized_layers_come_back_as_fresh_lists(self):
+        order = MonomialOrder("graded-revlex")
+        first = monomials_of_degree(order, 3, 2, 2)
+        first.clear()
+        again = monomials_of_degree(order, 3, 2, 2)
+        assert again and again is not monomials_of_degree(order, 3, 2, 2)
+        assert again == monomials_of_degree(order, 3, 2, 2, [1, 1, 1, 1])
+
+    def test_list_weights_and_priority_give_the_tuple_order(self):
+        listed = MonomialOrder(
+            "weighted", weights=[3, 1, 2, 1], priority=[1, 0, 3, 2]
+        )
+        tupled = MonomialOrder(
+            "weighted", weights=(3, 1, 2, 1), priority=(1, 0, 3, 2)
+        )
+        assert listed == tupled
+        assert monomials_of_degree(listed, 4, 2, 2, listed.weights) == (
+            monomials_of_degree(tupled, 4, 2, 2, tupled.weights)
+        )
+
 
 class TestSuperPolynomial:
     def var(self, n, q, index, odd=False):
