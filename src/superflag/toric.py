@@ -5,13 +5,16 @@ certificate checks the combinatorial hypotheses (odd-coordinate removal,
 even sublattice fullness via Smith normal form, reachability of single odd
 coordinates), solves for admissible torus-action coefficient vectors, and
 verifies closure under the corresponding odd derivations.  All arithmetic is
-exact; membership questions in the generated semigroup are decided exactly
-degree by degree in the v-grading.
+exact.  Membership in the generated semigroup at v-degree v is a lookup in
+the graded sumset ``S_v = ⋃_p (S_{v - p.v} + p)`` (odd parts disjoint),
+built up to the largest v asked for, so its cost is the size of each layer
+rather than the depth of a search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .linalg import Rat, SparseVector, nullspace, smith_normal_form
 from .essential import EssentialSet
@@ -78,8 +81,13 @@ def exponent_set_from_essential(es: EssentialSet) -> ExponentSet:
 
 
 def parse_exponent_set(text: str) -> ExponentSet:
+    """Read ``# ambient n=.. q=..``, ``# labels ..`` and ``I=.. m=(..) k=..``
+    lines.  A generator line without I, m or k, a header without n or q, and
+    a point whose lengths differ from the header's q and n (or, without a
+    header, from the first point's) raise ValueError naming the line."""
     n = q = None
     labels: dict[str, str] = {}
+    lines: list[str] = []
     points: list[VPoint] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -89,11 +97,18 @@ def parse_exponent_set(text: str) -> ExponentSet:
             body = line[1:].strip()
             if body.startswith("ambient"):
                 parts = dict(p.split("=") for p in body.split()[1:])
+                if "n" not in parts or "q" not in parts:
+                    raise ValueError(f"ambient header needs n= and q=: {line}")
                 n, q = int(parts["n"]), int(parts["q"])
             elif body.startswith("labels"):
                 labels = dict(p.split("=", 1) for p in body.split()[1:])
             continue
         fields = dict(p.split("=", 1) for p in line.split())
+        missing = [f"{key}=" for key in ("I", "m", "k") if key not in fields]
+        if missing:
+            raise ValueError(
+                f"generator line lacks {' '.join(missing)}: {line}"
+            )
         bits = fields["I"]
         odd = tuple(int(c) for c in bits) if bits != "-" else ()
         evens = fields["m"].strip("()")
@@ -101,11 +116,18 @@ def parse_exponent_set(text: str) -> ExponentSet:
         k = int(fields["k"])
         if k < 1:
             raise ValueError(f"v-degree must be at least 1, got k={k}: {line}")
+        lines.append(line)
         points.append(VPoint(MultiExponent(odd, even), k))
     if n is None or q is None:
         if not points:
             raise ValueError("empty exponent-set file without ambient header")
         n, q = points[0].exp.n, points[0].exp.q
+    for line, p in zip(lines, points):
+        if (p.exp.q, p.exp.n) != (q, n):
+            raise ValueError(
+                f"point has {p.exp.q} odd and {p.exp.n} even coordinates, "
+                f"expected q={q} and n={n}: {line}"
+            )
     return ExponentSet(n=n, q=q, points=points, labels=labels)
 
 
@@ -125,73 +147,36 @@ def serialize_exponent_set(ks: ExponentSet) -> str:
 
 
 class _Membership:
-    """Exact decision of membership in the v-graded semigroup span."""
+    """Exact decision of membership in the v-graded semigroup span.
+
+    The sums of generators of total v-degree u form the graded sumset
+    ``S_u = {s + p : p.v <= u, s in S_{u - p.v}}`` with ``S_0 = {0}``, where
+    the odd parts of s and p must be disjoint so every odd coordinate stays
+    0 or 1.  A sum does not depend on the order of its summands, so taking
+    the last summand off gives every element of ``S_u``.  Each element is
+    one plain tuple, odd coordinates first; a sum of overlapping odd parts
+    shows a 2 there and is dropped.  The layers are built up to the largest
+    v asked for, so the cost is the size of each layer times the number of
+    generators, not the depth of a search.
+    """
 
     def __init__(self, ks: ExponentSet):
-        self.points = sorted(
-            ks.points, key=lambda p: (p.v, p.exp.as_vector())
-        )
-        self._memo: dict = {}
+        self.q = ks.q
+        self.points = {(p.v, p.exp.odd + p.exp.even) for p in ks.points}
+        self.layers = [{(0,) * (ks.q + ks.n)}]
 
     def member(self, exp: MultiExponent, v: int) -> bool:
-        """Is (exp, v) a sum of generators with v-degrees summing to v?
-
-        Depth-first over the generators in order, trying 0, 1, ... uses of
-        each; the stack is explicit because the depth is one level per
-        generator.
-        """
-        root = (0, exp, v)
-        known = self._known(root)
-        if known is not None:
-            return known
-        stack = [(root, self._children(root))]
-        while stack:
-            state, children = stack[-1]
-            for child in children:
-                known = self._known(child)
-                if known is None:
-                    stack.append((child, self._children(child)))
-                    break
-                if known:
-                    # each state on the stack reaches this child
-                    for reached, _ in stack:
-                        self._memo[reached] = True
-                    return True
-            else:
-                self._memo[state] = False
-                stack.pop()
-        return False
-
-    def _known(self, state: tuple[int, MultiExponent, int]) -> bool | None:
-        """The answer for a state, or None while it is undecided."""
-        idx, exp, v = state
-        if v == 0:
-            return exp.is_zero()
-        if idx >= len(self.points):
-            return False
-        return self._memo.get(state)
-
-    def _children(self, state: tuple[int, MultiExponent, int]):
-        """The states left after using generator ``idx`` 0, 1, ... times."""
-        idx, exp, v = state
-        p = self.points[idx]
-        # how many copies of p can we use?
-        max_uses = v // p.v
-        for coord, avail in zip(p.exp.even, exp.even):
-            if coord:
-                max_uses = min(max_uses, avail // coord)
-        if any(p.exp.odd):
-            max_uses = min(max_uses, 1)
-        for uses in range(max_uses + 1):
-            rest_even = tuple(
-                a - uses * b for a, b in zip(exp.even, p.exp.even)
-            )
-            rest_odd = tuple(
-                a - uses * b for a, b in zip(exp.odd, p.exp.odd)
-            )
-            if any(c < 0 for c in rest_even) or any(c < 0 for c in rest_odd):
-                break
-            yield (idx + 1, MultiExponent(rest_odd, rest_even), v - uses * p.v)
+        """Is (exp, v) a sum of generators with v-degrees summing to v?"""
+        while len(self.layers) <= v:
+            u = len(self.layers)
+            sums = {
+                tuple(map(add, s, p))
+                for pv, p in self.points
+                if pv <= u
+                for s in self.layers[u - pv]
+            }
+            self.layers.append({s for s in sums if 2 not in s[: self.q]})
+        return v >= 0 and exp.odd + exp.even in self.layers[v]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +301,8 @@ def solve_action(
         raise ValueError("reading must be 'v-graded' or 'ungraded'")
     if bound is None:
         bound = 2 * ks.q + 2
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     member = _Membership(ks)
     spaces: dict[int, list[tuple[Rat, ...]]] = {}
     constraints: dict[int, list[VPoint]] = {}

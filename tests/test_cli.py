@@ -248,6 +248,42 @@ class TestToricCommand:
         assert payload["even_laurent"]["invariant_factors"] == [1, 1, 1, 1, 1]
         assert payload["faithful_witness"]["v"] == 6
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("I=00 k=1\n", "generator line lacks m=: I=00 k=1"),
+            ("# ambient n=1\nI=0 m=(0) k=1\n",
+             "ambient header needs n= and q=: # ambient n=1"),
+            ("# ambient n=2 q=1\nI=0 m=(0) k=1\n",
+             "point has 1 odd and 1 even coordinates, expected q=1 and n=2: "
+             "I=0 m=(0) k=1"),
+        ],
+        ids=["no-m", "no-q", "short-point"],
+    )
+    def test_malformed_exponent_file_exits_two(
+        self, tmp_path, text, message, capsys
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["toric", "--exponents", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bound_below_one_exits_two(self, value, capsys):
+        code, out, err = run(
+            [
+                "toric",
+                "--exponents",
+                str(DATA / "osp14_w1_points.txt"),
+                "--bound",
+                value,
+            ],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: bound must be >= 1, got {value}\n"
+
 
 class TestPolytopeCommand:
     def test_point_listing(self, capsys):
@@ -376,20 +412,20 @@ class TestGoldenReports:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
-    def test_region_union_toric_certificate(self, capsys):
+    @pytest.mark.parametrize("union", ["1_2", "1_3"])
+    def test_region_union_toric_certificate(self, union, capsys):
         code, out, err = run(
             [
                 "toric",
                 "--exponents",
-                str(GOLDEN / "region_union_1_2.txt"),
+                str(GOLDEN / f"region_union_{union}.txt"),
                 "--json",
             ],
             capsys,
         )
         assert (code, err) == (0, "")
-        assert out == (GOLDEN / "region_union_1_2_toric.json").read_text(
-            encoding="utf-8"
-        )
+        golden = GOLDEN / f"region_union_{union}_toric.json"
+        assert out == golden.read_text(encoding="utf-8")
 
 
 class TestErrorsAndConfig:

@@ -1,10 +1,14 @@
 """Toric certification of exponent sets: hypotheses, action, closure."""
 
+import itertools
 import math
 import random
+import re
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from superflag.linalg import Rat
@@ -61,6 +65,93 @@ def classical_curve():
     )
 
 
+class ReferenceMembership:
+    """The depth-first search the sumset replaced, kept as its oracle."""
+
+    def __init__(self, ks: ExponentSet):
+        self.points = sorted(
+            ks.points, key=lambda p: (p.v, p.exp.as_vector())
+        )
+        self._memo: dict = {}
+
+    def member(self, exp: MultiExponent, v: int) -> bool:
+        """Is (exp, v) a sum of generators with v-degrees summing to v?
+
+        Depth-first over the generators in order, trying 0, 1, ... uses of
+        each; the stack is explicit because the depth is one level per
+        generator.
+        """
+        root = (0, exp, v)
+        known = self._known(root)
+        if known is not None:
+            return known
+        stack = [(root, self._children(root))]
+        while stack:
+            state, children = stack[-1]
+            for child in children:
+                known = self._known(child)
+                if known is None:
+                    stack.append((child, self._children(child)))
+                    break
+                if known:
+                    # each state on the stack reaches this child
+                    for reached, _ in stack:
+                        self._memo[reached] = True
+                    return True
+            else:
+                self._memo[state] = False
+                stack.pop()
+        return False
+
+    def _known(self, state: tuple[int, MultiExponent, int]) -> bool | None:
+        """The answer for a state, or None while it is undecided."""
+        idx, exp, v = state
+        if v == 0:
+            return exp.is_zero()
+        if idx >= len(self.points):
+            return False
+        return self._memo.get(state)
+
+    def _children(self, state: tuple[int, MultiExponent, int]):
+        """The states left after using generator ``idx`` 0, 1, ... times."""
+        idx, exp, v = state
+        p = self.points[idx]
+        # how many copies of p can we use?
+        max_uses = v // p.v
+        for coord, avail in zip(p.exp.even, exp.even):
+            if coord:
+                max_uses = min(max_uses, avail // coord)
+        if any(p.exp.odd):
+            max_uses = min(max_uses, 1)
+        for uses in range(max_uses + 1):
+            rest_even = tuple(
+                a - uses * b for a, b in zip(exp.even, p.exp.even)
+            )
+            rest_odd = tuple(
+                a - uses * b for a, b in zip(exp.odd, p.exp.odd)
+            )
+            if any(c < 0 for c in rest_even) or any(c < 0 for c in rest_odd):
+                break
+            yield (idx + 1, MultiExponent(rest_odd, rest_even), v - uses * p.v)
+
+
+def random_exponent_set(rng: random.Random, with_zero: bool) -> ExponentSet:
+    """1 to 8 generators in n <= 3 even and q <= 2 odd coordinates, with
+    v-degrees 1 to 3; ``with_zero`` adds the zero exponent."""
+    n, q = rng.randint(0, 3), rng.randint(0, 2)
+    points = {
+        vp(
+            [rng.randint(0, 1) for _ in range(q)],
+            [rng.randint(0, 2) for _ in range(n)],
+            rng.randint(1, 3),
+        )
+        for _ in range(rng.randint(1, 8))
+    }
+    if with_zero:
+        points.add(vp([0] * q, [0] * n, rng.randint(1, 3)))
+    return ExponentSet(n=n, q=q, points=sorted(points, key=str))
+
+
 class TestMembership:
     def test_graded_membership_on_the_curve(self, classical_curve):
         member = _Membership(classical_curve)
@@ -99,6 +190,24 @@ class TestMembership:
         assert member.member(MultiExponent((), (1600,)), 1)
         assert not member.member(MultiExponent((), (1601,)), 1)
         assert member.member(MultiExponent((), (5,)), 2)
+
+    def test_sumset_matches_the_depth_first_oracle(self):
+        rng = random.Random(20261018)
+        for trial in range(40):
+            ks = random_exponent_set(rng, with_zero=trial % 2 == 0)
+            fast, slow = _Membership(ks), ReferenceMembership(ks)
+            for odd in itertools.product((0, 1), repeat=ks.q):
+                for even in itertools.product(range(5), repeat=ks.n):
+                    exp = MultiExponent(odd, even)
+                    for v in range(-1, 5):
+                        assert fast.member(exp, v) == slow.member(exp, v), (
+                            serialize_exponent_set(ks), exp, v
+                        )
+            # sums with a colliding odd coordinate are dropped from the layers
+            for v, layer in enumerate(fast.layers):
+                for s in layer:
+                    exp = MultiExponent(s[: ks.q], s[ks.q :])
+                    assert slow.member(exp, v), (exp, v)
 
 
 class TestHypotheses:
@@ -165,6 +274,16 @@ class TestAction:
     def test_closure_passes(self, ten_points):
         action = solve_action(ten_points, "v-graded")
         assert verify_derivation_closure(ten_points, action).passed
+
+    def test_closure_reports_a_lowering_outside_the_semigroup(self):
+        ks = parse_exponent_set(
+            "# ambient n=1 q=1\nI=0 m=(0) k=1\nI=1 m=(1) k=1\nI=0 m=(2) k=1\n"
+        )
+        report = verify_derivation_closure(ks, solve_action(ks, "v-graded"))
+        assert not report.passed
+        assert report.violations == [
+            (0, -1, vp((1,), (1,)), "lowering leaves the semigroup")
+        ]
 
 
 class TestCertificate:
@@ -234,6 +353,52 @@ class TestSerialization:
         text = "# ambient n=1 q=0\nI=- m=(0) k=1\nI=- m=(2) k=2\n"
         ks = parse_exponent_set(text)
         assert [p.v for p in ks.points] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("I=0 k=1\n", "lacks m=: I=0 k=1"),
+            ("m=(0) k=1\n", "lacks I=: m=(0) k=1"),
+            ("I=0 m=(0)\n", "lacks k=: I=0 m=(0)"),
+            ("# ambient n=1\nI=0 m=(0) k=1\n", "needs n= and q=: # ambient n=1"),
+            ("# ambient q=1\nI=0 m=(0) k=1\n", "needs n= and q=: # ambient q=1"),
+            (
+                "# ambient n=2 q=1\nI=0 m=(0,0) k=1\nI=0 m=(1) k=1\n",
+                "expected q=1 and n=2: I=0 m=(1) k=1",
+            ),
+            (
+                "# ambient n=1 q=2\nI=0 m=(1) k=1\n",
+                "expected q=2 and n=1: I=0 m=(1) k=1",
+            ),
+            (
+                "I=0 m=(0,0) k=1\nI=01 m=(1,0) k=1\n",
+                "expected q=1 and n=2: I=01 m=(1,0) k=1",
+            ),
+        ],
+    )
+    def test_malformed_files_name_the_line(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_exponent_set(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        n = data.draw(st.integers(0, 3))
+        q = data.draw(st.integers(0, 2))
+        point = st.builds(
+            vp,
+            st.lists(st.integers(0, 1), min_size=q, max_size=q),
+            st.lists(st.integers(0, 9), min_size=n, max_size=n),
+            st.integers(1, 5),
+        )
+        points = data.draw(st.lists(point, max_size=6))
+        token = st.text("abcxyz0123+-", min_size=1, max_size=5)
+        labels = data.draw(st.dictionaries(token, token, max_size=3))
+        ks = ExponentSet(n=n, q=q, points=points, labels=labels)
+        back = parse_exponent_set(serialize_exponent_set(ks))
+        assert (back.n, back.q) == (n, q)
+        assert back.labels == labels
+        assert back.points == points
 
     def test_from_essential_set(self, osp_tower):
         ks = exponent_set_from_essential(osp_tower.essential(2))
