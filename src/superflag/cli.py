@@ -248,13 +248,15 @@ def family_lines(family: DegenerationFamily) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_essential(args) -> int:
-    for flag, value in (
-        ("--level", args.level),
-        ("--favourable-k", args.favourable_k),
-    ):
+def _require_positive(*flags: tuple[str, int | None]) -> None:
+    """Reject an integer option below 1 (None means the option is unset)."""
+    for flag, value in flags:
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
+def cmd_essential(args) -> int:
+    _require_positive(("--level", args.level), ("--favourable-k", args.favourable_k))
     job = load_job(args.config)
     if args.order:
         job.order = MonomialOrder(args.order)
@@ -304,14 +306,17 @@ def cmd_essential(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
+    bound = args.degree_bound
+    _require_positive(("--degree-bound", bound), ("--max-degree", args.max_degree))
+    samples = [Rat(Fraction(tok)) for tok in args.samples.split()]
+    if not samples:
+        raise ValueError("--samples is empty; give at least one fiber parameter")
+    max_degree = args.max_degree if args.max_degree is not None else bound
     job = load_job(args.config)
     if args.basis_perm:
         job.permutation = _ints(args.basis_perm)
     context = job.context()
     real = job.realization(context)
-    bound = args.degree_bound
-    samples = [Rat(Fraction(tok)) for tok in args.samples.split()]
-    max_degree = args.max_degree if args.max_degree is not None else bound
 
     tower = LevelTower(context.basis, real, job.order, job.degree_cap)
     ring = SRing(tower.essential(1))

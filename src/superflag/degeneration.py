@@ -41,6 +41,7 @@ from .superpoly import (
     MonomialOrder,
     MultiExponent,
     SuperPolynomial,
+    koszul_count,
     monomials_of_degree,
     multiply,
 )
@@ -266,25 +267,24 @@ class SRing:
         """(component, sign): the module monomial hit by the ring monomial.
 
         Returns ((exponent, level), +-1) or (BOTTOM, 0) when odd module
-        coordinates collide.
+        coordinates collide.  The factors are summed left to right, each
+        step flipping the sign on an odd Koszul count (as ``multiply`` does
+        for two monomials).
         """
         cached = self._gamma_cache.get(sexp)
         if cached is not None:
             return cached
-        poly = SuperPolynomial.one(self.n_mod, self.q_mod)
+        exp, sign = MultiExponent.zero(self.n_mod, self.q_mod), 1
         for f in self.factors(sexp):
-            poly = multiply(
-                poly, SuperPolynomial.monomial(self.n_mod, self.q_mod, f)
-            )
-            if poly.is_zero():
+            combined = exp.combine(f)
+            if combined is None:
+                result = (BOTTOM, 0)
                 break
-        if poly.is_zero():
-            result = (BOTTOM, 0)
+            if koszul_count(exp.odd, f.odd) % 2:
+                sign = -sign
+            exp = combined
         else:
-            [(exp, coeff)] = poly.terms.items()
-            if coeff not in (1, -1):
-                raise RuntimeError("reordering sign must be a unit")
-            result = ((exp, sexp.degree), int(coeff))
+            result = ((exp, sexp.degree), sign)
         self._gamma_cache[sexp] = result
         return result
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .linalg import Dependent, Rat, SparseVector, SpanAccumulator
 
@@ -47,115 +47,108 @@ class RootDecompositionError(RuntimeError):
 
 
 class SuperMatrix:
-    """Dense rational matrix on a p|q-graded space (indices < p are even)."""
+    """Rational matrix on a p|q-graded space (indices < p are even), stored
+    as its nonzero entries ``(row, column) -> value``."""
 
-    __slots__ = ("p", "q", "rows")
+    __slots__ = ("p", "q", "entries")
 
-    def __init__(self, p: int, q: int, rows: Sequence[Sequence[Rat | int]]):
+    def __init__(
+        self, p: int, q: int, entries: Mapping[tuple[int, int], Rat | int]
+    ):
         self.p = p
         self.q = q
         size = p + q
-        if len(rows) != size or any(len(r) != size for r in rows):
-            raise ValueError("matrix size must match p+q")
-        self.rows: tuple[tuple[Rat, ...], ...] = tuple(
-            tuple(Rat(x) for x in r) for r in rows
-        )
+        for i, j in entries:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ValueError(f"entry ({i}, {j}) lies outside size p+q={size}")
+        self.entries: dict[tuple[int, int], Rat] = {
+            ij: Rat(c) for ij, c in entries.items() if c != 0
+        }
 
     @classmethod
     def zero(cls, p: int, q: int) -> "SuperMatrix":
-        size = p + q
-        return cls(p, q, [[0] * size for _ in range(size)])
+        return cls(p, q, {})
 
     @classmethod
     def unit(cls, p: int, q: int, i: int, j: int, c: Rat | int = 1) -> "SuperMatrix":
-        size = p + q
-        rows = [[Rat(0)] * size for _ in range(size)]
-        rows[i][j] = Rat(c)
-        return cls(p, q, rows)
+        return cls(p, q, {(i, j): c})
 
     @property
     def size(self) -> int:
         return self.p + self.q
 
-    def index_parity(self, i: int) -> int:
-        return 0 if i < self.p else 1
-
-    def entry_parity(self, i: int, j: int) -> int:
-        return (self.index_parity(i) + self.index_parity(j)) % 2
+    @property
+    def rows(self) -> tuple[tuple[Rat, ...], ...]:
+        """The dense rows, derived from the entries."""
+        span = range(self.size)
+        return tuple(
+            tuple(self.entries.get((i, j), Rat(0)) for j in span) for i in span
+        )
 
     def parity(self) -> int | None:
         """0/1 if homogeneous, None if mixed or zero-ambiguous (zero -> 0)."""
-        seen: set[int] = set()
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c != 0:
-                    seen.add(self.entry_parity(i, j))
-        if not seen:
-            return 0
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        seen = {(i < self.p) != (j < self.p) for i, j in self.entries}
+        if len(seen) > 1:
+            return None
+        return int(seen.pop()) if seen else 0
+
+    def _plus(self, other: "SuperMatrix", sign: int) -> "SuperMatrix":
+        out = dict(self.entries)
+        for ij, c in other.entries.items():
+            out[ij] = out.get(ij, 0) + sign * c
+        return SuperMatrix(self.p, self.q, out)
 
     def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return SuperMatrix(
-            self.p, self.q,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return SuperMatrix(
-            self.p, self.q,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return self._plus(other, -1)
 
     def scaled(self, c: Rat | int) -> "SuperMatrix":
         c = Rat(c)
-        return SuperMatrix(self.p, self.q, [[c * x for x in r] for r in self.rows])
+        entries = {ij: c * x for ij, x in self.entries.items()}
+        return SuperMatrix(self.p, self.q, entries)
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        size = self.size
-        cols = list(zip(*other.rows))
-        return SuperMatrix(
-            self.p, self.q,
-            [
-                [sum((a * b for a, b in zip(row, col)), Rat(0)) for col in cols]
-                for row in self.rows
-            ],
-        )
+        by_row: dict[int, list[tuple[int, Rat]]] = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
+        out: dict[tuple[int, int], Rat] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                out[i, j] = out.get((i, j), 0) + a * b
+        return SuperMatrix(self.p, self.q, out)
 
     def supertrace(self) -> Rat:
         return sum(
-            (self.rows[i][i] if i < self.p else -self.rows[i][i]
-             for i in range(self.size)),
+            (c if i < self.p else -c for (i, j), c in self.entries.items() if i == j),
             Rat(0),
         )
 
     def flatten(self) -> SparseVector:
         size = self.size
         return SparseVector(
-            {
-                i * size + j: c
-                for i, row in enumerate(self.rows)
-                for j, c in enumerate(row)
-                if c != 0
-            }
+            {i * size + j: c for (i, j), c in sorted(self.entries.items())}
         )
 
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.rows for c in row)
+        return not self.entries
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SuperMatrix)
             and (self.p, self.q) == (other.p, other.q)
-            and self.rows == other.rows
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.p, self.q, self.rows))
+        return hash((self.p, self.q, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
-        return f"SuperMatrix(p={self.p}, q={self.q}, rows={self.rows})"
+        return (
+            f"SuperMatrix(p={self.p}, q={self.q}, "
+            f"entries={dict(sorted(self.entries.items()))})"
+        )
 
 
 def superbracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
@@ -208,14 +201,17 @@ class LieSuperalgebra:
         return self.coordinates(superbracket(self.basis[i], self.basis[j]))
 
 
-def _finish(family, params, space, basis, parities, cartan_indices) -> LieSuperalgebra:
+def _finish(family, params, space, entry_maps, rank) -> LieSuperalgebra:
+    """The algebra spanned by the entry maps; the first ``rank`` are Cartan."""
+    basis = [SuperMatrix(*space, entries) for entries in entry_maps]
     acc = SpanAccumulator()
     for b in basis:
         if isinstance(acc.insert(b.flatten()), Dependent):
             raise ValueError("algebra basis is linearly dependent")
     return LieSuperalgebra(
         family=family, params=params, space=space, basis=basis,
-        parities=parities, cartan_indices=cartan_indices, _coords=acc,
+        parities=[b.parity() for b in basis],
+        cartan_indices=list(range(rank)), _coords=acc,
     )
 
 
@@ -244,51 +240,24 @@ def _build_gl(m: int, n: int, special: bool) -> LieSuperalgebra:
     if m < 0 or n < 0 or m + n == 0:
         raise ValueError("need m, n >= 0 with m + n > 0")
     size = m + n
-    basis: list[SuperMatrix] = []
-    parities: list[int] = []
-    cartan_indices: list[int] = []
     if special and m == n:
         warnings.warn(
             f"sl({m}|{n}) contains the identity in its center; the quotient "
             "is not taken and downstream weights may be degenerate",
             stacklevel=2,
         )
-    # diagonal part first
+    # diagonal part first; for sl the supertrace-zero combination across the
+    # block edge is E_kk + E_k+1,k+1
     if special:
-        for k in range(size - 1):
-            h = SuperMatrix.zero(m, n)
-            rows = [list(r) for r in h.rows]
-            if k + 1 == m:  # supertrace-zero combination across the block edge
-                rows[k][k] = Rat(1)
-                rows[k + 1][k + 1] = Rat(1)
-            else:
-                rows[k][k] = Rat(1)
-                rows[k + 1][k + 1] = Rat(-1)
-            cartan_indices.append(len(basis))
-            basis.append(SuperMatrix(m, n, rows))
-            parities.append(0)
+        maps = [
+            {(k, k): 1, (k + 1, k + 1): 1 if k + 1 == m else -1}
+            for k in range(size - 1)
+        ]
     else:
-        for k in range(size):
-            cartan_indices.append(len(basis))
-            basis.append(SuperMatrix.unit(m, n, k, k))
-            parities.append(0)
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
-            basis.append(SuperMatrix.unit(m, n, i, j))
-            parities.append(SuperMatrix.zero(m, n).entry_parity(i, j))
-    return _finish(
-        "sl" if special else "gl", (m, n), (m, n), basis, parities, cartan_indices
-    )
-
-
-def _symplectic(n: int) -> list[list[Rat]]:
-    j = [[Rat(0)] * (2 * n) for _ in range(2 * n)]
-    for k in range(n):
-        j[k][n + k] = Rat(1)
-        j[n + k][k] = Rat(-1)
-    return j
+        maps = [{(k, k): 1} for k in range(size)]
+    rank = len(maps)
+    maps += [{(i, j): 1} for i in range(size) for j in range(size) if i != j]
+    return _finish("sl" if special else "gl", (m, n), (m, n), maps, rank)
 
 
 def _build_osp(m: int, n: int) -> LieSuperalgebra:
@@ -301,70 +270,27 @@ def _build_osp(m: int, n: int) -> LieSuperalgebra:
             "list; construction proceeds",
             stacklevel=2,
         )
-    size = m + 2 * n
-    jm = _symplectic(n)
-    basis: list[SuperMatrix] = []
-    parities: list[int] = []
-    cartan_indices: list[int] = []
-
-    def emit(mat: SuperMatrix, parity: int, cartan: bool = False) -> None:
-        if cartan:
-            cartan_indices.append(len(basis))
-        basis.append(mat)
-        parities.append(parity)
-
+    s, t = m, m + n  # first indices of the two symplectic halves
     # sp(2n) block: D = [[P, Q], [R, -P^T]] with Q, R symmetric.
     # Diagonal P entries are the Cartan subalgebra (the only diagonal matrices).
-    for k in range(n):
-        mat = SuperMatrix.zero(m, 2 * n)
-        rows = [list(r) for r in mat.rows]
-        rows[m + k][m + k] = Rat(1)
-        rows[m + n + k][m + n + k] = Rat(-1)
-        emit(SuperMatrix(m, 2 * n, rows), 0, cartan=True)
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            mat = SuperMatrix.zero(m, 2 * n)
-            rows = [list(r) for r in mat.rows]
-            rows[m + k][m + l] = Rat(1)
-            rows[m + n + l][m + n + k] = Rat(-1)
-            emit(SuperMatrix(m, 2 * n, rows), 0)
-    for k in range(n):
-        for l in range(k, n):
-            mat = SuperMatrix.zero(m, 2 * n)
-            rows = [list(r) for r in mat.rows]
-            rows[m + k][m + n + l] = Rat(1)
-            if l != k:
-                rows[m + l][m + n + k] = Rat(1)
-            emit(SuperMatrix(m, 2 * n, rows), 0)
-    for k in range(n):
-        for l in range(k, n):
-            mat = SuperMatrix.zero(m, 2 * n)
-            rows = [list(r) for r in mat.rows]
-            rows[m + n + k][m + l] = Rat(1)
-            if l != k:
-                rows[m + n + l][m + k] = Rat(1)
-            emit(SuperMatrix(m, 2 * n, rows), 0)
+    maps = [{(s + k, s + k): 1, (t + k, t + k): -1} for k in range(n)]
+    maps += [
+        {(s + k, s + l): 1, (t + l, t + k): -1}
+        for k in range(n) for l in range(n) if k != l
+    ]
+    # symmetric Q and R: for k == l the two keys coincide, one entry of 1
+    maps += [
+        {(s + k, t + l): 1, (s + l, t + k): 1} for k in range(n) for l in range(k, n)
+    ]
+    maps += [
+        {(t + k, s + l): 1, (t + l, s + k): 1} for k in range(n) for l in range(k, n)
+    ]
     # so(m) block
-    for a in range(m):
-        for b in range(a + 1, m):
-            mat = SuperMatrix.zero(m, 2 * n)
-            rows = [list(r) for r in mat.rows]
-            rows[a][b] = Rat(1)
-            rows[b][a] = Rat(-1)
-            emit(SuperMatrix(m, 2 * n, rows), 0)
+    maps += [{(a, b): 1, (b, a): -1} for a in range(m) for b in range(a + 1, m)]
     # odd part: C free (2n x m), B = -C^T J
-    for i in range(2 * n):
-        for a in range(m):
-            mat = SuperMatrix.zero(m, 2 * n)
-            rows = [list(r) for r in mat.rows]
-            rows[m + i][a] = Rat(1)
-            for j in range(2 * n):
-                if jm[i][j] != 0:
-                    rows[a][m + j] = -jm[i][j]
-            emit(SuperMatrix(m, 2 * n, rows), 1)
-    return _finish("osp", (m, n), (m, 2 * n), basis, parities, cartan_indices)
+    maps += [{(s + k, a): 1, (a, t + k): -1} for k in range(n) for a in range(m)]
+    maps += [{(t + k, a): 1, (a, s + k): 1} for k in range(n) for a in range(m)]
+    return _finish("osp", (m, n), (m, 2 * n), maps, n)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +348,8 @@ def _root_label(algebra: LieSuperalgebra, coords: tuple[Rat, ...],
     if algebra.family == "osp":
         return _format_delta_label(coords)
     # gl/sl root vectors are single matrix units E_ij: label e{i+1}-e{j+1}
-    support = [
-        (i, j)
-        for i, row in enumerate(vector.rows)
-        for j, c in enumerate(row)
-        if c != 0
-    ]
-    if len(support) == 1:
-        i, j = support[0]
+    if len(vector.entries) == 1:
+        [(i, j)] = vector.entries
         return f"e{i + 1}-e{j + 1}"
     return _format_delta_label(coords, symbol="h")  # fallback: Cartan coords
 
@@ -473,8 +393,7 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
             )
         [j] = spaces[weight]
         mat = algebra.basis[j]
-        first = next(c for row in mat.rows for c in row if c != 0)
-        mat = mat.scaled(1 / first)
+        mat = mat.scaled(1 / mat.entries[min(mat.entries)])
         roots.append(
             Root(weight, algebra.parities[j], mat, _root_label(algebra, weight, mat))
         )

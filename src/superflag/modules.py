@@ -184,15 +184,14 @@ def natural(algebra: LieSuperalgebra) -> Representation:
     dim = p + q
     parities = tuple(0 if i < p else 1 for i in range(dim))
     weights = tuple(
-        tuple(h.rows[j][j] for h in algebra.cartan) for j in range(dim)
+        tuple(h.entries.get((j, j), Rat(0)) for h in algebra.cartan)
+        for j in range(dim)
     )
     action = []
     for mat in algebra.basis:
         cols: dict[int, dict[int, Rat]] = {}
-        for i, row in enumerate(mat.rows):
-            for j, c in enumerate(row):
-                if c != 0:
-                    cols.setdefault(j, {})[i] = c
+        for (i, j), c in sorted(mat.entries.items()):
+            cols.setdefault(j, {})[i] = c
         action.append(cols)
     return Representation(
         algebra=algebra, dim=dim, parities=parities, weights=weights, action=action
@@ -210,12 +209,10 @@ def dual_natural(algebra: LieSuperalgebra) -> Representation:
     for g, mat in enumerate(algebra.basis):
         pg = algebra.parities[g]
         cols: dict[int, dict[int, Rat]] = {}
-        for jj, row in enumerate(mat.rows):  # rho(x)_{ji} indexed (jj, ii)
-            for ii, c in enumerate(row):
-                if c == 0:
-                    continue
-                sign = -1 if (pg and base.parities[jj]) else 1
-                cols.setdefault(jj, {})[ii] = -sign * c
+        # rho(x)_{ji} indexed (jj, ii)
+        for (jj, ii), c in sorted(mat.entries.items()):
+            sign = -1 if (pg and base.parities[jj]) else 1
+            cols.setdefault(jj, {})[ii] = -sign * c
         action.append(cols)
     weights = tuple(tuple(-w for w in ws) for ws in base.weights)
     return Representation(

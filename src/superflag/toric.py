@@ -80,11 +80,20 @@ def exponent_set_from_essential(es: EssentialSet) -> ExponentSet:
     )
 
 
+def _key_values(tokens: list[str]) -> dict[str, str]:
+    for tok in tokens:
+        if "=" not in tok:
+            raise ValueError(f"field {tok!r} is not key=value")
+    return dict(tok.split("=", 1) for tok in tokens)
+
+
 def parse_exponent_set(text: str) -> ExponentSet:
     """Read ``# ambient n=.. q=..``, ``# labels ..`` and ``I=.. m=(..) k=..``
-    lines.  A generator line without I, m or k, a header without n or q, and
-    a point whose lengths differ from the header's q and n (or, without a
-    header, from the first point's) raise ValueError naming the line."""
+    lines.  A malformed line (a field without ``=``, a generator line without
+    I, m or k, a header without n or q, a non-integer or out-of-range
+    exponent) and a point whose lengths differ from the header's q and n (or,
+    without a header, from the first point's) raise ValueError naming the
+    line."""
     n = q = None
     labels: dict[str, str] = {}
     lines: list[str] = []
@@ -93,31 +102,32 @@ def parse_exponent_set(text: str) -> ExponentSet:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("ambient"):
-                parts = dict(p.split("=") for p in body.split()[1:])
-                if "n" not in parts or "q" not in parts:
-                    raise ValueError(f"ambient header needs n= and q=: {line}")
-                n, q = int(parts["n"]), int(parts["q"])
-            elif body.startswith("labels"):
-                labels = dict(p.split("=", 1) for p in body.split()[1:])
-            continue
-        fields = dict(p.split("=", 1) for p in line.split())
-        missing = [f"{key}=" for key in ("I", "m", "k") if key not in fields]
-        if missing:
-            raise ValueError(
-                f"generator line lacks {' '.join(missing)}: {line}"
-            )
-        bits = fields["I"]
-        odd = tuple(int(c) for c in bits) if bits != "-" else ()
-        evens = fields["m"].strip("()")
-        even = tuple(int(x) for x in evens.split(",")) if evens else ()
-        k = int(fields["k"])
-        if k < 1:
-            raise ValueError(f"v-degree must be at least 1, got k={k}: {line}")
-        lines.append(line)
-        points.append(VPoint(MultiExponent(odd, even), k))
+        try:
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("ambient"):
+                    parts = _key_values(body.split()[1:])
+                    if "n" not in parts or "q" not in parts:
+                        raise ValueError("ambient header needs n= and q=")
+                    n, q = int(parts["n"]), int(parts["q"])
+                elif body.startswith("labels"):
+                    labels = _key_values(body.split()[1:])
+                continue
+            fields = _key_values(line.split())
+            missing = [f"{key}=" for key in ("I", "m", "k") if key not in fields]
+            if missing:
+                raise ValueError(f"generator line lacks {' '.join(missing)}")
+            bits = fields["I"]
+            odd = tuple(int(c) for c in bits) if bits != "-" else ()
+            evens = fields["m"].strip("()")
+            even = tuple(int(x) for x in evens.split(",")) if evens else ()
+            k = int(fields["k"])
+            if k < 1:
+                raise ValueError(f"v-degree must be at least 1, got k={k}")
+            points.append(VPoint(MultiExponent(odd, even), k))
+            lines.append(line)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {line}") from None
     if n is None or q is None:
         if not points:
             raise ValueError("empty exponent-set file without ambient header")

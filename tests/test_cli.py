@@ -197,6 +197,23 @@ class TestDegenerateCommand:
         "favourable enough to lift this relation"
     )
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--max-degree", "0"], "--max-degree must be >= 1, got 0"),
+            (["--max-degree", "-3"], "--max-degree must be >= 1, got -3"),
+            (["--degree-bound", "0"], "--degree-bound must be >= 1, got 0"),
+            (["--samples", ""],
+             "--samples is empty; give at least one fiber parameter"),
+        ],
+        ids=["max-degree-0", "max-degree-neg", "degree-bound-0", "no-samples"],
+    )
+    def test_vacuous_hilbert_check_exits_two(self, sl3_cfg, extra, message,
+                                             capsys):
+        code, out, err = run(["degenerate", "--config", sl3_cfg] + extra, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_lift_failure_is_a_negative_report(self, capsys):
         cfg = str(GOLDEN / "osp14_w1_weighted_priority.cfg")
         argv = ["degenerate", "--config", cfg, "--degree-bound", "2"]
@@ -257,8 +274,19 @@ class TestToricCommand:
             ("# ambient n=2 q=1\nI=0 m=(0) k=1\n",
              "point has 1 odd and 1 even coordinates, expected q=1 and n=2: "
              "I=0 m=(0) k=1"),
+            ("I=0 m=(0) k=1 junk\n",
+             "field 'junk' is not key=value: I=0 m=(0) k=1 junk"),
+            ("# ambient n=1 q\nI=0 m=(0) k=1\n",
+             "field 'q' is not key=value: # ambient n=1 q"),
+            ("I=2 m=(0) k=1\n",
+             "odd exponents must be 0 or 1: (2,): I=2 m=(0) k=1"),
+            ("I=0 m=(a) k=1\n",
+             "invalid literal for int() with base 10: 'a': I=0 m=(a) k=1"),
+            ("I=0 m=(0) k=x\n",
+             "invalid literal for int() with base 10: 'x': I=0 m=(0) k=x"),
         ],
-        ids=["no-m", "no-q", "short-point"],
+        ids=["no-m", "no-q", "short-point", "junk-field", "bare-q",
+             "odd-two", "even-not-int", "k-not-int"],
     )
     def test_malformed_exponent_file_exits_two(
         self, tmp_path, text, message, capsys

@@ -1,5 +1,6 @@
 """Structure constants, presentation ring, graded kernel, lifts, t-family."""
 
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from superflag.degeneration import (
     sort_key_component,
     structure_constants,
 )
-from superflag.essential import essential_monomials
+from superflag.essential import EssentialSet, essential_monomials
 from superflag.linalg import Rat, SparseVector, nullspace
 from superflag.modules import tensor_power
 from superflag.superpoly import (
@@ -28,6 +29,7 @@ from superflag.superpoly import (
     SuperPolynomial,
     enumerate_monomials,
     koszul_count,
+    multiply,
 )
 
 
@@ -70,6 +72,24 @@ def eliminated_kernel(ring, items):
         )
         for kvec in nullspace([row], len(items))
     ]
+
+
+def product_gamma_and_sign(ring, sexp):
+    """(component, sign) by multiplying the generator images as
+    polynomials; the reference for the closed form in SRing.gamma_and_sign."""
+    poly = SuperPolynomial.one(ring.n_mod, ring.q_mod)
+    for f in ring.factors(sexp):
+        poly = multiply(
+            poly, SuperPolynomial.monomial(ring.n_mod, ring.q_mod, f)
+        )
+        if poly.is_zero():
+            break
+    if poly.is_zero():
+        return (BOTTOM, 0)
+    [(exp, coeff)] = poly.terms.items()
+    if coeff not in (1, -1):
+        raise RuntimeError("reordering sign must be a unit")
+    return ((exp, sexp.degree), int(coeff))
 
 
 class TensorPowerTower(LevelTower):
@@ -223,6 +243,25 @@ class TestPresentationRing:
             assert sign == 0
         else:
             assert sign in (1, -1)
+
+    def test_gamma_closed_form_matches_product(self, osp_square_ring):
+        # The flip-square ring collides odd coordinates but never reorders
+        # them; a ring on every exponent of {0,1}^3 x {0,1} does both.
+        every = SRing(EssentialSet(
+            level=1, n=1, q=3, order=MonomialOrder("graded-lex"),
+            monomials=[
+                me(odd, (e,))
+                for odd in itertools.product((0, 1), repeat=3) for e in (0, 1)
+            ],
+        ))
+        for ring, want in ((osp_square_ring, {0, 1}), (every, {0, 1, -1})):
+            signs = set()
+            for h in (1, 2, 3):
+                for sexp in ring.monomials_of_degree(h):
+                    got = ring.gamma_and_sign(sexp)
+                    assert got == product_gamma_and_sign(ring, sexp)
+                    signs.add(got[1])
+            assert signs == want  # 0 is an odd collision (BOTTOM)
 
     def test_factors_round_trip_through_exponent_of_chain(self, osp_tower):
         ring = SRing(osp_tower.essential(1))

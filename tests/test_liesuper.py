@@ -1,10 +1,14 @@
 """Matrix superalgebras, root data, Borel choices, ordered lowering bases."""
 
 import itertools
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from superflag.linalg import Rat
+from superflag.linalg import Rat, SparseVector
 from superflag.liesuper import (
     DegenerateFunctionalError,
     RootDecompositionError,
@@ -19,8 +23,152 @@ from superflag.liesuper import (
 )
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
 def brackets_of(algebra):
     return [(x, px) for x, px in zip(algebra.basis, algebra.parities)]
+
+
+class DenseSuperMatrix:
+    """The dense rows-of-Fractions matrix that SuperMatrix used to be; the
+    reference for the arithmetic on its nonzero entries."""
+
+    def __init__(self, p, q, rows):
+        self.p = p
+        self.q = q
+        size = p + q
+        if len(rows) != size or any(len(r) != size for r in rows):
+            raise ValueError("matrix size must match p+q")
+        self.rows = tuple(tuple(Rat(x) for x in r) for r in rows)
+
+    @property
+    def size(self):
+        return self.p + self.q
+
+    def index_parity(self, i):
+        return 0 if i < self.p else 1
+
+    def entry_parity(self, i, j):
+        return (self.index_parity(i) + self.index_parity(j)) % 2
+
+    def parity(self):
+        seen = set()
+        for i, row in enumerate(self.rows):
+            for j, c in enumerate(row):
+                if c != 0:
+                    seen.add(self.entry_parity(i, j))
+        if not seen:
+            return 0
+        if len(seen) == 1:
+            return seen.pop()
+        return None
+
+    def __add__(self, other):
+        return DenseSuperMatrix(
+            self.p, self.q,
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+        )
+
+    def __sub__(self, other):
+        return DenseSuperMatrix(
+            self.p, self.q,
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+        )
+
+    def scaled(self, c):
+        c = Rat(c)
+        return DenseSuperMatrix(self.p, self.q, [[c * x for x in r] for r in self.rows])
+
+    def __matmul__(self, other):
+        cols = list(zip(*other.rows))
+        return DenseSuperMatrix(
+            self.p, self.q,
+            [
+                [sum((a * b for a, b in zip(row, col)), Rat(0)) for col in cols]
+                for row in self.rows
+            ],
+        )
+
+    def supertrace(self):
+        return sum(
+            (self.rows[i][i] if i < self.p else -self.rows[i][i]
+             for i in range(self.size)),
+            Rat(0),
+        )
+
+    def flatten(self):
+        size = self.size
+        return SparseVector(
+            {
+                i * size + j: c
+                for i, row in enumerate(self.rows)
+                for j, c in enumerate(row)
+                if c != 0
+            }
+        )
+
+    def is_zero(self):
+        return all(c == 0 for row in self.rows for c in row)
+
+
+def dense_superbracket(x, y):
+    px, py = x.parity(), y.parity()
+    if px is None or py is None:
+        raise ValueError("superbracket requires homogeneous arguments")
+    if px and py:
+        return (x @ y) + (y @ x)
+    return (x @ y) - (y @ x)
+
+
+def random_sparse(rng, p, q, kind):
+    """A matrix with up to four random entries (zeros among them) in the
+    even or odd cells, or anywhere ("mixed"), or none ("zero")."""
+    size = p + q
+    cells = [
+        (i, j) for i in range(size) for j in range(size)
+        if kind == "mixed" or ((i < p) != (j < p)) == (kind == "odd")
+    ]
+    if kind == "zero" or not cells:
+        return SuperMatrix(p, q, {})
+    picked = rng.sample(cells, rng.randint(1, min(4, len(cells))))
+    return SuperMatrix(
+        p, q, {ij: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for ij in picked}
+    )
+
+
+def assert_agrees_with_dense(x, y, c):
+    """Every SuperMatrix operation on x, y (and the scalar c) equals the
+    dense reference, and no result stores a zero entry."""
+    dx = DenseSuperMatrix(x.p, x.q, x.rows)
+    dy = DenseSuperMatrix(y.p, y.q, y.rows)
+    pairs = [
+        (x + y, dx + dy), (x - y, dx - dy), (x.scaled(c), dx.scaled(c)),
+        (x @ y, dx @ dy), (x, dx), (y, dy),
+    ]
+    if dx.parity() is None or dy.parity() is None:
+        with pytest.raises(ValueError, match="homogeneous"):
+            superbracket(x, y)
+        with pytest.raises(ValueError, match="homogeneous"):
+            dense_superbracket(dx, dy)
+    else:
+        pairs.append((superbracket(x, y), dense_superbracket(dx, dy)))
+    for got, want in pairs:
+        assert got.rows == want.rows
+        assert 0 not in got.entries.values()
+        assert got.parity() == want.parity()
+        assert got.supertrace() == want.supertrace()
+        assert got.is_zero() == want.is_zero()
+        # same entries in the same (row-major) order
+        assert list(got.flatten().entries.items()) == list(
+            want.flatten().entries.items()
+        )
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+
+
+# "family m n" keys of data/algebra_basis_rows.json: the dense rows, parities
+# and Cartan positions of every basis element, recorded from the dense builders
+BASIS_GOLDEN = ["gl 1 1", "sl 2 1", "sl 3 0", "osp 1 2"]
 
 
 class TestSuperMatrix:
@@ -40,6 +188,54 @@ class TestSuperMatrix:
         b = SuperMatrix.unit(1, 1, 1, 0)
         assert (a @ b).rows[0][0] == 1
         assert (b @ a).rows[1][1] == 1
+
+    def test_random_sparse_matrices_agree_with_dense(self):
+        rng = random.Random(8)
+        kinds = ["zero", "even", "odd", "mixed"]
+        seen = set()
+        for _ in range(400):
+            p, q = rng.choice([(1, 0), (0, 2), (1, 1), (2, 1), (1, 3), (3, 2)])
+            x = random_sparse(rng, p, q, rng.choice(kinds))
+            y = random_sparse(rng, p, q, rng.choice(kinds))
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            assert_agrees_with_dense(x, y, c)
+            seen.update((x.parity(), y.parity()))
+        assert seen == {0, 1, None}  # even/zero, odd and mixed all occurred
+
+    @pytest.mark.parametrize("key", BASIS_GOLDEN)
+    def test_basis_pairs_agree_with_dense(self, key):
+        family, m, n = key.split()
+        algebra = build_algebra(family, int(m), int(n))
+        for x, y in itertools.product(algebra.basis, repeat=2):
+            assert_agrees_with_dense(x, y, Fraction(-3, 2))
+
+    @pytest.mark.parametrize("entry", [(0, 2), (2, 0), (-1, 0), (1, -1)])
+    def test_entry_outside_the_space_is_rejected(self, entry):
+        with pytest.raises(ValueError, match="outside size p\\+q=2"):
+            SuperMatrix(1, 1, {entry: 1})
+
+    def test_zero_entries_are_dropped(self):
+        m = SuperMatrix(1, 1, {(0, 0): 0, (0, 1): Fraction(1, 2)})
+        assert m.entries == {(0, 1): Fraction(1, 2)}
+        assert m == SuperMatrix.unit(1, 1, 0, 1, Fraction(1, 2))
+        assert SuperMatrix(2, 1, {(1, 1): 0}) == SuperMatrix.zero(2, 1)
+
+
+class TestBasisGolden:
+    @pytest.mark.parametrize("key", BASIS_GOLDEN)
+    def test_builders_match_dense_golden(self, key):
+        golden = json.loads(
+            (GOLDEN / "algebra_basis_rows.json").read_text(encoding="utf-8")
+        )[key]
+        family, m, n = key.split()
+        algebra = build_algebra(family, int(m), int(n))
+        rows = [
+            [" ".join(str(c) for c in row) for row in x.rows]
+            for x in algebra.basis
+        ]
+        assert rows == golden["rows"]
+        assert algebra.parities == golden["parities"]
+        assert algebra.cartan_indices == golden["cartan_indices"]
 
 
 class TestAlgebraConstruction:
