@@ -184,16 +184,16 @@ def _job_from_config(cfg: configparser.ConfigParser) -> Job:
 # ---------------------------------------------------------------------------
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(args, text: str, payload: dict | None = None) -> None:
+    """Write the report to ``--out`` or stdout: ``payload`` as JSON under
+    ``--json``, else ``text``."""
+    if payload is not None and args.json:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def component_text(comp) -> str:
@@ -201,20 +201,6 @@ def component_text(comp) -> str:
         return "bottom"
     exp, level = comp
     return f"{exp} level={level}"
-
-
-def relation_text(rel: GradedRelation) -> str:
-    head = (
-        f"degree {rel.degree} @ {component_text(rel.component)}: "
-        f"{rel.lead.to_text()}"
-    )
-    if not rel.corrections:
-        return head
-    tail = "; ".join(
-        f"{poly.to_text()} @ {component_text(comp)}"
-        for comp, poly in rel.corrections
-    )
-    return f"{head}  corrections: {tail}"
 
 
 def relation_dict(rel: GradedRelation) -> dict:
@@ -229,6 +215,18 @@ def relation_dict(rel: GradedRelation) -> dict:
     }
 
 
+def relation_text(rel: dict) -> str:
+    """One line for a ``relation_dict``."""
+    head = f"degree {rel['degree']} @ {rel['component']}: {rel['lead']}"
+    if not rel["corrections"]:
+        return head
+    tail = "; ".join(
+        f"{corr['polynomial']} @ {corr['component']}"
+        for corr in rel["corrections"]
+    )
+    return f"{head}  corrections: {tail}"
+
+
 def family_lines(family: DegenerationFamily) -> list[str]:
     lines = []
     for gen in family.generators:
@@ -239,8 +237,13 @@ def family_lines(family: DegenerationFamily) -> list[str]:
             f"degree {gen.degree} @ {component_text(gen.component)}: {pieces}"
         )
     for rel in family.exchange:
-        lines.append(f"exchange {relation_text(rel)}")
+        lines.append(f"exchange {relation_text(relation_dict(rel))}")
     return lines
+
+
+def dims_row(dims: dict) -> str:
+    """``h=1:8 h=2:27`` for a degree -> dimension map."""
+    return " ".join(f"h={h}:{n}" for h, n in dims.items())
 
 
 # ---------------------------------------------------------------------------
@@ -255,54 +258,136 @@ def _require_positive(*flags: tuple[str, int | None]) -> None:
             raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
-def cmd_essential(args) -> int:
-    _require_positive(("--level", args.level), ("--favourable-k", args.favourable_k))
+def _job(args) -> Job:
+    """The ``--config`` job, with the ``--basis-perm`` override applied."""
     job = load_job(args.config)
-    if args.order:
-        job.order = MonomialOrder(args.order)
     if args.basis_perm:
         job.permutation = _ints(args.basis_perm)
-    if args.degree_bound is not None:
-        job.degree_cap = args.degree_bound
+    return job
+
+
+def _tower(job: Job) -> tuple[AlgebraContext, LevelTower]:
     context = job.context()
     real = job.realization(context)
+    return context, LevelTower(context.basis, real, job.order, job.degree_cap)
 
-    tower = LevelTower(context.basis, real, job.order, job.degree_cap)
+
+def cmd_essential(args) -> int:
+    _require_positive(("--level", args.level), ("--favourable-k", args.favourable_k))
+    job = _job(args)
+    if args.order:
+        job.order = MonomialOrder(args.order)
+    if args.degree_bound is not None:
+        job.degree_cap = args.degree_bound
+    _, tower = _tower(job)
     es = tower.essential(args.level)
-    extra: list[str] = []
+    text = serialize_essential_set(es)
     if args.favourable_k is not None:
         max_level = max(args.level, args.favourable_k)
         levels = [tower.essential(k) for k in range(1, max_level + 1)]
         fav = is_favourable(levels)
-        extra.append(
+        text += (
             f"# favourable up to level {max_level}: "
-            f"{'yes' if fav.favourable else 'no'}"
+            f"{'yes' if fav.favourable else 'no'}\n"
         )
         for k in range(2, max_level + 1):
             rep = check_semigroup_property(
                 tower.essential(1), tower.essential(k - 1), tower.essential(k)
             )
-            extra.append(
+            text += (
                 f"# semigroup additivity at level {k}: "
-                f"{'ok' if rep.passed else 'FAIL'}"
+                f"{'ok' if rep.passed else 'FAIL'}\n"
             )
 
-    if args.json:
-        payload = {
-            "level": es.level,
-            "ambient": {"n": es.n, "q": es.q},
-            "labels": es.labels,
-            "order": es.order.kind,
-            "size": es.size,
-            "monomials": [str(e) for e in es.monomials],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        text = serialize_essential_set(es)
-        if extra:
-            text += "\n".join(extra) + "\n"
-        _emit(text, args.out)
+    payload = {
+        "level": es.level,
+        "ambient": {"n": es.n, "q": es.q},
+        "labels": es.labels,
+        "order": es.order.kind,
+        "size": es.size,
+        "monomials": [str(e) for e in es.monomials],
+    }
+    # the JSON form leaves out the favourable lines
+    _emit(args, text, payload)
     return 0
+
+
+def _degeneration(
+    tower: LevelTower, bound: int, samples: list, max_degree: int
+) -> tuple[dict, SRing, list[GradedRelation] | None]:
+    """Graded kernel up to ``bound``, exact lifts, weight vector, t-family
+    and fiber Hilbert check, on the tower's level-1 essential set.
+
+    Returns the ``degenerate --json`` report, the presentation ring and the
+    lifted relations (None after a lift failure).  A negative outcome is a
+    ``lift_failure`` or ``weight_failure`` key of the report.
+    """
+    ring = SRing(tower.essential(1))
+    graded = gr_ideal(ring, bound)
+    report = {
+        "essential_level_1": tower.essential(1).size,
+        "ring": {"even_variables": ring.nS, "odd_variables": ring.qS},
+        "graded_generators": len(graded),
+    }
+    try:
+        lifted = lift_relations(graded, tower, ring)
+    except LiftError as exc:
+        # a negative outcome for this order, not an input error
+        return {**report, "lift_failure": str(exc)}, ring, None
+    weight = find_weight_vector(lifted)
+    if weight is None:
+        failure = (
+            "no integer weight vector separates the correction components; "
+            "the family construction is infeasible for this input"
+        )
+        return {**report, "weight_failure": failure}, ring, lifted
+    family = family_ideal(lifted, weight, tower, ring, bound)
+    hilbert = hilbert_check(family, tower, samples, max_degree)
+    report["lifted"] = [relation_dict(rel) for rel in lifted]
+    report["weight_vector"] = list(weight)
+    report["family"] = {
+        "generators": len(family.generators),
+        "exchange": len(family.exchange),
+        "lines": family_lines(family),
+    }
+    report["hilbert"] = {
+        "passed": hilbert.passed,
+        "expected": {str(h): v for h, v in hilbert.expected.items()},
+        "table": {
+            f"t={a}": {str(h): hilbert.table[(a, h)] for h in hilbert.degrees}
+            for a in hilbert.samples
+        },
+    }
+    return report, ring, lifted
+
+
+def degenerate_text(report: dict, bound: int) -> str:
+    """The text form of a ``_degeneration`` report."""
+    lines = [
+        f"level-1 essential monomials: {report['essential_level_1']}",
+        "presentation ring: {even_variables} even, {odd_variables} odd "
+        "variables".format(**report["ring"]),
+        f"graded kernel generators (degree <= {bound}): "
+        f"{report['graded_generators']}",
+    ]
+    if "lift_failure" in report:
+        lines.append(f"lift failed: {report['lift_failure']}")
+    elif "weight_failure" in report:
+        lines.append(report["weight_failure"])
+    else:
+        family, hilbert = report["family"], report["hilbert"]
+        weight = ", ".join(str(w) for w in report["weight_vector"])
+        lines += [
+            *("  " + relation_text(rel) for rel in report["lifted"]),
+            f"weight vector: ({weight})",
+            f"family generators: {family['generators']} "
+            f"(+{family['exchange']} exchange)",
+            *("  " + line for line in family["lines"]),
+            f"hilbert comparison: {'PASS' if hilbert['passed'] else 'FAIL'}",
+            *(f"  fiber {t}: {dims_row(row)}" for t, row in hilbert["table"].items()),
+            f"  expected:  {dims_row(hilbert['expected'])}",
+        ]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_degenerate(args) -> int:
@@ -312,98 +397,17 @@ def cmd_degenerate(args) -> int:
     if not samples:
         raise ValueError("--samples is empty; give at least one fiber parameter")
     max_degree = args.max_degree if args.max_degree is not None else bound
-    job = load_job(args.config)
-    if args.basis_perm:
-        job.permutation = _ints(args.basis_perm)
-    context = job.context()
-    real = job.realization(context)
-
-    tower = LevelTower(context.basis, real, job.order, job.degree_cap)
-    ring = SRing(tower.essential(1))
-    graded = gr_ideal(ring, bound)
-    head = {
-        "essential_level_1": tower.essential(1).size,
-        "ring": {"even_variables": ring.nS, "odd_variables": ring.qS},
-        "graded_generators": len(graded),
-    }
-    head_lines = [
-        f"level-1 essential monomials: {tower.essential(1).size}",
-        f"presentation ring: {ring.nS} even, {ring.qS} odd variables",
-        f"graded kernel generators (degree <= {bound}): {len(graded)}",
-    ]
-    try:
-        lifted = lift_relations(graded, tower, ring, job.order)
-    except LiftError as exc:
-        # a negative outcome for this order, not an input error
-        if args.json:
-            _emit(_json_text({**head, "lift_failure": str(exc)}), args.out)
-        else:
-            _emit("\n".join(head_lines + [f"lift failed: {exc}"]) + "\n", args.out)
-        return 1
-    weight = find_weight_vector(lifted)
-    if weight is None:
-        _emit(
-            "no integer weight vector separates the correction components; "
-            "the family construction is infeasible for this input\n",
-            args.out,
-        )
-        return 1
-    family = family_ideal(lifted, weight, tower, ring, bound, job.order)
-    hilbert = hilbert_check(family, tower, samples, max_degree)
-
-    if args.json:
-        payload = {
-            **head,
-            "lifted": [relation_dict(rel) for rel in lifted],
-            "weight_vector": list(weight),
-            "family": {
-                "generators": len(family.generators),
-                "exchange": len(family.exchange),
-                "lines": family_lines(family),
-            },
-            "hilbert": {
-                "passed": hilbert.passed,
-                "expected": {str(h): v for h, v in hilbert.expected.items()},
-                "table": {
-                    f"t={a}": {
-                        str(h): hilbert.table[(a, h)] for h in hilbert.degrees
-                    }
-                    for a in hilbert.samples
-                },
-            },
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        lines = list(head_lines)
-        for rel in lifted:
-            lines.append("  " + relation_text(rel))
-        lines.append("weight vector: (" + ", ".join(str(w) for w in weight) + ")")
-        lines.append(
-            f"family generators: {len(family.generators)} "
-            f"(+{len(family.exchange)} exchange)"
-        )
-        for fl in family_lines(family):
-            lines.append("  " + fl)
-        lines.append(f"hilbert comparison: {'PASS' if hilbert.passed else 'FAIL'}")
-        for a in hilbert.samples:
-            row = " ".join(
-                f"h={h}:{hilbert.table[(a, h)]}" for h in hilbert.degrees
-            )
-            lines.append(f"  fiber t={a}: {row}")
-        row = " ".join(f"h={h}:{hilbert.expected[h]}" for h in hilbert.degrees)
-        lines.append(f"  expected:  {row}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if hilbert.passed else 1
+    _, tower = _tower(_job(args))
+    report, _, _ = _degeneration(tower, bound, samples, max_degree)
+    _emit(args, degenerate_text(report, bound), report)
+    return 0 if "hilbert" in report and report["hilbert"]["passed"] else 1
 
 
 def cmd_toric(args) -> int:
     with open(args.exponents, encoding="utf-8") as fh:
         ks = parse_exponent_set(fh.read())
     cert = certify(ks, bound=args.bound)
-    if args.json:
-        _emit(_json_text(cert.to_dict()), args.out)
-    else:
-        _emit("\n".join(cert.summary_lines()) + "\n", args.out)
+    _emit(args, "\n".join(cert.summary_lines()) + "\n", cert.to_dict())
     return 0 if cert.verdict == "toric" else 1
 
 
@@ -414,25 +418,22 @@ def cmd_polytope(args) -> int:
         system = dilate(system, args.dilate)
     points = enumerate_lattice_points(system)
     ordered = sorted(points.points)
-    if args.json:
-        payload = {
-            "labels": points.labels,
-            "odd": points.odd,
-            "count": points.size,
-            "points": [list(p) for p in ordered],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        lines = []
-        if points.labels:
-            lines.append("# vars " + " ".join(points.labels))
-        odd_names = [l for l, o in zip(points.labels, points.odd) if o]
-        if odd_names:
-            lines.append("# odd " + " ".join(odd_names))
-        lines.append(f"# points {points.size}")
-        for p in ordered:
-            lines.append(" ".join(str(x) for x in p))
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = []
+    if points.labels:
+        lines.append("# vars " + " ".join(points.labels))
+    odd_names = [l for l, o in zip(points.labels, points.odd) if o]
+    if odd_names:
+        lines.append("# odd " + " ".join(odd_names))
+    lines.append(f"# points {points.size}")
+    for p in ordered:
+        lines.append(" ".join(str(x) for x in p))
+    payload = {
+        "labels": points.labels,
+        "odd": points.odd,
+        "count": points.size,
+        "points": [list(p) for p in ordered],
+    }
+    _emit(args, "\n".join(lines) + "\n", payload)
     return 0
 
 
@@ -465,9 +466,7 @@ def cmd_verify_example(args) -> int:
     )
 
     job = load_job_from_text(_data_text("osp14_w1.cfg"))
-    context = job.context()
-    real = job.realization(context)
-    tower = LevelTower(context.basis, real, job.order, job.degree_cap)
+    context, tower = _tower(job)
     es1 = tower.essential(1)
     stage(
         "essential-computation",
@@ -487,7 +486,9 @@ def cmd_verify_example(args) -> int:
         f"{ess_only} only-in-module",
     )
 
-    matches = search_order_catalog(context, real, points.labeled())
+    matches = search_order_catalog(
+        context, tower.realization(1), points.labeled()
+    )
     stage(
         "order-search",
         bool(matches),
@@ -511,36 +512,28 @@ def cmd_verify_example(args) -> int:
         else f"{len(fav.failures)} exponents admit no chain",
     )
 
-    ring = SRing(es1)
-    graded = gr_ideal(ring, 2)
-    lifted = lift_relations(graded, tower, ring, job.order)
-    exact = all(
+    report, ring, lifted = _degeneration(tower, 2, [0, 1, 2, 5], 2)
+    # an independent check that every lift is exact; degenerate skips it
+    exact = lifted is not None and all(
         not evaluate_in_tower(tower, ring, rel.total()) for rel in lifted
     )
     stage(
         "graded-kernel",
         exact,
-        f"{len(graded)} kernel generators at degree <= 2, "
+        f"{report['graded_generators']} kernel generators at degree <= 2, "
         f"{'all lifted exactly' if exact else 'lift residuals remain'}",
     )
 
-    weight = find_weight_vector(lifted)
-    family_ok = weight is not None
-    detail = "no feasible weight vector"
-    hilbert = None
-    if weight is not None:
-        family = family_ideal(lifted, weight, tower, ring, 2, job.order)
-        hilbert = hilbert_check(family, tower, [0, 1, 2, 5], 2)
-        family_ok = hilbert.passed
-        dims = " ".join(
-            f"h={h}:{hilbert.expected[h]}" for h in hilbert.degrees
-        )
+    hilbert = report.get("hilbert", {"passed": False})
+    if hilbert["passed"]:
+        dims = dims_row(hilbert["expected"])
+        detail = f"graded dimensions {dims} agree on fibers t=0,1,2,5"
+    else:
         detail = (
-            f"graded dimensions {dims} agree on fibers t=0,1,2,5"
-            if hilbert.passed
-            else "fiber dimensions disagree with the essential counts"
+            report.get("weight_failure") or report.get("lift_failure")
+            or "fiber dimensions disagree with the essential counts"
         )
-    stage("family-fibers", family_ok, detail)
+    stage("family-fibers", hilbert["passed"], detail)
 
     ks = parse_exponent_set(_data_text("osp14_w1_points.txt"))
     cert = certify(ks)
@@ -555,7 +548,7 @@ def cmd_verify_example(args) -> int:
         lines.append("FAILED stages: " + ", ".join(failed))
     else:
         lines.append("all stages passed")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(args, "\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
@@ -574,61 +567,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by several subcommands
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report to this file")
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument("--json", action="store_true")
+    job = argparse.ArgumentParser(add_help=False)
+    job.add_argument("--config", required=True, help="job config file")
+    job.add_argument("--basis-perm", help="override basis permutation")
+
     p = sub.add_parser(
-        "essential", help="compute essential monomials of a realization"
+        "essential",
+        parents=[job, report],
+        help="compute essential monomials of a realization",
     )
-    p.add_argument("--config", required=True, help="job config file")
     p.add_argument("--level", type=int, default=1, help="tensor level")
     p.add_argument("--order", help="override monomial order kind")
-    p.add_argument("--basis-perm", help="override basis permutation")
-    p.add_argument(
-        "--degree-bound", type=int, default=None, help="span degree cap"
-    )
+    p.add_argument("--degree-bound", type=int, help="span degree cap")
     p.add_argument(
         "--favourable-k",
         type=int,
-        default=None,
         help="also verify chain decompositions up to this level",
     )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write the report to this file")
     p.set_defaults(func=cmd_essential)
 
     p = sub.add_parser(
         "degenerate",
+        parents=[job, report],
         help="graded kernel, exact lifts, t-family, Hilbert comparison",
     )
-    p.add_argument("--config", required=True)
     p.add_argument("--degree-bound", type=int, default=2)
     p.add_argument("--samples", default="0 1", help="fiber parameters")
-    p.add_argument(
-        "--max-degree", type=int, default=None, help="Hilbert check depth"
-    )
-    p.add_argument("--basis-perm", help="override basis permutation")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
+    p.add_argument("--max-degree", type=int, help="Hilbert check depth")
     p.set_defaults(func=cmd_degenerate)
 
-    p = sub.add_parser("toric", help="certify an exponent set")
+    p = sub.add_parser("toric", parents=[report], help="certify an exponent set")
     p.add_argument("--exponents", required=True, help="exponent-set file")
-    p.add_argument(
-        "--bound", type=int, default=None, help="action coefficient bound"
-    )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
+    p.add_argument("--bound", type=int, help="action coefficient bound")
     p.set_defaults(func=cmd_toric)
 
-    p = sub.add_parser("polytope", help="integer points of a region")
+    p = sub.add_parser("polytope", parents=[report], help="integer points of a region")
     p.add_argument("--system", required=True, help="inequality system file")
     p.add_argument("--dilate", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser(
-        "verify-example", help="run the bundled example end to end"
+        "verify-example", parents=[out], help="run the bundled example end to end"
     )
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify_example)
 
     return parser
@@ -639,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -429,7 +429,6 @@ def lift_relations(
     relations: Sequence[GradedRelation],
     tower: LevelTower,
     ring: SRing,
-    order: MonomialOrder | None = None,
 ) -> list[GradedRelation]:
     """Rewrite graded kernel generators as exact relations of the dual
     algebra by absorbing strictly larger components.
@@ -439,9 +438,7 @@ def lift_relations(
     by an essential-chain decomposition of that component.  The final
     polynomial evaluates to exactly zero.
     """
-    if order is None:
-        order = tower.order
-    key = order.key
+    key = tower.order.key
     lifted: list[GradedRelation] = []
     for rel in relations:
         h = rel.degree
@@ -499,12 +496,13 @@ def lift_relations(
 
 
 def find_weight_vector(
-    relations: Sequence[GradedRelation], nvars: int | None = None
+    relations: Sequence[GradedRelation],
 ) -> tuple[int, ...] | None:
     """An integer vector w (in module exponent coordinates, even block first)
     with w . (correction - lead) >= 1 for every correction component of every
     lifted relation; None when infeasible."""
     constraints: list[tuple[list[Rat], Rat]] = []
+    nvars = None
     for rel in relations:
         if rel.component is BOTTOM:
             if rel.corrections:
@@ -518,14 +516,14 @@ def find_weight_vector(
             nvars = len(lead_vec)
         elif nvars != len(lead_vec):
             raise ValueError(
-                "nvars must match the module exponent dimension "
-                f"({len(lead_vec)}), got {nvars}"
+                "relations mix module exponent dimensions "
+                f"{nvars} and {len(lead_vec)}"
             )
         for (u, _level), _poly in rel.corrections:
             diff = [Rat(b - a) for a, b in zip(lead_vec, u.as_vector())]
             constraints.append(([-d for d in diff], Rat(-1)))
     if not constraints:
-        return tuple(0 for _ in range(nvars if nvars is not None else 0))
+        return (0,) * (nvars or 0)
     sol = fourier_motzkin_solve(constraints, nvars)
     if sol is None:
         return None
@@ -575,7 +573,6 @@ def family_ideal(
     tower: LevelTower,
     ring: SRing,
     degree_bound: int,
-    order: MonomialOrder | None = None,
 ) -> DegenerationFamily:
     """Assemble the t-family: each correction enters at t^{w.(u - lead)}.
 
@@ -583,9 +580,7 @@ def family_ideal(
     order-maximal component are appended t-free (maximality leaves no room
     for corrections; each is validated to evaluate to zero exactly).
     """
-    if order is None:
-        order = tower.order
-    key = order.key
+    key = tower.order.key
     generators: list[FamilyGenerator] = []
     for rel in lifted:
         pieces: dict[int, SuperPolynomial] = {0: rel.lead}

@@ -231,7 +231,6 @@ def search_order_catalog(
     context: AlgebraContext,
     real: HighestWeightRealization,
     target_labeled: set[frozenset],
-    kinds: Sequence[str] = ("graded-lex", "graded-revlex"),
     stop_at_first: bool = False,
 ) -> list[CatalogMatch]:
     """Scan all basis permutations x {graded-lex, graded-revlex} and return
@@ -241,7 +240,7 @@ def search_order_catalog(
     matches: list[CatalogMatch] = []
     for perm in itertools.permutations(range(len(default.elements))):
         basis_p = default.permuted(perm)
-        for kind in kinds:
+        for kind in ("graded-lex", "graded-revlex"):
             es, _ = essential_monomials(real, basis_p, MonomialOrder(kind))
             labeled = {basis_p.exponent_as_labeled(e) for e in es.monomials}
             if labeled == target_labeled:

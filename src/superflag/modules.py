@@ -296,7 +296,7 @@ class HighestWeightRealization:
 
 
 def single_block_realization(
-    context: AlgebraContext, block: str, hw_index: int, validate: bool = True
+    context: AlgebraContext, block: str, hw_index: int
 ) -> HighestWeightRealization:
     if block not in BLOCK_BUILDERS:
         raise ValueError(
@@ -306,8 +306,7 @@ def single_block_realization(
     real = HighestWeightRealization(
         rep=rep, hw_index=hw_index, weight=rep.weights[hw_index], level=1
     )
-    if validate:
-        _validate_highest_weight(context, real)
+    _validate_highest_weight(context, real)
     return real
 
 
@@ -359,17 +358,15 @@ def tensor_power(real: HighestWeightRealization, k: int) -> HighestWeightRealiza
 def build_realization(
     context: AlgebraContext,
     blocks: Sequence[tuple[str, int]],
-    validate: bool = True,
 ) -> HighestWeightRealization:
     """Tensor of single blocks, treated as one level-1 base realization."""
     parts = [
-        single_block_realization(context, name, idx, validate=validate)
-        for name, idx in blocks
+        single_block_realization(context, name, idx) for name, idx in blocks
     ]
     out = parts[0]
     for p in parts[1:]:
         out = tensor(out, p, level=1)
-    if validate and len(parts) > 1:
+    if len(parts) > 1:
         _validate_highest_weight(context, out)
     return out
 

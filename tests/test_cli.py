@@ -231,6 +231,36 @@ class TestDegenerateCommand:
         assert payload["lift_failure"] == self.LIFT_FAILURE
         assert payload["graded_generators"] == 1
 
+    WEIGHT_FAILURE = (
+        "no integer weight vector separates the correction components; "
+        "the family construction is infeasible for this input"
+    )
+
+    def test_infeasible_weight_is_a_negative_report(
+        self, sl3_cfg, monkeypatch, capsys
+    ):
+        # no bundled job reaches this outcome, so force it
+        monkeypatch.setattr(
+            "superflag.cli.find_weight_vector", lambda lifted: None
+        )
+        argv = ["degenerate", "--config", sl3_cfg]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "level-1 essential monomials: 8",
+            "presentation ring: 8 even, 0 odd variables",
+            "graded kernel generators (degree <= 2): 9",
+            self.WEIGHT_FAILURE,
+        ]
+        code, out, err = run(argv + ["--json"], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "essential_level_1": 8,
+            "ring": {"even_variables": 8, "odd_variables": 0},
+            "graded_generators": 9,
+            "weight_failure": self.WEIGHT_FAILURE,
+        }
+
 
 class TestToricCommand:
     def test_good_fixture(self, capsys):
@@ -363,6 +393,16 @@ class TestVerifyExample:
         )
         assert "FAILED stages: polytope-match, order-search" in out
 
+    def test_infeasible_weight_fails_the_family_stage(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "superflag.cli.find_weight_vector", lambda lifted: None
+        )
+        code, out, _ = run(["verify-example"], capsys)
+        assert code == 1
+        failure = TestDegenerateCommand.WEIGHT_FAILURE
+        assert f"FAIL family-fibers: {failure}" in out.splitlines()
+        assert "PASS graded-kernel: 0 kernel generators" in out
+
     def test_byte_determinism(self, tmp_path, capsys):
         paths = [tmp_path / "r1.txt", tmp_path / "r2.txt"]
         for p in paths:
@@ -440,6 +480,31 @@ class TestGoldenReports:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "argv, want_code, golden",
+        [
+            (["verify-example"], 1, "verify_example.txt"),
+            (["degenerate", "--degree-bound", "3"], 0,
+             "sl3_adjoint_degenerate_b3.txt"),
+            (["degenerate", "--degree-bound", "3", "--json",
+              "--samples", "0 1 2 5"], 0,
+             "sl3_adjoint_degenerate_b3_samples.json"),
+            (["polytope", "--dilate", "3"], 0, "osp14_w1_polytope_d3.txt"),
+            (["polytope", "--dilate", "3", "--json"], 0,
+             "osp14_w1_polytope_d3.json"),
+        ],
+        ids=["verify-example", "sl3-b3-text", "sl3-b3-json",
+             "polytope-d3-text", "polytope-d3-json"],
+    )
+    def test_whole_reports(self, argv, want_code, golden, sl3_cfg, capsys):
+        inputs = {
+            "degenerate": ["--config", sl3_cfg],
+            "polytope": ["--system", str(DATA / "osp14_w1_polytope.txt")],
+        }
+        code, out, err = run(argv + inputs.get(argv[0], []), capsys)
+        assert (code, err) == (want_code, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("union", ["1_2", "1_3"])
     def test_region_union_toric_certificate(self, union, capsys):
         code, out, err = run(
@@ -488,6 +553,22 @@ class TestErrorsAndConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "k=0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toric", "--exponents", "DIR"],
+            ["polytope", "--system", "DIR"],
+            ["polytope", "--system", str(DATA / "osp14_w1_polytope.txt"),
+             "--out", "DIR"],
+        ],
+        ids=["toric-exponents", "polytope-system", "polytope-out"],
+    )
+    def test_unreadable_path_exits_two(self, tmp_path, argv, capsys):
+        argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and str(tmp_path) in err
 
     @pytest.mark.parametrize(
         "text, reason",

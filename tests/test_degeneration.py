@@ -62,6 +62,20 @@ def osp_square_ring(osp_context):
     return SRing(LevelTower(osp_context.basis, real).essential(1))
 
 
+@pytest.fixture(scope="module")
+def every_exponent_ring():
+    """Presentation ring on every exponent of {0,1}^3 x {0,1}: its odd
+    generators collide and reorder odd coordinates, so both the odd
+    collision (BOTTOM) and the reordering sign -1 occur."""
+    return SRing(EssentialSet(
+        level=1, n=1, q=3, order=MonomialOrder("graded-lex"),
+        monomials=[
+            me(odd, (e,))
+            for odd in itertools.product((0, 1), repeat=3) for e in (0, 1)
+        ],
+    ))
+
+
 def eliminated_kernel(ring, items):
     """Kernel polynomials of one component's signed collapse row, found by
     elimination; the reference for the closed form."""
@@ -244,17 +258,14 @@ class TestPresentationRing:
         else:
             assert sign in (1, -1)
 
-    def test_gamma_closed_form_matches_product(self, osp_square_ring):
+    def test_gamma_closed_form_matches_product(
+        self, osp_square_ring, every_exponent_ring
+    ):
         # The flip-square ring collides odd coordinates but never reorders
-        # them; a ring on every exponent of {0,1}^3 x {0,1} does both.
-        every = SRing(EssentialSet(
-            level=1, n=1, q=3, order=MonomialOrder("graded-lex"),
-            monomials=[
-                me(odd, (e,))
-                for odd in itertools.product((0, 1), repeat=3) for e in (0, 1)
-            ],
-        ))
-        for ring, want in ((osp_square_ring, {0, 1}), (every, {0, 1, -1})):
+        # them; the every-exponent ring does both.
+        for ring, want in (
+            (osp_square_ring, {0, 1}), (every_exponent_ring, {0, 1, -1})
+        ):
             signs = set()
             for h in (1, 2, 3):
                 for sexp in ring.monomials_of_degree(h):
@@ -306,17 +317,21 @@ class TestGradedKernel:
             items = [(e, rng.choice((1, -1))) for e in picked]
             assert ring.kernel_binomials(items) == eliminated_kernel(ring, items)
 
-    @pytest.mark.parametrize("ring_name", ["osp_square_ring", "sl3_tower"])
+    @pytest.mark.parametrize(
+        "ring_name", ["osp_square_ring", "sl3_tower", "every_exponent_ring"]
+    )
     def test_graded_kernel_matches_elimination(self, ring_name, request):
         ring = request.getfixturevalue(ring_name)
         if isinstance(ring, LevelTower):
             ring = SRing(ring.essential(1))
         want = []
+        signs = set()
         for h in (2, 3):
             groups = {}
             for sexp in ring.monomials_of_degree(h):
                 comp, sign = ring.gamma_and_sign(sexp)
                 groups.setdefault(comp, []).append((sexp, sign))
+                signs.add(sign)
             for comp in sorted(groups, key=sort_key_component):
                 if comp is BOTTOM:
                     leads = [
@@ -329,6 +344,8 @@ class TestGradedKernel:
         got = [(r.degree, r.component, r.lead) for r in gr_ideal(ring, 3)]
         assert got == want
         assert any(comp is BOTTOM for _, comp, _ in got) == (ring.qS > 0)
+        if ring_name == "every_exponent_ring":
+            assert -1 in signs  # the negative-sign branch is exercised
 
 
 class TestLifting:
