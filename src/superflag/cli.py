@@ -93,8 +93,12 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def load_job(path: str) -> Job:
     def read(cfg: configparser.ConfigParser) -> None:
-        if not cfg.read(path):
-            raise FileNotFoundError(f"config file not found: {path}")
+        try:
+            fh = open(path, encoding="utf-8")
+        except FileNotFoundError:
+            raise FileNotFoundError(f"config file not found: {path}") from None
+        with fh:
+            cfg.read_file(fh)
 
     return _load(read)
 

@@ -10,18 +10,21 @@ dimension dim M_{K-1} * dim M_1 instead of d^K.
 
 The dual basis of a cyclic module tower multiplies with structure constants
 computed by splitting ordered monomials across tensor factors and expanding
-each factor over the essential vectors.  Grouping presentation-ring monomials
-by their semigroup component yields the kernel of the degenerate (initial)
-algebra: each component's signed collapse map is one row of +-1 entries, so
-its kernel is spanned by binomials written down in closed form.  Lifting
+each factor over the essential vectors; a product's value is memoized as
+its prefix's value times one table product.  Grouping presentation-ring
+monomials by semigroup component yields the kernel of the degenerate
+(initial) algebra: each component's signed collapse map is one row of +-1
+entries, so its kernel is spanned by binomials in closed form.  Lifting
 rewrites each binomial as an exact relation by absorbing higher components,
 and a weight vector turns the corrections into positive powers of one
 parameter t, giving a family with fibers interpolating between the original
-algebra (t = 1) and its monomial degeneration (t = 0).
+algebra (t = 1) and its monomial degeneration (t = 0); each fiber's ideal is
+ranked degree by degree, I_h = R_1 I_{h-1} + (generators of degree h).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,7 +46,6 @@ from .superpoly import (
     SuperPolynomial,
     koszul_count,
     monomials_of_degree,
-    multiply,
 )
 
 __all__ = [
@@ -67,6 +69,15 @@ __all__ = [
 
 class LiftError(RuntimeError):
     """A relation could not be rewritten as an exact identity."""
+
+
+def _add(dst: dict, key, c: Rat) -> None:
+    """dst[key] += c, dropping the entry when it becomes zero."""
+    val = dst.get(key, 0) + c
+    if val:
+        dst[key] = val
+    else:
+        dst.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +111,7 @@ class LevelTower:
         self.modules: dict[int, CyclicModule] = {}
         self.es: dict[int, EssentialSet] = {}
         self._tables: dict[tuple[int, int], "StructureTable"] = {}
+        self._values: dict[tuple[MultiExponent, ...], dict[MultiExponent, Rat]] = {}
         self._ensure_level(1)
 
     def _ensure_level(self, k: int) -> None:
@@ -141,6 +153,22 @@ class LevelTower:
         if key not in self._tables:
             self._tables[key] = structure_constants(self, k1, k2)
         return self._tables[key]
+
+    def value(self, factors: tuple[MultiExponent, ...]) -> dict[MultiExponent, Rat]:
+        """The product of level-1 essentials, left to right, over the
+        level-len(factors) dual basis; memoized, each value is its prefix's
+        value times one (k, 1) table product.  Callers must not change it."""
+        val = self._values.get(factors)
+        if val is None:
+            if len(factors) == 1:
+                val = {factors[0]: Rat(1)}
+            else:
+                table, last, val = self.table(len(factors) - 1, 1), factors[-1], {}
+                for u, c in self.value(factors[:-1]).items():
+                    for u2, c2 in table.product(u, last).items():
+                        _add(val, u2, c * c2)
+            self._values[factors] = val
+        return val
 
     def es_by_level(self, max_level: int) -> dict[int, EssentialSet]:
         for k in range(1, max_level + 1):
@@ -192,12 +220,7 @@ def structure_constants(tower: LevelTower, k1: int, k2: int) -> StructureTable:
             for e1, c1 in pa.items():
                 for e2, c2 in pb.items():
                     sign = -1 if (e1.parity and e2.parity) else 1
-                    dst = products.setdefault((e1, e2), {})
-                    val = dst.get(u, Rat(0)) + sign * coeff * c1 * c2
-                    if val == 0:
-                        dst.pop(u, None)
-                    else:
-                        dst[u] = val
+                    _add(products.setdefault((e1, e2), {}), u, sign * coeff * c1 * c2)
     products = {k: v for k, v in products.items() if v}
     return StructureTable(k1=k1, k2=k2, products=products)
 
@@ -229,6 +252,7 @@ class SRing:
         self.q_mod = es1.q
         self._gamma_cache: dict[MultiExponent, tuple[object, int]] = {}
         self._components: dict[int, dict[object, list[tuple[MultiExponent, int]]]] = {}
+        self._shifts: dict[int, list[dict[int, tuple[int, int]]]] = {}
 
     def generator_names(self) -> dict[str, MultiExponent]:
         names: dict[str, MultiExponent] = {}
@@ -291,6 +315,25 @@ class SRing:
     def monomials_of_degree(self, h: int) -> list[MultiExponent]:
         return monomials_of_degree(MonomialOrder("graded-lex"), h, self.nS, self.qS)
 
+    def shifts(self, h: int) -> list[dict[int, tuple[int, int]]]:
+        """Left multiplication by each variable from degree h to h + 1:
+        shifts(h)[j][i] = (i2, sign) when variable j times degree-h monomial
+        i is sign times degree-(h+1) monomial i2 (absent when an odd
+        variable repeats).  Memoized: callers must not change the result."""
+        maps = self._shifts.get(h)
+        if maps is None:
+            index = {m: i for i, m in enumerate(self.monomials_of_degree(h + 1))}
+            maps = []
+            for x in self.monomials_of_degree(1):
+                maps.append({})
+                for i, m in enumerate(self.monomials_of_degree(h)):
+                    combined = x.combine(m)
+                    if combined is not None:
+                        sign = -1 if koszul_count(x.odd, m.odd) % 2 else 1
+                        maps[-1][i] = (index[combined], sign)
+            self._shifts[h] = maps
+        return maps
+
     def components(self, h: int) -> dict[object, list[tuple[MultiExponent, int]]]:
         """Degree-h ring monomials grouped by component, each with its sign
         (BOTTOM collects the monomials whose odd coordinates collide).
@@ -340,10 +383,7 @@ class GradedRelation:
     )
 
     def total(self) -> SuperPolynomial:
-        out = self.lead
-        for _, poly in self.corrections:
-            out = out + poly
-        return out
+        return sum((poly for _, poly in self.corrections), self.lead)
 
 
 def gr_ideal(ring: SRing, degree_bound: int) -> list[GradedRelation]:
@@ -387,41 +427,16 @@ def sort_key_component(comp) -> tuple:
 def evaluate_in_tower(
     tower: LevelTower, ring: SRing, poly: SuperPolynomial
 ) -> dict[tuple[MultiExponent, int], Rat]:
-    """Evaluate a homogeneous ring polynomial as a dual-basis combination.
-
-    Each monomial's generator images are multiplied left to right in the
-    canonical written order through the (k, 1) structure tables; the result
-    is a coefficient dictionary over level-h essential exponents.
-    """
+    """Evaluate a homogeneous ring polynomial as a dual-basis combination:
+    the sum of the memoized tower values of its monomials' generator images
+    in the canonical written order, over level-h essential exponents."""
     out: dict[tuple[MultiExponent, int], Rat] = {}
     for sexp, coeff in poly.terms.items():
-        h = sexp.degree
-        factors = ring.factors(sexp)
+        factors = tuple(ring.factors(sexp))
         if not factors:
             raise ValueError("cannot evaluate a constant term")
-        current: dict[MultiExponent, Rat] = {factors[0]: Rat(1)}
-        level = 1
-        for f in factors[1:]:
-            table = tower.table(level, 1)
-            nxt: dict[MultiExponent, Rat] = {}
-            for u, c in current.items():
-                for u2, c2 in table.product(u, f).items():
-                    val = nxt.get(u2, Rat(0)) + c * c2
-                    if val == 0:
-                        nxt.pop(u2, None)
-                    else:
-                        nxt[u2] = val
-            current = nxt
-            level += 1
-            if not current:
-                break
-        for u, c in current.items():
-            key = (u, h)
-            val = out.get(key, Rat(0)) + coeff * c
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
+        for u, c in tower.value(factors).items():
+            _add(out, (u, len(factors)), coeff * c)
     return out
 
 
@@ -433,21 +448,21 @@ def lift_relations(
     """Rewrite graded kernel generators as exact relations of the dual
     algebra by absorbing strictly larger components.
 
-    Repeatedly evaluates the running polynomial, locates the smallest
-    component in the residual, and subtracts the signed ring monomial given
-    by an essential-chain decomposition of that component.  The final
-    polynomial evaluates to exactly zero.
+    Keeps the residual (the value of the running polynomial), locates its
+    smallest component, subtracts the signed ring monomial given by an
+    essential-chain decomposition of that component and adds that
+    monomial's value to the residual.  The final polynomial evaluates to
+    exactly zero.
     """
     key = tower.order.key
     lifted: list[GradedRelation] = []
     for rel in relations:
         h = rel.degree
         es_by_level = tower.es_by_level(h)
-        g = rel.lead
+        residual = evaluate_in_tower(tower, ring, rel.lead)
         corrections: dict[tuple[MultiExponent, int], SuperPolynomial] = {}
         max_steps = len(tower.essential(h).monomials) + 1
         for _ in range(max_steps):
-            residual = evaluate_in_tower(tower, ring, g)
             if not residual:
                 break
             u_min = min((u for (u, _) in residual), key=key)
@@ -471,7 +486,8 @@ def lift_relations(
                 raise LiftError("chain decomposition hit the wrong component")
             c = residual[(u_min, h)] * sign
             mono = SuperPolynomial.monomial(ring.nS, ring.qS, sexp, -c)
-            g = g + mono
+            for k, v in evaluate_in_tower(tower, ring, mono).items():
+                _add(residual, k, v)
             prev = corrections.get((u_min, h), SuperPolynomial.zero(ring.nS, ring.qS))
             corrections[(u_min, h)] = prev + mono
         else:
@@ -545,12 +561,8 @@ class FamilyGenerator:
     pieces: dict[int, SuperPolynomial]
 
     def specialize(self, a: Rat) -> SuperPolynomial:
-        terms = sorted(self.pieces.items())
-        out = None
-        for p, poly in terms:
-            scaled = poly.scaled(Rat(a) ** p)
-            out = scaled if out is None else out + scaled
-        return out
+        scaled = [poly.scaled(Rat(a) ** p) for p, poly in sorted(self.pieces.items())]
+        return sum(scaled[1:], scaled[0])
 
 
 @dataclass
@@ -667,35 +679,42 @@ def hilbert_check(
 ) -> HilbertReport:
     """Per-fiber graded dimensions versus essential-set sizes.
 
-    The degree-h fiber dimension is the monomial count minus the rank of all
-    multiples of the specialized generators, computed exactly.
+    Each distinct fiber is ranked once, degree by degree (Macaulay's matrix).
+    R is generated in degree 1 and the specialized generators are
+    homogeneous, so I_h = R_1 I_{h-1} + (generators of degree h): the rows are
+    those generators and x_j b for every variable x_j and every b in I_{h-1}'s
+    basis (its rows whose insert grew the rank).  The degree-h fiber
+    dimension is the monomial count minus that exact rank.
     """
     ring = family.ring
     samples = [Rat(a) for a in samples]
     degrees = list(range(1, max_degree + 1))
     table: dict[tuple[Rat, int], int] = {}
     expected = {h: tower.essential(h).size for h in degrees}
-    for a in samples:
-        gens = family.all_specialized(a)
-        for h in degrees:
-            monoms = ring.monomials_of_degree(h)
-            index = {m: i for i, m in enumerate(monoms)}
+    for a in dict.fromkeys(samples):
+        by_degree: dict[int, list[SuperPolynomial]] = {}
+        for g in family.all_specialized(a):
+            h, *rest = {e.degree for e in g.terms}
+            if rest:
+                raise ValueError(f"generator {g.to_text()} is not homogeneous")
+            by_degree.setdefault(h, []).append(g)
+        basis: list[dict[int, Rat]] = []
+        for h in range(max_degree + 1):
+            index = {m: i for i, m in enumerate(ring.monomials_of_degree(h))}
+            gens = (
+                {index[e]: c for e, c in g.terms.items()} for g in by_degree.get(h, ())
+            )
+            shifted = (  # shifts(h - 1) is asked for only when I_{h-1} is nonzero
+                {shift[i][0]: shift[i][1] * c for i, c in b.items() if i in shift}
+                for b in basis for shift in ring.shifts(h - 1)
+            )
             acc = RankAccumulator()
-            for g in gens:
-                dg = g.max_degree()
-                if dg > h or g.is_zero():
-                    continue
-                for m in ring.monomials_of_degree(h - dg):
-                    shifted = multiply(
-                        SuperPolynomial.monomial(ring.nS, ring.qS, m), g
-                    )
-                    if shifted.is_zero():
-                        continue
-                    vec = SparseVector(
-                        {index[e]: c for e, c in shifted.terms.items()}
-                    )
-                    acc.insert(vec)
-            table[(a, h)] = len(monoms) - acc.rank
+            basis = [  # rows are made one at a time; only the basis is kept
+                row for row in itertools.chain(gens, shifted)
+                if acc.insert(SparseVector(row))
+            ]
+            if h:
+                table[(a, h)] = len(index) - acc.rank
     return HilbertReport(
         samples=samples, degrees=degrees, table=table, expected=expected
     )

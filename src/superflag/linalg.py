@@ -75,13 +75,9 @@ class SparseVector:
             return self.copy()
         out = dict(self.entries)
         for i, x in other.entries.items():
-            val = out.get(i, Rat(0)) + c * x
-            if val == 0:
-                out.pop(i, None)
-            else:
-                out[i] = val
+            out[i] = out.get(i, 0) + c * x
         v = SparseVector.__new__(SparseVector)
-        v.entries = out
+        v.entries = {i: x for i, x in out.items() if x}
         return v
 
     def dot(self, other: "SparseVector") -> Rat:

@@ -80,11 +80,8 @@ class Representation:
             for j, col in self.action[g].items():
                 dst = out.setdefault(j, {})
                 for i, a in col.items():
-                    val = dst.get(i, Rat(0)) + c * a
-                    if val == 0:
-                        dst.pop(i, None)
-                    else:
-                        dst[i] = val
+                    dst[i] = dst.get(i, 0) + c * a
+        out = {j: {i: x for i, x in col.items() if x} for j, col in out.items()}
         out = {j: col for j, col in out.items() if col}
         self._element_cache[coords] = out
         return out
@@ -133,11 +130,8 @@ class Representation:
                 dst: dict[int, Rat] = {}
                 for k, c in col.items():
                     for i, d in a.get(k, {}).items():
-                        val = dst.get(i, Rat(0)) + c * d
-                        if val == 0:
-                            dst.pop(i, None)
-                        else:
-                            dst[i] = val
+                        dst[i] = dst.get(i, 0) + c * d
+                dst = {i: x for i, x in dst.items() if x}
                 if dst:
                     out[j] = dst
             return out

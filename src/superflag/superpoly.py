@@ -289,15 +289,8 @@ class SuperPolynomial:
         for e, c in data:
             if e.n != n or e.q != q:
                 raise ValueError("exponent has wrong ambient dimensions")
-            c = Rat(c)
-            if c == 0:
-                continue
-            val = acc.get(e, Rat(0)) + c
-            if val == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = val
-        self.terms: dict[MultiExponent, Rat] = acc
+            acc[e] = acc.get(e, 0) + Rat(c)
+        self.terms: dict[MultiExponent, Rat] = {e: c for e, c in acc.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -332,14 +325,8 @@ class SuperPolynomial:
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            val = out.get(e, Rat(0)) + c
-            if val == 0:
-                out.pop(e, None)
-            else:
-                out[e] = val
-        return SuperPolynomial(self.n, self.q, out)
+        terms = itertools.chain(self.terms.items(), other.terms.items())
+        return SuperPolynomial(self.n, self.q, terms)
 
     def __neg__(self) -> "SuperPolynomial":
         return SuperPolynomial(
@@ -490,17 +477,11 @@ def multiply(p: SuperPolynomial, r: SuperPolynomial) -> SuperPolynomial:
     (-1)^{koszul_count(I, J)} xi^{I+J} in canonical descending form.
     """
     p._check(r)
-    out: dict[MultiExponent, Rat] = {}
+    out: list[tuple[MultiExponent, Rat]] = []
     for e1, c1 in p.terms.items():
         for e2, c2 in r.terms.items():
             combined = e1.combine(e2)
-            if combined is None:
-                continue
-            k = koszul_count(e1.odd, e2.odd)
-            c = c1 * c2 if k % 2 == 0 else -c1 * c2
-            val = out.get(combined, Rat(0)) + c
-            if val == 0:
-                out.pop(combined, None)
-            else:
-                out[combined] = val
+            if combined is not None:
+                k = koszul_count(e1.odd, e2.odd)
+                out.append((combined, -c1 * c2 if k % 2 else c1 * c2))
     return SuperPolynomial(p.n, p.q, out)

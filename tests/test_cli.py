@@ -570,6 +570,17 @@ class TestErrorsAndConfig:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and str(tmp_path) in err
 
+    def test_config_directory_reports_its_os_error(self, tmp_path, capsys):
+        code, out, err = run(["essential", "--config", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_missing_config_reports_not_found(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        code, out, err = run(["essential", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: config file not found: {path}\n"
+
     @pytest.mark.parametrize(
         "text, reason",
         [

@@ -2,11 +2,15 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import superflag.degeneration as degeneration
 from superflag.degeneration import (
     BOTTOM,
+    DegenerationFamily,
+    FamilyGenerator,
     GradedRelation,
     LevelTower,
     LiftError,
@@ -21,7 +25,7 @@ from superflag.degeneration import (
     structure_constants,
 )
 from superflag.essential import EssentialSet, essential_monomials
-from superflag.linalg import Rat, SparseVector, nullspace
+from superflag.linalg import RankAccumulator, Rat, SparseVector, nullspace
 from superflag.modules import tensor_power
 from superflag.superpoly import (
     MonomialOrder,
@@ -51,15 +55,22 @@ def sl12_tower(sl12_context, sl12_real):
 
 
 @pytest.fixture(scope="module")
-def osp_square_ring(osp_context):
-    """Presentation ring of the orthosymplectic flip-natural square: 10 even
-    and 4 odd generators, so components mix signs and odd collisions."""
+def osp_square_tower(osp_context):
+    """Tower of the orthosymplectic flip-natural square (the
+    ``osp14_flip_flip.cfg`` job)."""
     from superflag.modules import build_realization
 
     real = build_realization(
         osp_context, [("flip-natural", 1), ("flip-natural", 1)]
     )
-    return SRing(LevelTower(osp_context.basis, real).essential(1))
+    return LevelTower(osp_context.basis, real)
+
+
+@pytest.fixture(scope="module")
+def osp_square_ring(osp_square_tower):
+    """Presentation ring of the orthosymplectic flip-natural square: 10 even
+    and 4 odd generators, so components mix signs and odd collisions."""
+    return SRing(osp_square_tower.essential(1))
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +115,83 @@ def product_gamma_and_sign(ring, sexp):
     if coeff not in (1, -1):
         raise RuntimeError("reordering sign must be a unit")
     return ((exp, sexp.degree), int(coeff))
+
+
+def left_to_right_value(tower, ring, sexp):
+    """A ring monomial's value by multiplying its generator images left to
+    right through the (k, 1) tables, with no memo: the reference for
+    ``evaluate_in_tower``."""
+    factors = ring.factors(sexp)
+    current = {factors[0]: Rat(1)}
+    for level, f in enumerate(factors[1:], start=1):
+        table = tower.table(level, 1)
+        nxt = {}
+        for u, c in current.items():
+            for u2, c2 in table.product(u, f).items():
+                nxt[u2] = nxt.get(u2, 0) + c * c2
+        current = {u: c for u, c in nxt.items() if c}
+    return {(u, len(factors)): c for u, c in current.items()}
+
+
+def all_multiples_table(family, samples, max_degree):
+    """The Hilbert table from every monomial multiple of every specialized
+    generator, each fiber ranked from scratch: the reference for the
+    degree-by-degree ``hilbert_check``."""
+    ring = family.ring
+    table = {}
+    for a in map(Rat, samples):
+        gens = family.all_specialized(a)
+        for h in range(1, max_degree + 1):
+            index = {m: i for i, m in enumerate(ring.monomials_of_degree(h))}
+            acc = RankAccumulator()
+            for g in gens:
+                dg = g.max_degree()
+                if dg > h:
+                    continue
+                for m in ring.monomials_of_degree(h - dg):
+                    shifted = multiply(
+                        SuperPolynomial.monomial(ring.nS, ring.qS, m), g
+                    )
+                    acc.insert(SparseVector(
+                        {index[e]: c for e, c in shifted.terms.items()}
+                    ))
+            table[(a, h)] = len(index) - acc.rank
+    return table
+
+
+def pipeline_family(tower, bound):
+    """Graded kernel, lifts, weight vector and t-family up to ``bound``."""
+    ring = SRing(tower.essential(1))
+    lifted = lift_relations(gr_ideal(ring, bound), tower, ring)
+    weight = find_weight_vector(lifted)
+    return family_ideal(lifted, weight, tower, ring, bound)
+
+
+def perturbed_family(ring, bound, seed):
+    """A t-family on a ring with no tower: a sample of its graded kernel
+    generators, each plus t times a random polynomial of its degree."""
+    rng = random.Random(seed)
+    graded = gr_ideal(ring, bound)
+    generators = []
+    for rel in rng.sample(graded, min(12, len(graded))):
+        monomials = ring.monomials_of_degree(rel.degree)
+        noise = SuperPolynomial(ring.nS, ring.qS, {
+            m: Rat(rng.randint(-3, 3), rng.randint(1, 4))
+            for m in rng.sample(monomials, min(3, len(monomials)))
+        })
+        generators.append(FamilyGenerator(
+            degree=rel.degree, component=rel.component,
+            pieces={0: rel.lead, 1: noise},
+        ))
+    return DegenerationFamily(
+        ring=ring, weight=(), generators=generators, exchange=[],
+        degree_bound=bound,
+    )
+
+
+# expected sizes of a ring with no tower; only the table is compared
+NO_TOWER = SimpleNamespace(essential=lambda h: SimpleNamespace(size=0))
+SAMPLES = [0, Rat(1, 2), Rat(5, 3), 1, Rat(1, 2)]
 
 
 class TensorPowerTower(LevelTower):
@@ -473,3 +561,141 @@ class TestHilbert:
         report = hilbert_check(family, osp_tower, [0, 1], 2)
         assert report.passed
         assert report.expected == {1: 5, 2: 14}
+
+
+class TestDegreeByDegreeHilbert:
+    """The degree-by-degree check against the all-multiples oracle, and the
+    work it is allowed to do."""
+
+    @pytest.mark.parametrize("bound", [2, 3, 4])
+    def test_rank_three_tables_match_all_multiples(self, sl3_tower, bound):
+        family = pipeline_family(sl3_tower, bound)
+        report = hilbert_check(family, sl3_tower, SAMPLES, bound)
+        assert report.passed
+        assert report.table == all_multiples_table(family, SAMPLES, bound)
+
+    def test_flip_square_tables_match_all_multiples(self, osp_square_tower):
+        family = pipeline_family(osp_square_tower, 3)
+        report = hilbert_check(family, osp_square_tower, SAMPLES, 3)
+        assert report.passed
+        assert report.expected == {1: 14, 2: 55, 3: 140}
+        assert report.table == all_multiples_table(family, SAMPLES, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_negative_sign_ring_matches_all_multiples(
+        self, every_exponent_ring, seed
+    ):
+        ring = every_exponent_ring
+        family = perturbed_family(ring, 3, seed)
+        report = hilbert_check(family, NO_TOWER, SAMPLES, 4)
+        assert report.table == all_multiples_table(family, SAMPLES, 4)
+        # shifts by an odd variable reorder odd coordinates
+        assert any(
+            sign == -1
+            for h in (1, 2, 3) for shift in ring.shifts(h)
+            for _, sign in shift.values()
+        )
+
+    def test_inhomogeneous_generator_rejected(self, sl2_tower):
+        ring = SRing(sl2_tower.essential(1))
+        mixed = SuperPolynomial.parse("x1*x3 - x2", ring.nS, ring.qS)
+        family = DegenerationFamily(
+            ring=ring, weight=(0,), degree_bound=2, exchange=[],
+            generators=[FamilyGenerator(degree=2, component=None,
+                                        pieces={0: mixed})],
+        )
+        with pytest.raises(ValueError, match="not homogeneous"):
+            hilbert_check(family, sl2_tower, [0], 2)
+
+    def test_rows_per_degree_are_bounded(self, sl3_tower, monkeypatch):
+        """Degree h inserts at most rank(I_{h-1}) * (nS + qS) rows plus its
+        generators, and a repeated fiber parameter is ranked once."""
+        accumulators = []
+
+        class Counting(RankAccumulator):
+            inserts = 0
+
+            def insert(self, v):
+                self.inserts += 1
+                return super().insert(v)
+
+            def __init__(self):
+                super().__init__()
+                accumulators.append(self)
+
+        monkeypatch.setattr(degeneration, "RankAccumulator", Counting)
+        bound = 4
+        family = pipeline_family(sl3_tower, bound)
+        ring = family.ring
+        distinct = list(dict.fromkeys(map(Rat, SAMPLES)))
+        hilbert_check(family, sl3_tower, SAMPLES, bound)
+        assert len(accumulators) == len(distinct) * (bound + 1)
+        for f, a in enumerate(distinct):
+            gens = family.all_specialized(a)
+            accs = accumulators[f * (bound + 1):(f + 1) * (bound + 1)]
+            previous_rank = 0
+            for h, acc in enumerate(accs):
+                gens_h = sum(1 for g in gens if g.max_degree() == h)
+                assert acc.inserts <= previous_rank * (ring.nS + ring.qS) + gens_h
+                previous_rank = acc.rank
+
+
+class TestMemoizedEvaluation:
+    @pytest.mark.parametrize(
+        "tower_name, top", [("sl3_tower", 4), ("osp_square_tower", 3)]
+    )
+    def test_values_match_left_to_right(self, tower_name, top, request):
+        tower = request.getfixturevalue(tower_name)
+        ring = SRing(tower.essential(1))
+        checked = 0
+        for h in range(1, top + 1):
+            for sexp in ring.monomials_of_degree(h):
+                mono = SuperPolynomial.monomial(ring.nS, ring.qS, sexp)
+                assert evaluate_in_tower(tower, ring, mono) == (
+                    left_to_right_value(tower, ring, sexp)
+                ), str(sexp)
+                checked += 1
+        assert checked == sum(
+            len(ring.monomials_of_degree(h)) for h in range(1, top + 1)
+        )
+
+    def test_one_table_product_per_ring_monomial(
+        self, sl3_context, sl3_adjoint
+    ):
+        tower = LevelTower(sl3_context.basis, sl3_adjoint)
+        ring = SRing(tower.essential(1))
+        products = []
+        table = tower.table
+        tower.table = lambda k1, k2: products.append((k1, k2)) or table(k1, k2)
+        monomials = [
+            sexp for h in (1, 2, 3) for sexp in ring.monomials_of_degree(h)
+        ]
+        for _ in range(2):
+            for sexp in monomials:
+                evaluate_in_tower(
+                    tower, ring,
+                    SuperPolynomial.monomial(ring.nS, ring.qS, sexp),
+                )
+        # every prefix of a canonical factor tuple is itself a ring
+        # monomial, so each monomial of degree >= 2 is one product, once
+        assert len(products) == sum(1 for sexp in monomials if sexp.degree > 1)
+
+    def test_lifting_evaluates_leads_and_single_monomials(
+        self, sl3_tower, monkeypatch
+    ):
+        ring = SRing(sl3_tower.essential(1))
+        graded = gr_ideal(ring, 3)
+        seen = []
+
+        def spy(tower, ring, poly):
+            seen.append(poly)
+            return evaluate_in_tower(tower, ring, poly)
+
+        monkeypatch.setattr(degeneration, "evaluate_in_tower", spy)
+        lifted = lift_relations(graded, sl3_tower, ring)
+        assert any(rel.corrections for rel in lifted)
+        # the running polynomial is never evaluated again: apart from each
+        # lead, once, every evaluation is of one subtracted monomial
+        assert [poly for poly in seen if len(poly.terms) > 1] == [
+            rel.lead for rel in graded if len(rel.lead.terms) > 1
+        ]
