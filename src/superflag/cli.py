@@ -22,7 +22,6 @@ import configparser
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .degeneration import (
@@ -136,7 +135,7 @@ def _job_from_config(cfg: configparser.ConfigParser) -> Job:
     m = alg.getint("m")
     n = alg.getint("n")
     functional = tuple(
-        Rat(Fraction(tok)) for tok in alg["functional"].replace(",", " ").split()
+        Rat(tok) for tok in alg["functional"].replace(",", " ").split()
     )
     permutation = (
         _ints(alg["basis_perm"]) if alg.get("basis_perm") else None
@@ -397,7 +396,7 @@ def degenerate_text(report: dict, bound: int) -> str:
 def cmd_degenerate(args) -> int:
     bound = args.degree_bound
     _require_positive(("--degree-bound", bound), ("--max-degree", args.max_degree))
-    samples = [Rat(Fraction(tok)) for tok in args.samples.split()]
+    samples = [Rat(tok) for tok in args.samples.split()]
     if not samples:
         raise ValueError("--samples is empty; give at least one fiber parameter")
     max_degree = args.max_degree if args.max_degree is not None else bound
@@ -447,9 +446,8 @@ def cmd_polytope(args) -> int:
 
 
 def _data_text(name: str) -> str:
-    return (resources.files("superflag") / "data" / name).read_text(
-        encoding="utf-8"
-    )
+    data = resources.files("superflag").joinpath("data").joinpath(name)
+    return data.read_text(encoding="utf-8")
 
 
 def cmd_verify_example(args) -> int:

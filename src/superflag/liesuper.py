@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .linalg import Dependent, Rat, SparseVector, SpanAccumulator
+from .linalg import Dependent, Rat, SparseVector, SpanAccumulator, div
 
 __all__ = [
     "SuperMatrix",
@@ -388,12 +388,12 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
             continue
         if len(spaces[weight]) != 1:
             raise RootDecompositionError(
-                f"root space of weight {weight} has dimension "
-                f"{len(spaces[weight])} != 1"
+                f"root space of weight ({', '.join(map(str, weight))}) has "
+                f"dimension {len(spaces[weight])} != 1"
             )
         [j] = spaces[weight]
         mat = algebra.basis[j]
-        mat = mat.scaled(1 / mat.entries[min(mat.entries)])
+        mat = mat.scaled(div(1, mat.entries[min(mat.entries)]))
         roots.append(
             Root(weight, algebra.parities[j], mat, _root_label(algebra, weight, mat))
         )

@@ -5,9 +5,13 @@ One reduction loop, ``_reduce``, serves every elimination: the expressing
 Pivot rows are keyed by their smallest index and scaled to 1 there; a vector
 is reduced only against the rows whose pivots it meets, smallest index
 first, and rows are never back-eliminated.  Beside them sit integer Smith
-normal form and a small exact Fourier-Motzkin solver.  All arithmetic is
-over ``fractions.Fraction``; there is no floating point anywhere, so rank
-and membership decisions are exact.
+normal form and a small exact Fourier-Motzkin solver.
+
+Scalars are exact rationals in one representation: a Python ``int`` when the
+value is integral and a ``fractions.Fraction`` otherwise.  ``Rat`` builds
+them and ``div`` is the one exact quotient, so almost every value stays a
+cheap ``int``; mixed ``int``/``Fraction`` arithmetic is still exact.  There
+is no floating point anywhere, so rank and membership decisions are exact.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-Rat = Fraction
-
 __all__ = [
     "Rat",
+    "div",
     "SparseVector",
     "Independent",
     "Dependent",
@@ -32,8 +35,32 @@ __all__ = [
 ]
 
 
+def Rat(value: int | Fraction | str, den: int = 1) -> int | Fraction:
+    """The exact rational value/den: an ``int`` when it is integral, else a
+    ``Fraction``.  ``value`` is an int, a Fraction or a decimal/fraction
+    string such as ``"3/2"``.  In annotations ``Rat`` names ``int | Fraction``.
+    """
+    if den == 1:
+        if type(value) is int:
+            return value
+        q = value if type(value) is Fraction else Fraction(value)
+    else:
+        q = Fraction(value, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """The exact quotient a / b: ``a // b`` when b divides a, else a Fraction.
+    Raises ZeroDivisionError when b is zero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
 class SparseVector:
-    """A sparse vector over the rationals: index -> nonzero Fraction entry."""
+    """A sparse vector over the rationals: index -> nonzero exact scalar."""
 
     __slots__ = ("entries",)
 
@@ -66,7 +93,7 @@ class SparseVector:
         if c == 0:
             return SparseVector()
         v = SparseVector.__new__(SparseVector)
-        v.entries = {i: c * x for i, x in self.entries.items()}
+        v.entries = {i: Rat(c * x) for i, x in self.entries.items()}
         return v
 
     def add_scaled(self, other: "SparseVector", c: Rat) -> "SparseVector":
@@ -174,7 +201,7 @@ class SpanAccumulator:
     def _dense(self, combo: Row) -> list[Rat]:
         out = [Rat(0)] * self.rank
         for j, t in combo.items():
-            out[j] = t
+            out[j] = Rat(t)
         return out
 
     def express(self, v: SparseVector) -> list[Rat] | None:
@@ -194,10 +221,10 @@ class SpanAccumulator:
             return Dependent(self._dense(combo))
         c = w[p]
         # row = (v - sum combo_j * independent_j) / c
-        new = {j: -t / c for j, t in combo.items()}
-        new[self.rank] = 1 / c
+        new = {j: div(-t, c) for j, t in combo.items()}
+        new[self.rank] = div(1, c)
         self.combos[p] = new
-        self.rows[p] = {i: x / c for i, x in w.items()}
+        self.rows[p] = {i: div(x, c) for i, x in w.items()}
         return Independent()
 
 
@@ -219,7 +246,7 @@ class RankAccumulator:
         if p is None:
             return False
         c = w[p]
-        self.rows[p] = {i: x / c for i, x in w.items()}
+        self.rows[p] = {i: div(x, c) for i, x in w.items()}
         return True
 
 
@@ -391,7 +418,7 @@ def fourier_motzkin_solve(
                     feasible = False
                     break
                 continue
-            bound = (rhs - rest) / c
+            bound = div(rhs - rest, c)
             if c > 0:
                 hi = bound if hi is None or bound < hi else hi
             else:
@@ -399,7 +426,7 @@ def fourier_motzkin_solve(
         if not feasible or (lo is not None and hi is not None and lo > hi):
             return None
         if lo is not None and hi is not None:
-            values.append((lo + hi) / 2)
+            values.append(div(lo + hi, 2))
         elif lo is not None:
             values.append(lo)
         elif hi is not None:
@@ -432,9 +459,9 @@ def fourier_motzkin_bounds(
     for coeffs, rhs in system:
         c = coeffs[0]
         if c > 0:
-            b = rhs / c
+            b = div(rhs, c)
             hi = b if hi is None or b < hi else hi
         elif c < 0:
-            b = rhs / c
+            b = div(rhs, c)
             lo = b if lo is None or b > lo else lo
     return lo, hi

@@ -530,9 +530,10 @@ def cyclic_span(
 
     A graded scan stops once a full layer contributes no new vectors (the
     span of monomial images of degree <= d generates all higher layers once
-    layer d stalls), and raises NotConvergedError if the degree cap (default
-    ambient dimension + 1) is hit.  A weighted scan first finds the module
-    dimension by a graded-lex scan and stops once it reaches it.
+    layer d + 1 stalls), and raises NotConvergedError when layer cap + 1
+    does not stall (the cap defaults to the ambient dimension + 1).  A
+    weighted scan first finds the module dimension by a graded-lex scan and
+    stops once it reaches it.
     """
     n, q = basis.n, basis.q
     if order is None:
@@ -589,7 +590,7 @@ def cyclic_span(
     v = 0
     while target is None or len(essentials) < target:
         v += 1
-        if v > cap:
+        if v > cap + (target is None):  # layer cap + 1 only shows the stall
             raise NotConvergedError(failure)
         layer: dict[MultiExponent, SparseVector] = {}
         found = len(essentials)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Rat, fourier_motzkin_bounds
 
@@ -77,14 +76,14 @@ def parse_system(text: str) -> InequalitySystem:
         if "<=" not in line:
             raise ValueError(f"malformed inequality row: {line!r}")
         lhs, rhs = line.split("<=")
-        coeffs = tuple(Rat(Fraction(tok)) for tok in lhs.split())
+        coeffs = tuple(Rat(tok) for tok in lhs.split())
         if labels is None:
             raise ValueError("the vars header must precede inequality rows")
         if len(coeffs) != len(labels):
             raise ValueError(
                 f"row has {len(coeffs)} coefficients for {len(labels)} variables"
             )
-        rows.append((coeffs, Rat(Fraction(rhs.strip()))))
+        rows.append((coeffs, Rat(rhs.strip())))
     if labels is None:
         labels = []
     unknown_odd = odd_names - set(labels)

@@ -14,7 +14,6 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Rat
@@ -269,7 +268,7 @@ def _compositions(
 class SuperPolynomial:
     """Sparse rational polynomial in n commuting and q anticommuting variables.
 
-    Terms map MultiExponent -> nonzero Fraction; monomials are stored in the
+    Terms map MultiExponent -> nonzero exact scalar; monomials are stored in the
     canonical descending-odd form, so the term map determines the element.
     Instances are treated as immutable.
     """
@@ -347,15 +346,6 @@ class SuperPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree_part(self, d: int) -> "SuperPolynomial":
-        return SuperPolynomial(
-            self.n, self.q,
-            {e: c for e, c in self.terms.items() if e.degree == d},
-        )
-
-    def max_degree(self) -> int:
-        return max((e.degree for e in self.terms), default=0)
 
     def __eq__(self, other: object) -> bool:
         return (

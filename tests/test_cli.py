@@ -111,23 +111,36 @@ class TestEssentialCommand:
         code, out, err = run(["essential", "--config", bundled_cfg], capsys)
         assert (code, out, err) == (0, LEVEL_ONE_REPORT, "")
 
+    # level K of the bundled job stabilizes in degree K
     @pytest.mark.parametrize(
-        "extra",
+        "bound, extra",
         [
-            ["--level", "1"],
-            ["--level", "2"],
-            ["--level", "1", "--favourable-k", "2"],
+            ("0", ["--level", "1"]),
+            ("1", ["--level", "2"]),
+            ("1", ["--level", "1", "--favourable-k", "2"]),
+            ("2", ["--level", "3"]),
         ],
-        ids=["level-1", "level-2", "favourable"],
+        ids=["level-1", "level-2", "favourable", "level-3"],
     )
-    def test_degree_bound_applies_at_every_level(self, bundled_cfg, extra, capsys):
+    def test_degree_bound_applies_at_every_level(
+        self, bundled_cfg, bound, extra, capsys
+    ):
         code, out, err = run(
-            ["essential", "--config", bundled_cfg, "--degree-bound", "1"] + extra,
+            ["essential", "--config", bundled_cfg, "--degree-bound", bound] + extra,
             capsys,
         )
         assert code == 2
         assert out == ""
-        assert err == "error: cyclic span did not stabilize within degree 1\n"
+        assert err == f"error: cyclic span did not stabilize within degree {bound}\n"
+
+    @pytest.mark.parametrize("level", ["1", "3"])
+    def test_degree_bound_at_the_stabilization_degree_suffices(
+        self, bundled_cfg, level, capsys
+    ):
+        base = ["essential", "--config", bundled_cfg, "--level", level]
+        uncapped = run(base, capsys)
+        assert uncapped[0] == 0
+        assert run(base + ["--degree-bound", level], capsys) == uncapped
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -32,3 +32,27 @@ def test_project_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_no_true_division_outside_linalg_div():
+    """A bare ``/`` between two ints gives a float, so every quotient in the
+    package goes through the exact ``linalg.div``."""
+    found = []
+    inside_div = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "linalg.py":
+            [div] = [
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "div"
+            ]
+            inside_div = {id(node) for node in ast.walk(div)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)
+                and id(node) not in inside_div
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert inside_div, "linalg.div not found"
+    assert found == []

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from superflag.linalg import (
@@ -14,6 +16,7 @@ from superflag.linalg import (
     Rat,
     SparseVector,
     SpanAccumulator,
+    div,
     fourier_motzkin_bounds,
     fourier_motzkin_solve,
     nullspace,
@@ -23,6 +26,58 @@ from superflag.linalg import (
 
 def dense(*values):
     return SparseVector.from_dense([Rat(v) for v in values])
+
+
+# ints and Fractions, integral Fractions such as 4/2 included
+scalars = st.integers(-60, 60) | st.fractions(-20, 20, max_denominator=12)
+
+
+def normalized(x, value):
+    """x equals value and is an int exactly when value is integral."""
+    want = int if Fraction(value).denominator == 1 else Fraction
+    return type(x) is want and x == value
+
+
+class TestScalars:
+    @settings(max_examples=200, deadline=None)
+    @given(x=scalars)
+    def test_rat_normalizes_ints_and_fractions(self, x):
+        assert normalized(Rat(x), Fraction(x))
+        assert normalized(Rat(str(x)), Fraction(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(num=st.integers(-60, 60), den=st.integers(-12, 12))
+    def test_rat_of_a_pair(self, num, den):
+        if den == 0:
+            with pytest.raises(ZeroDivisionError):
+                Rat(num, den)
+        else:
+            assert normalized(Rat(num, den), Fraction(num, den))
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("3/2", Fraction(3, 2)), ("-4/2", -2), ("1.25", Fraction(5, 4)),
+         ("2.0", 2), (" 7 ", 7)],
+    )
+    def test_rat_of_a_string(self, text, value):
+        assert normalized(Rat(text), value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=scalars, b=scalars)
+    def test_div_is_the_exact_quotient(self, a, b):
+        if b == 0:
+            with pytest.raises(ZeroDivisionError):
+                div(a, b)
+        else:
+            assert normalized(div(a, b), Fraction(a) / Fraction(b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=scalars, b=scalars)
+    def test_arithmetic_on_normalized_scalars_is_exact(self, a, b):
+        x, y = Rat(a), Rat(b)
+        fa, fb = Fraction(a), Fraction(b)
+        for got, want in ((x + y, fa + fb), (x - y, fa - fb), (x * y, fa * fb)):
+            assert not isinstance(got, float) and got == want
 
 
 class TestSparseVector:

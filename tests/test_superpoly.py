@@ -3,8 +3,11 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superflag.linalg import Rat
 from superflag.superpoly import (
@@ -369,11 +372,26 @@ class TestSuperPolynomial:
         q = SuperPolynomial.parse("-xi2*xi1", 0, 2)
         assert p == q
 
-    def test_degree_part_and_max_degree(self):
-        n, q = 1, 1
-        p = SuperPolynomial.parse("1 + x1 + xi1*x1", n, q)
-        assert p.max_degree() == 2
-        assert p.degree_part(1) == SuperPolynomial.parse("x1", n, q)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_text_round_trip_with_mixed_coefficients(self, data):
+        n = data.draw(st.integers(0, 3))
+        q = data.draw(st.integers(0, 2))
+        exponent = st.builds(
+            MultiExponent,
+            st.tuples(*[st.integers(0, 1)] * q),
+            st.tuples(*[st.integers(0, 3)] * n),
+        )
+        coeff = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
+        terms = data.draw(st.dictionaries(exponent, coeff, max_size=5))
+        p = SuperPolynomial(n, q, terms)
+        for c in p.terms.values():
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        back = SuperPolynomial.parse(p.to_text(), n, q)
+        assert back == p
+        assert {e: type(c) for e, c in back.terms.items()} == {
+            e: type(c) for e, c in p.terms.items()
+        }
 
     def test_ambient_mismatch_rejected(self):
         a = SuperPolynomial.one(1, 0)
