@@ -169,6 +169,7 @@ def _job_from_config(cfg: configparser.ConfigParser) -> Job:
     degree_cap = None
     if cfg.has_section("bounds") and cfg["bounds"].get("degree_cap"):
         degree_cap = cfg["bounds"].getint("degree_cap")
+        _require_at_least(0, ("[bounds] degree_cap", degree_cap))
 
     return Job(
         family=family,
@@ -254,11 +255,11 @@ def dims_row(dims: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _require_positive(*flags: tuple[str, int | None]) -> None:
-    """Reject an integer option below 1 (None means the option is unset)."""
+def _require_at_least(low: int, *flags: tuple[str, int | None]) -> None:
+    """Reject an integer option below ``low`` (None means it is unset)."""
     for flag, value in flags:
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+        if value is not None and value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def _job(args) -> Job:
@@ -276,7 +277,8 @@ def _tower(job: Job) -> tuple[AlgebraContext, LevelTower]:
 
 
 def cmd_essential(args) -> int:
-    _require_positive(("--level", args.level), ("--favourable-k", args.favourable_k))
+    _require_at_least(1, ("--level", args.level), ("--favourable-k", args.favourable_k))
+    _require_at_least(0, ("--degree-bound", args.degree_bound))
     job = _job(args)
     if args.order:
         job.order = MonomialOrder(args.order)
@@ -395,7 +397,7 @@ def degenerate_text(report: dict, bound: int) -> str:
 
 def cmd_degenerate(args) -> int:
     bound = args.degree_bound
-    _require_positive(("--degree-bound", bound), ("--max-degree", args.max_degree))
+    _require_at_least(1, ("--degree-bound", bound), ("--max-degree", args.max_degree))
     samples = [Rat(tok) for tok in args.samples.split()]
     if not samples:
         raise ValueError("--samples is empty; give at least one fiber parameter")

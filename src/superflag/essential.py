@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .liesuper import AlgebraContext, NegativeBasis, negative_basis
 from .modules import CyclicModule, HighestWeightRealization, cyclic_span
-from .superpoly import MonomialOrder, MultiExponent
+from .superpoly import ExponentFile, MonomialOrder, MultiExponent
 
 __all__ = [
     "EssentialSet",
@@ -258,56 +258,23 @@ def search_order_catalog(
 
 
 def serialize_essential_set(es: EssentialSet) -> str:
-    lines = [f"# ambient n={es.n} q={es.q}"]
-    if es.labels:
-        pairs = " ".join(f"{k}={v}" for k, v in sorted(es.labels.items()))
-        lines.append(f"# labels {pairs}")
-    lines.append(f"# order {es.order.describe()}")
-    for exp in es.monomials:
-        lines.append(f"{exp} k={es.level}")
-    return "\n".join(lines) + "\n"
+    points = [(exp, es.level) for exp in es.monomials]
+    return str(ExponentFile(es.n, es.q, points, es.labels, es.order))
 
 
 def parse_essential_set(text: str) -> EssentialSet:
-    n = q = None
-    labels: dict[str, str] = {}
-    order = MonomialOrder("graded-lex")
-    monomials: list[MultiExponent] = []
-    level = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("ambient"):
-                parts = dict(p.split("=") for p in body.split()[1:])
-                n, q = int(parts["n"]), int(parts["q"])
-            elif body.startswith("labels"):
-                labels = dict(p.split("=", 1) for p in body.split()[1:])
-            elif body.startswith("order"):
-                order = MonomialOrder.parse(body[len("order"):])
-            continue
-        fields = dict(p.split("=", 1) for p in line.split())
-        bits = fields["I"]
-        evens = fields["m"].strip("()")
-        even = tuple(int(x) for x in evens.split(",")) if evens else ()
-        odd = tuple(int(c) for c in bits) if bits != "-" else ()
-        k = int(fields["k"])
-        if level is None:
-            level = k
-        elif level != k:
-            raise ValueError("mixed levels in essential-set file")
-        monomials.append(MultiExponent(odd, even))
-    if n is None or q is None:
-        if not monomials:
-            raise ValueError("empty essential-set file without ambient header")
-        n, q = monomials[0].n, monomials[0].q
+    """Read an exponent file (``ExponentFile.parse``, which names a malformed
+    line) whose points all carry the same level k."""
+    data = ExponentFile.parse(text)
+    level = data.points[0][1] if data.points else 1
+    for exp, k in data.points:
+        if k != level:
+            raise ValueError(f"mixed levels in essential-set file: {exp} k={k}")
     return EssentialSet(
-        level=level if level is not None else 1,
-        n=n,
-        q=q,
-        monomials=monomials,
-        order=order,
-        labels=labels,
+        level=level,
+        n=data.n,
+        q=data.q,
+        monomials=[exp for exp, _ in data.points],
+        order=data.order or MonomialOrder("graded-lex"),
+        labels=data.labels,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .linalg import Dependent, Rat, SparseVector, SpanAccumulator, div
@@ -484,11 +485,11 @@ class NegativeBasis:
             borel=self.borel, elements=[self.elements[p] for p in permutation]
         )
 
-    @property
+    @cached_property
     def odd_positions(self) -> list[int]:
         return [i for i, e in enumerate(self.elements) if e.parity == 1]
 
-    @property
+    @cached_property
     def even_positions(self) -> list[int]:
         return [i for i, e in enumerate(self.elements) if e.parity == 0]
 
@@ -502,19 +503,8 @@ class NegativeBasis:
 
     def exponent_items(self, exp) -> list[tuple[int, NegativeBasisElement]]:
         """(multiplicity, element) per ascending position for a MultiExponent."""
-        out = []
-        odd_pos = self.odd_positions
-        even_pos = self.even_positions
-        mult = {}
-        for s, b in enumerate(exp.odd):
-            if b:
-                mult[odd_pos[s]] = b
-        for t, m in enumerate(exp.even):
-            if m:
-                mult[even_pos[t]] = m
-        for i in sorted(mult):
-            out.append((mult[i], self.elements[i]))
-        return out
+        pairs = zip(self.odd_positions + self.even_positions, exp.odd + exp.even)
+        return [(m, self.elements[i]) for i, m in sorted(pairs) if m]
 
     def labels(self) -> dict[str, str]:
         """Variable-name -> positive-root-label map (x1.., xi1..)."""
@@ -527,14 +517,7 @@ class NegativeBasis:
 
     def exponent_as_labeled(self, exp) -> frozenset[tuple[str, int]]:
         """A MultiExponent as a label -> multiplicity set (zero entries omitted)."""
-        items = []
-        for t, m in enumerate(exp.even):
-            if m:
-                items.append((self.elements[self.even_positions[t]].positive_label, m))
-        for s, b in enumerate(exp.odd):
-            if b:
-                items.append((self.elements[self.odd_positions[s]].positive_label, b))
-        return frozenset(items)
+        return frozenset((e.positive_label, m) for m, e in self.exponent_items(exp))
 
 
 def _simple_root_heights(borel: BorelChoice) -> dict[tuple[Rat, ...], Rat]:

@@ -437,7 +437,7 @@ class CyclicModule:
         vec = pbw_act(self.realization, self.basis, exp, divided=self.divided)
         if vec.is_zero():
             return {}
-        w = exponent_weight(self.basis, self.realization.weight, exp)
+        w = self.realization.rep.weights[next(iter(vec.entries))]
         entry = self.blocks.get(w)
         if entry is None:
             raise RuntimeError(
@@ -540,10 +540,9 @@ def cyclic_span(
         order = MonomialOrder("graded-lex")
     if degree_cap is None:
         degree_cap = real.rep.dim + 1
+    order.check(n + q)
     if order.kind == "weighted":
         weights = order.weights
-        if len(weights) != n + q:
-            raise ValueError("weighted order needs one weight per variable")
         if any((not isinstance(w, int)) or w < 1 for w in weights):
             raise ValueError(
                 "weighted scans require positive integer weights; otherwise "
@@ -578,7 +577,8 @@ def cyclic_span(
     ]
 
     def insert(exp: MultiExponent, vec: SparseVector) -> None:
-        w = exponent_weight(basis, real.weight, exp)
+        # a weight vector's weight is that of any of its entries
+        w = rep.weights[next(iter(vec.entries))]
         acc, idxs = blocks.setdefault(w, (SpanAccumulator(), []))
         if isinstance(acc.insert(vec), Independent):
             idxs.append(len(essentials))

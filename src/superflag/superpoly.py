@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Rat
@@ -21,6 +21,7 @@ from .linalg import Rat
 __all__ = [
     "MultiExponent",
     "MonomialOrder",
+    "ExponentFile",
     "SuperPolynomial",
     "koszul_sign",
     "koszul_count",
@@ -32,16 +33,14 @@ __all__ = [
 
 @dataclass(frozen=True, order=False)
 class MultiExponent:
-    """Exponent pair (I, m): odd bits I in {0,1}^q, even exponents m in N^n."""
+    """Exponent pair (I, m): odd bits I in {0,1}^q, even exponents m in N^n.
+
+    Not validated here: outside data enters through ``ExponentFile.parse``,
+    and the program only builds exponents in range.
+    """
 
     odd: tuple[int, ...]
     even: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.odd):
-            raise ValueError(f"odd exponents must be 0 or 1: {self.odd}")
-        if any(e < 0 for e in self.even):
-            raise ValueError(f"even exponents must be >= 0: {self.even}")
 
     @classmethod
     def zero(cls, n: int, q: int) -> "MultiExponent":
@@ -72,8 +71,6 @@ class MultiExponent:
 
     def combine(self, other: "MultiExponent") -> "MultiExponent | None":
         """Componentwise sum, or None when an odd coordinate would exceed 1."""
-        if self.q != other.q or self.n != other.n:
-            raise ValueError("ambient mismatch")
         if any(a and b for a, b in zip(self.odd, other.odd)):
             return None
         return MultiExponent(
@@ -108,16 +105,11 @@ def koszul_count(first: Iterable[int], second: Iterable[int]) -> int:
     sign produced when the product of the two canonical descending odd
     monomials is reordered into a single canonical descending monomial.
     """
-    a, b = tuple(first), tuple(second)
-    if len(a) != len(b):
-        raise ValueError("bit-vectors must have equal length")
-    count = 0
-    running = 0
-    # running = sum of a[j] for j < i
-    for i in range(len(a)):
-        if b[i]:
+    count = running = 0  # running = sum of first[j] for j < i
+    for a, b in zip(first, second):
+        if b:
             count += running
-        running += a[i]
+        running += a
     return count
 
 
@@ -158,12 +150,25 @@ class MonomialOrder:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
 
+    def check(self, nvars: int) -> None:
+        """Raise ValueError unless the order fits ``nvars`` variables: one
+        weight per variable, and a priority that permutes them.  ``key``
+        trusts both, so a scan checks its order once."""
+        if self.kind == "weighted" and len(self.weights) != nvars:
+            raise ValueError("weighted order needs one weight per variable")
+        perm = self.priority
+        if perm is not None and (
+            len(perm) != nvars or sorted(perm) != list(range(nvars))
+        ):
+            raise ValueError(
+                f"order priority must be a permutation of 0..{nvars - 1}, "
+                f"got {' '.join(str(p) for p in perm)}"
+            )
+
     def key(self, e: MultiExponent) -> tuple:
         """Sort key: ``a`` precedes ``b`` in the order iff key(a) < key(b)."""
         v = flat = e.as_vector()
         if self.priority is not None:
-            if len(self.priority) != len(v):
-                raise ValueError("priority permutation has wrong length")
             v = tuple(flat[i] for i in self.priority)
         deg = e.degree
         if self.kind == "graded-revlex":
@@ -189,8 +194,105 @@ class MonomialOrder:
             key, sep, value = part.partition("=")
             if not sep or key not in ("w", "perm") or key in fields:
                 raise ValueError(f"malformed monomial order: {text!r}")
-            fields[key] = tuple(int(x) for x in value.split(","))
+            fields[key] = tuple(int(x) for x in value.split(",")) if value else ()
         return cls(kind, weights=fields.get("w"), priority=fields.get("perm"))
+
+
+# ---------------------------------------------------------------------------
+# Exponent files
+# ---------------------------------------------------------------------------
+
+
+def _key_values(tokens: list[str]) -> dict[str, str]:
+    for tok in tokens:
+        if "=" not in tok:
+            raise ValueError(f"field {tok!r} is not key=value")
+    return dict(tok.split("=", 1) for tok in tokens)
+
+
+@dataclass
+class ExponentFile:
+    """An exponent-line file (essential sets, toric input): ``# ambient
+    n=.. q=..``, optional ``# labels ..`` and ``# order ..`` headers, then
+    one ``I=.. m=(..) k=..`` line per (exponent, k) in ``points``."""
+
+    n: int
+    q: int
+    points: list[tuple[MultiExponent, int]]
+    labels: dict[str, str] = field(default_factory=dict)
+    order: MonomialOrder | None = None
+
+    def __str__(self) -> str:
+        lines = [f"# ambient n={self.n} q={self.q}"]
+        if self.labels:
+            pairs = " ".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
+            lines.append(f"# labels {pairs}")
+        if self.order is not None:
+            lines.append(f"# order {self.order.describe()}")
+        lines += [f"{exp} k={k}" for exp, k in self.points]
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def parse(cls, text: str) -> "ExponentFile":
+        """Inverse of ``__str__``, ignoring other comment lines.  The one
+        check of outside exponent data: a malformed field, header or order,
+        a missing I, m or k, a non-integer, an odd bit other than 0 or 1, a
+        negative even exponent, k < 1, and lengths that disagree with the
+        ambient header (or the first point) raise ValueError ending with the
+        offending line."""
+        n = q = order = order_line = None
+        labels: dict[str, str] = {}
+        points: list[tuple[MultiExponent, int]] = []
+        for line in filter(None, map(str.strip, text.splitlines())):
+            try:
+                if line.startswith("#"):
+                    word, *rest = line[1:].split() or [""]
+                    if word == "ambient":
+                        parts = _key_values(rest)
+                        if "n" not in parts or "q" not in parts:
+                            raise ValueError("ambient header needs n= and q=")
+                        if points:
+                            raise ValueError("ambient header must precede the points")
+                        n, q = int(parts["n"]), int(parts["q"])
+                        if n < 0 or q < 0:
+                            raise ValueError("ambient n and q must be >= 0")
+                    elif word == "labels":
+                        labels = _key_values(rest)
+                    elif word == "order":
+                        order, order_line = MonomialOrder.parse(" ".join(rest)), line
+                    continue
+                fields = _key_values(line.split())
+                missing = [f"{key}=" for key in ("I", "m", "k") if key not in fields]
+                if missing:
+                    raise ValueError(f"generator line lacks {' '.join(missing)}")
+                bits, evens = fields["I"], fields["m"].strip("()")
+                odd = tuple(int(c) for c in bits) if bits != "-" else ()
+                even = tuple(int(x) for x in evens.split(",")) if evens else ()
+                k = int(fields["k"])
+                if k < 1:
+                    raise ValueError(f"v-degree must be at least 1, got k={k}")
+                if any(b not in (0, 1) for b in odd):
+                    raise ValueError(f"odd exponents must be 0 or 1: {odd}")
+                if any(e < 0 for e in even):
+                    raise ValueError(f"even exponents must be >= 0: {even}")
+                if n is None:
+                    n, q = len(even), len(odd)
+                if (len(odd), len(even)) != (q, n):
+                    raise ValueError(
+                        f"point has {len(odd)} odd and {len(even)} even "
+                        f"coordinates, expected q={q} and n={n}"
+                    )
+                points.append((MultiExponent(odd, even), k))
+            except ValueError as exc:
+                raise ValueError(f"{exc}: {line}") from None
+        if n is None:
+            raise ValueError("empty exponent file without ambient header")
+        if order is not None:
+            try:
+                order.check(n + q)
+            except ValueError as exc:
+                raise ValueError(f"{exc}: {order_line}") from None
+        return cls(n=n, q=q, points=points, labels=labels, order=order)
 
 
 def monomials_of_degree(
@@ -286,8 +388,6 @@ class SuperPolynomial:
         data = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[MultiExponent, Rat] = {}
         for e, c in data:
-            if e.n != n or e.q != q:
-                raise ValueError("exponent has wrong ambient dimensions")
             acc[e] = acc.get(e, 0) + Rat(c)
         self.terms: dict[MultiExponent, Rat] = {e: c for e, c in acc.items() if c}
 

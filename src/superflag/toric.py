@@ -18,7 +18,7 @@ from operator import add
 
 from .linalg import Rat, SparseVector, nullspace, smith_normal_form
 from .essential import EssentialSet
-from .superpoly import MultiExponent
+from .superpoly import ExponentFile, MultiExponent
 
 __all__ = [
     "VPoint",
@@ -51,9 +51,6 @@ class VPoint:
     def even_row(self) -> tuple[int, ...]:
         return tuple(self.exp.even) + (self.v,)
 
-    def __str__(self) -> str:
-        return f"{self.exp} k={self.v}"
-
 
 @dataclass
 class ExponentSet:
@@ -66,10 +63,6 @@ class ExponentSet:
     def even_points(self) -> list[VPoint]:
         return [p for p in self.points if not any(p.exp.odd)]
 
-    @property
-    def odd_points(self) -> list[VPoint]:
-        return [p for p in self.points if any(p.exp.odd)]
-
 
 def exponent_set_from_essential(es: EssentialSet) -> ExponentSet:
     return ExponentSet(
@@ -80,75 +73,17 @@ def exponent_set_from_essential(es: EssentialSet) -> ExponentSet:
     )
 
 
-def _key_values(tokens: list[str]) -> dict[str, str]:
-    for tok in tokens:
-        if "=" not in tok:
-            raise ValueError(f"field {tok!r} is not key=value")
-    return dict(tok.split("=", 1) for tok in tokens)
-
-
 def parse_exponent_set(text: str) -> ExponentSet:
-    """Read ``# ambient n=.. q=..``, ``# labels ..`` and ``I=.. m=(..) k=..``
-    lines.  A malformed line (a field without ``=``, a generator line without
-    I, m or k, a header without n or q, a non-integer or out-of-range
-    exponent) and a point whose lengths differ from the header's q and n (or,
-    without a header, from the first point's) raise ValueError naming the
-    line."""
-    n = q = None
-    labels: dict[str, str] = {}
-    lines: list[str] = []
-    points: list[VPoint] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("ambient"):
-                    parts = _key_values(body.split()[1:])
-                    if "n" not in parts or "q" not in parts:
-                        raise ValueError("ambient header needs n= and q=")
-                    n, q = int(parts["n"]), int(parts["q"])
-                elif body.startswith("labels"):
-                    labels = _key_values(body.split()[1:])
-                continue
-            fields = _key_values(line.split())
-            missing = [f"{key}=" for key in ("I", "m", "k") if key not in fields]
-            if missing:
-                raise ValueError(f"generator line lacks {' '.join(missing)}")
-            bits = fields["I"]
-            odd = tuple(int(c) for c in bits) if bits != "-" else ()
-            evens = fields["m"].strip("()")
-            even = tuple(int(x) for x in evens.split(",")) if evens else ()
-            k = int(fields["k"])
-            if k < 1:
-                raise ValueError(f"v-degree must be at least 1, got k={k}")
-            points.append(VPoint(MultiExponent(odd, even), k))
-            lines.append(line)
-        except ValueError as exc:
-            raise ValueError(f"{exc}: {line}") from None
-    if n is None or q is None:
-        if not points:
-            raise ValueError("empty exponent-set file without ambient header")
-        n, q = points[0].exp.n, points[0].exp.q
-    for line, p in zip(lines, points):
-        if (p.exp.q, p.exp.n) != (q, n):
-            raise ValueError(
-                f"point has {p.exp.q} odd and {p.exp.n} even coordinates, "
-                f"expected q={q} and n={n}: {line}"
-            )
-    return ExponentSet(n=n, q=q, points=points, labels=labels)
+    """Read an exponent file (``ExponentFile.parse``, which names a malformed
+    line); points may carry different v-degrees."""
+    data = ExponentFile.parse(text)
+    points = [VPoint(exp, k) for exp, k in data.points]
+    return ExponentSet(n=data.n, q=data.q, points=points, labels=data.labels)
 
 
 def serialize_exponent_set(ks: ExponentSet) -> str:
-    lines = [f"# ambient n={ks.n} q={ks.q}"]
-    if ks.labels:
-        pairs = " ".join(f"{k}={v}" for k, v in sorted(ks.labels.items()))
-        lines.append(f"# labels {pairs}")
-    for p in ks.points:
-        lines.append(str(p))
-    return "\n".join(lines) + "\n"
+    points = [(p.exp, p.v) for p in ks.points]
+    return str(ExponentFile(ks.n, ks.q, points, ks.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,47 @@ class TestEssentialCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be >= 1, got {value}\n"
 
+    def test_negative_degree_bound_exits_two_before_any_work(
+        self, bundled_cfg, tmp_path, capsys
+    ):
+        code, out, err = run(
+            ["essential", "--config", bundled_cfg, "--degree-bound", "-1"], capsys
+        )
+        assert (code, out, err) == (
+            2, "", "error: --degree-bound must be >= 0, got -1\n"
+        )
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(
+            (DATA / "osp14_w1.cfg").read_text(encoding="utf-8")
+            + "\n[bounds]\ndegree_cap = -1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(["essential", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (
+            2, "", "error: [bounds] degree_cap must be >= 0, got -1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "priority", ["9 9 9 9 9 9", "0 0 0 0 0 0", "0 1 2", "0 1 2 3 4 5 6"],
+        ids=["out-of-range", "repeated", "short", "long"],
+    )
+    def test_priority_must_permute_the_variables(
+        self, tmp_path, priority, capsys
+    ):
+        cfg = tmp_path / "priority.cfg"
+        cfg.write_text(
+            (DATA / "osp14_w1.cfg").read_text(encoding="utf-8").replace(
+                "[order]\n", f"[order]\npriority = {priority}\n"
+            ),
+            encoding="utf-8",
+        )
+        code, out, err = run(["essential", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: order priority must be a permutation of 0..5, "
+            f"got {priority}\n"
+        )
+
     def test_config_degree_cap_applies_at_level_two(self, tmp_path, capsys):
         cfg = tmp_path / "capped.cfg"
         cfg.write_text(
@@ -327,9 +368,11 @@ class TestToricCommand:
              "invalid literal for int() with base 10: 'a': I=0 m=(a) k=1"),
             ("I=0 m=(0) k=x\n",
              "invalid literal for int() with base 10: 'x': I=0 m=(0) k=x"),
+            ("I=0 m=(-1) k=1\n",
+             "even exponents must be >= 0: (-1,): I=0 m=(-1) k=1"),
         ],
         ids=["no-m", "no-q", "short-point", "junk-field", "bare-q",
-             "odd-two", "even-not-int", "k-not-int"],
+             "odd-two", "even-not-int", "k-not-int", "even-negative"],
     )
     def test_malformed_exponent_file_exits_two(
         self, tmp_path, text, message, capsys

@@ -1,6 +1,10 @@
 """Essential monomials, semigroup additivity, chains, order catalogs."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superflag.essential import (
     BOTTOM,
@@ -15,6 +19,7 @@ from superflag.essential import (
     serialize_essential_set,
 )
 from superflag.superpoly import MonomialOrder, MultiExponent
+from superflag.toric import parse_exponent_set
 
 
 def me(odd, even):
@@ -248,10 +253,86 @@ class TestSerialization:
         assert back.order == order
         assert serialize_essential_set(back) == text
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_random_order_headers_round_trip(self, data):
+        n = data.draw(st.integers(0, 3))
+        q = data.draw(st.integers(0, 2))
+        kind = data.draw(st.sampled_from(["graded-lex", "graded-revlex", "weighted"]))
+        positive = st.integers(1, 9)
+        weights = data.draw(
+            st.lists(positive, min_size=n + q, max_size=n + q)
+            if kind == "weighted"
+            else st.none()
+        )
+        priority = data.draw(st.none() | st.permutations(range(n + q)))
+        order = MonomialOrder(kind, weights=weights, priority=priority)
+        exps = st.builds(
+            me,
+            st.lists(st.integers(0, 1), min_size=q, max_size=q),
+            st.lists(st.integers(0, 9), min_size=n, max_size=n),
+        )
+        es = EssentialSet(
+            level=data.draw(positive), n=n, q=q,
+            monomials=data.draw(st.lists(exps, max_size=5)), order=order,
+        )
+        text = serialize_essential_set(es)
+        back = parse_essential_set(text)
+        if es.monomials:
+            assert back.level == es.level
+        assert (back.n, back.q, back.order) == (n, q, order)
+        assert back.monomials == es.monomials
+        assert serialize_essential_set(back) == text
+
     def test_mixed_levels_rejected(self):
         text = "I=- m=(1) k=1\nI=- m=(2) k=2\n"
         with pytest.raises(ValueError, match="mixed levels"):
             parse_essential_set(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("m=(0) k=1\n", "m=(0) k=1"),
+            ("I=0 m=(0)\n", "I=0 m=(0)"),
+            ("I=2 m=(0) k=1\n", "I=2 m=(0) k=1"),
+            ("I=0 m=(-1) k=1\n", "I=0 m=(-1) k=1"),
+            ("# ambient n=2 q=1\nI=0 m=(0) k=1\n", "I=0 m=(0) k=1"),
+            ("# ambient n=1 q=2\nI=0 m=(0) k=1\n", "I=0 m=(0) k=1"),
+            ("# ambient n=2\nI=0 m=(0,0) k=1\n", "# ambient n=2"),
+            ("# ambient n=-1 q=0\n", "# ambient n=-1 q=0"),
+            ("I=0 m=(0) k=1\n# ambient n=1 q=1\n", "# ambient n=1 q=1"),
+            ("I=- m=(1) k=1\nI=- m=(2) k=2\n", "I=- m=(2) k=2"),
+            ("# ambient n=1 q=0\n# order graded-lex perm=1,0\n",
+             "# order graded-lex perm=1,0"),
+        ],
+        ids=["no-I", "no-k", "odd-two", "even-negative", "short-even",
+             "short-odd", "no-q", "negative-n", "late-ambient", "mixed-levels",
+             "perm-too-long"],
+    )
+    def test_malformed_lines_are_named(self, text, line):
+        with pytest.raises(ValueError, match=re.escape(line) + "$"):
+            parse_essential_set(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([
+                "I=0", "I=01", "I=2", "I=-", "I=", "I", "m=(0)", "m=(1,2)",
+                "m=(-1)", "m=()", "m=(", "m=(a)", "k=1", "k=2", "k=0", "k=x",
+                "#", "# ambient", "# labels", "# order", "n=1", "q=0", "q=1",
+                "n=-1", "x1=a", "graded-lex", "weighted", "w=1,2", "perm=1,0",
+                "perm=", "=", "junk", "\n", "\n", "\n",
+            ])
+            | st.text(max_size=4),
+            max_size=12,
+        ),
+        st.sampled_from([parse_essential_set, parse_exponent_set]),
+    )
+    def test_token_soup_parses_or_raises_value_error(self, tokens, reader):
+        try:
+            reader(" ".join(tokens))
+        except ValueError:
+            pass
 
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError):
