@@ -240,8 +240,6 @@ def family_lines(family: DegenerationFamily) -> list[str]:
         lines.append(
             f"degree {gen.degree} @ {component_text(gen.component)}: {pieces}"
         )
-    for rel in family.exchange:
-        lines.append(f"exchange {relation_text(relation_dict(rel))}")
     return lines
 
 
@@ -352,7 +350,7 @@ def _degeneration(
     report["weight_vector"] = list(weight)
     report["family"] = {
         "generators": len(family.generators),
-        "exchange": len(family.exchange),
+        "exchange": 0,  # kept in the report format; the family has no exchange part
         "lines": family_lines(family),
     }
     report["hilbert"] = {

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 from .linalg import RankAccumulator, Rat, SparseVector, fourier_motzkin_solve
@@ -36,7 +35,6 @@ from .modules import (
     CyclicModule,
     HighestWeightRealization,
     cartan_expand,
-    module_realization,
     tensor,
 )
 from .essential import BOTTOM, EssentialSet, decompose_to_chain, essential_monomials
@@ -90,8 +88,8 @@ class LevelTower:
     ``degree_cap`` bounds the span scan of every level.
 
     Level K >= 2 is realized in M_{K-1} (x) M_1, each factor written on its
-    own essential vectors (``module_realization``), not in the K-th tensor
-    power of the level-1 representation.  M_{K-1} (x) M_1 embeds in
+    own essential vectors (``CyclicModule.on_essentials``), not in the K-th
+    tensor power of the level-1 representation.  M_{K-1} (x) M_1 embeds in
     rep_{K-1} (x) rep_1 by an injective g-map that fixes the highest-weight
     vector, so every monomial image has the same linear dependencies there:
     essential sets, expansions and structure tables do not change.
@@ -121,20 +119,14 @@ class LevelTower:
             raise ValueError(f"tower level must be >= 1, got {k}")
         if k not in self.reals:
             self._ensure_level(k - 1)
-            below = (
-                self._module1 if k == 2
-                else module_realization(self.modules[k - 1])
+            self.reals[k] = tensor(
+                self.modules[k - 1].on_essentials, self.modules[1].on_essentials
             )
-            self.reals[k] = tensor(below, self._module1)
         es, module = essential_monomials(
             self.reals[k], self.basis, self.order, degree_cap=self.degree_cap
         )
         self.es[k] = es
         self.modules[k] = module
-
-    @cached_property
-    def _module1(self) -> HighestWeightRealization:
-        return module_realization(self.modules[1])
 
     def essential(self, k: int) -> EssentialSet:
         self._ensure_level(k)
@@ -570,12 +562,10 @@ class DegenerationFamily:
     ring: SRing
     weight: tuple[int, ...]
     generators: list[FamilyGenerator]
-    exchange: list[GradedRelation]
     degree_bound: int
 
     def all_specialized(self, a: Rat) -> list[SuperPolynomial]:
-        out = [g.specialize(a) for g in self.generators]
-        out.extend(rel.lead for rel in self.exchange)
+        out = (g.specialize(a) for g in self.generators)
         return [p for p in out if not p.is_zero()]
 
 
@@ -588,11 +578,8 @@ def family_ideal(
 ) -> DegenerationFamily:
     """Assemble the t-family: each correction enters at t^{w.(u - lead)}.
 
-    Additionally, for every degree up to the bound, kernel binomials of the
-    order-maximal component are appended t-free (maximality leaves no room
-    for corrections; each is validated to evaluate to zero exactly).
+    The family is the lifted relations alone; ``tower`` is unused.
     """
-    key = tower.order.key
     generators: list[FamilyGenerator] = []
     for rel in lifted:
         pieces: dict[int, SuperPolynomial] = {0: rel.lead}
@@ -619,33 +606,10 @@ def family_ideal(
         generators.append(
             FamilyGenerator(degree=rel.degree, component=rel.component, pieces=pieces)
         )
-
-    exchange: list[GradedRelation] = []
-    already = {(rel.component, rel.lead) for rel in lifted if not rel.corrections}
-    for h in range(2, degree_bound + 1):
-        groups = ring.components(h)
-        eligible = [
-            c for c, items in groups.items() if c is not BOTTOM and len(items) >= 2
-        ]
-        if not eligible:
-            continue
-        top = max(eligible, key=lambda c: key(c[0]))
-        for poly in ring.kernel_binomials(groups[top]):
-            if evaluate_in_tower(tower, ring, poly):
-                raise LiftError(
-                    "order-maximal component produced a non-exact binomial; "
-                    "component bookkeeping is inconsistent"
-                )
-            if (top, poly) in already:
-                continue
-            exchange.append(
-                GradedRelation(degree=h, component=top, lead=poly)
-            )
     return DegenerationFamily(
         ring=ring,
         weight=tuple(weight),
         generators=generators,
-        exchange=exchange,
         degree_bound=degree_bound,
     )
 

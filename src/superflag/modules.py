@@ -2,21 +2,24 @@
 
 Representations act on graded coordinate spaces with a diagonal Cartan
 action.  Cyclic modules are generated from an even highest-weight vector by
-ordered products of negative-root generators; the scan simultaneously
-produces the module dimension, the stabilization degree, and the set of
-leading (scan-independent) exponents together with per-weight-block span
-accumulators reused by the expansion machinery downstream.  The scan runs
-by degree (graded orders) or weighted value (weighted orders) and shares
-prefixes: each monomial vector is one operator application to the vector of
-its parent monomial from an earlier layer.  A scanned module can itself be
-written as a representation on its essential vectors, which is how the
-level tower keeps each level's representation small.
+ordered products of divided powers of negative-root generators; the scan
+simultaneously produces the module dimension, the stabilization degree, and
+the set of leading (scan-independent) exponents together with
+per-weight-block span accumulators.  The scan runs by degree (graded
+orders) or weighted value (weighted orders) and shares prefixes: each
+monomial vector is one operator application to the vector of its parent
+monomial from an earlier layer.  ``module_realization`` is the one place
+that expresses vectors over a weight block: it writes a scanned module as a
+representation on its essential vectors.  The level tower uses it to keep
+each level's representation small, and a monomial's expansion over the
+essential vectors is its action in that representation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .linalg import Independent, Rat, SparseVector, SpanAccumulator
@@ -123,53 +126,24 @@ class Representation:
                         raise ValueError("Cartan does not act diagonally")
                     if c != self.weights[j][rank_pos]:
                         raise ValueError("stored weights disagree with the action")
-        # bracket axiom on all pairs of basis elements
-        def compose(a, b):
-            out: dict[int, dict[int, Rat]] = {}
-            for j, col in b.items():
-                dst: dict[int, Rat] = {}
-                for k, c in col.items():
-                    for i, d in a.get(k, {}).items():
-                        dst[i] = dst.get(i, 0) + c * d
-                dst = {i: x for i, x in dst.items() if x}
-                if dst:
-                    out[j] = dst
-            return out
-
-        def mat_eq(a, b):
-            keys = set(a) | set(b)
-            for j in keys:
-                ca, cb = a.get(j, {}), b.get(j, {})
-                idx = set(ca) | set(cb)
-                for i in idx:
-                    if ca.get(i, Rat(0)) != cb.get(i, Rat(0)):
-                        return False
-            return True
-
+        # bracket axiom on all pairs of basis elements, one basis vector at a
+        # time: [gi, gj] v = gi (gj v) - (-1)^{|gi||gj|} gj (gi v)
         for gi in range(alg.dim):
             for gj in range(alg.dim):
-                lhs_coords = alg.bracket_coords(gi, gj)
-                lhs = self.element_action(
-                    tuple((k, c) for k, c in enumerate(lhs_coords) if c != 0)
+                bracket = tuple(
+                    (k, c) for k, c in enumerate(alg.bracket_coords(gi, gj)) if c
                 )
-                ab = compose(self.action[gi], self.action[gj])
-                ba = compose(self.action[gj], self.action[gi])
                 sign = -1 if (alg.parities[gi] and alg.parities[gj]) else 1
-                rhs: dict[int, dict[int, Rat]] = {}
-                for j in set(ab) | set(ba):
-                    col: dict[int, Rat] = {}
-                    for i in set(ab.get(j, {})) | set(ba.get(j, {})):
-                        val = ab.get(j, {}).get(i, Rat(0)) - sign * ba.get(j, {}).get(
-                            i, Rat(0)
-                        )
-                        if val != 0:
-                            col[i] = val
-                    if col:
-                        rhs[j] = col
-                if not mat_eq(lhs, rhs):
-                    raise ValueError(
-                        f"bracket axiom fails on generator pair ({gi}, {gj})"
+                a, b = self.action[gi], self.action[gj]
+                for j in range(self.dim):
+                    v = SparseVector.unit(j)
+                    rhs = self.apply(a, self.apply(b, v)).add_scaled(
+                        self.apply(b, self.apply(a, v)), -sign
                     )
+                    if self.apply_element(bracket, v) != rhs:
+                        raise ValueError(
+                            f"bracket axiom fails on generator pair ({gi}, {gj})"
+                        )
 
 
 def natural(algebra: LieSuperalgebra) -> Representation:
@@ -412,7 +386,6 @@ class CyclicModule:
     dimension: int
     stabilization_degree: int
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]]
-    divided: bool = True
     _expand_memo: dict[MultiExponent, dict[MultiExponent, Rat]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -420,39 +393,26 @@ class CyclicModule:
     def essential_exponents(self) -> list[MultiExponent]:
         return [e for e, _ in self.essentials]
 
+    @cached_property
+    def on_essentials(self) -> HighestWeightRealization:
+        """The module as a representation on its essential vectors
+        (``module_realization``), built once."""
+        return module_realization(self)
+
     def expand(self, exp: MultiExponent) -> dict[MultiExponent, Rat]:
         """Expansion of the (possibly non-essential) monomial vector over the
-        essential vectors of its weight block.
+        essential vectors: the divided-power action of the monomial in
+        ``on_essentials``, whose coordinates are essential indices.
 
-        The monomial image always lies in the cyclic span, so failure to
-        express it indicates an internal inconsistency and raises.  Results
-        are memoized per module: callers must not change the returned dict.
+        Results are memoized per module: callers must not change the
+        returned dict.
         """
         out = self._expand_memo.get(exp)
         if out is None:
-            out = self._expand_memo[exp] = self._expand(exp)
-        return out
-
-    def _expand(self, exp: MultiExponent) -> dict[MultiExponent, Rat]:
-        vec = pbw_act(self.realization, self.basis, exp, divided=self.divided)
-        if vec.is_zero():
-            return {}
-        w = self.realization.rep.weights[next(iter(vec.entries))]
-        entry = self.blocks.get(w)
-        if entry is None:
-            raise RuntimeError(
-                f"monomial {exp} lands in an unknown weight block {w}"
-            )
-        acc, idxs = entry
-        coeffs = acc.express(vec)
-        if coeffs is None:
-            raise RuntimeError(
-                f"monomial {exp} is outside the recorded cyclic span"
-            )
-        out: dict[MultiExponent, Rat] = {}
-        for pos, c in enumerate(coeffs):
-            if c != 0:
-                out[self.essentials[idxs[pos]][0]] = c
+            vec = pbw_act(self.on_essentials, self.basis, exp)
+            out = self._expand_memo[exp] = {
+                self.essentials[i][0]: c for i, c in vec.entries.items()
+            }
         return out
 
 
@@ -508,7 +468,6 @@ def cyclic_span(
     basis: NegativeBasis,
     order: MonomialOrder | None = None,
     degree_cap: int | None = None,
-    divided: bool = True,
 ) -> CyclicModule:
     """Scan ordered monomials layer by layer, ascending in the monomial
     order, and collect the scan-independent exponents.
@@ -521,9 +480,9 @@ def cyclic_span(
     Monomial vectors share prefixes.  The generator at the highest occupied
     position acts last, so a monomial's vector is that generator applied
     once to the vector of its parent, the exponent with one copy of it
-    fewer, which lies as many layers back as the generator weighs; under
-    ``divided`` an even generator of new multiplicity m also divides by m,
-    since f^(m) = f * f^(m-1) / m.  Each vector equals ``pbw_act`` of its
+    fewer, which lies as many layers back as the generator weighs; an even
+    generator of new multiplicity m also divides by m, since divided powers
+    have f^(m) = f * f^(m-1) / m.  Each vector equals ``pbw_act`` of its
     exponent.  Only the nonzero vectors of the last max-weight layers are
     kept: a parent missing from them has a zero vector, and so has the
     child.
@@ -548,9 +507,7 @@ def cyclic_span(
                 "weighted scans require positive integer weights; otherwise "
                 "ascending-value truncation is unsound"
             )
-        graded = cyclic_span(
-            real, basis, degree_cap=degree_cap, divided=divided
-        )
+        graded = cyclic_span(real, basis, degree_cap=degree_cap)
         target = graded.dimension
         cap = graded.stabilization_degree * max(weights) + max(weights)
         failure = (
@@ -613,7 +570,7 @@ def cyclic_span(
             vec = rep.apply(op, pvec)
             if vec.is_zero():
                 continue
-            if divided and not odd and mult > 1:
+            if not odd and mult > 1:
                 vec = vec.scaled(Rat(1, mult))
             layer[exp] = vec
             insert(exp, vec)
@@ -629,7 +586,6 @@ def cyclic_span(
         dimension=len(essentials),
         stabilization_degree=max(e.degree for e, _ in essentials),
         blocks=blocks,
-        divided=divided,
     )
 
 

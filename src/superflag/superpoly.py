@@ -536,8 +536,12 @@ class SuperPolynomial:
             if factor[0].isdigit():
                 poly = poly.scaled(Rat(factor))
                 continue
-            name, _, power = factor.partition("^")
-            exp = int(power) if power else 1
+            name, caret, power = factor.partition("^")
+            if caret and not power.isdecimal():
+                raise ValueError(
+                    f"power is not a non-negative integer in term {term!r}"
+                )
+            exp = int(power) if caret else 1
             if name.startswith(odd_prefix) and name[len(odd_prefix):].isdigit():
                 i = int(name[len(odd_prefix):]) - 1
                 if not 0 <= i < q:

@@ -188,8 +188,7 @@ def perturbed_family(ring, bound, seed):
             pieces={0: rel.lead, 1: noise},
         ))
     return DegenerationFamily(
-        ring=ring, weight=(), generators=generators, exchange=[],
-        degree_bound=bound,
+        ring=ring, weight=(), generators=generators, degree_bound=bound,
     )
 
 
@@ -505,7 +504,6 @@ class TestFamily:
         lifted = lift_relations(gr_ideal(ring, 2), sl2_tower, ring)
         family = family_ideal(lifted, (0,), sl2_tower, ring, 2)
         assert len(family.generators) == 1
-        assert len(family.exchange) == 0
         gen = family.generators[0]
         assert set(gen.pieces) == {0}
         conic = SuperPolynomial.parse("x1*x3 - x2^2", 3, 0)
@@ -518,7 +516,6 @@ class TestFamily:
         weight = find_weight_vector(lifted)
         family = family_ideal(lifted, weight, sl3_tower, ring, 2)
         assert len(family.generators) == 9
-        assert len(family.exchange) == 0
         for gen in family.generators:
             for power in gen.pieces:
                 assert power == 0 or power >= 1
@@ -604,7 +601,7 @@ class TestDegreeByDegreeHilbert:
         ring = SRing(sl2_tower.essential(1))
         mixed = SuperPolynomial.parse("x1*x3 - x2", ring.nS, ring.qS)
         family = DegenerationFamily(
-            ring=ring, weight=(0,), degree_bound=2, exchange=[],
+            ring=ring, weight=(0,), degree_bound=2,
             generators=[FamilyGenerator(degree=2, component=None,
                                         pieces={0: mixed})],
         )

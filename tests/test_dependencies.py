@@ -1,6 +1,7 @@
 """The package runs on the standard library alone."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -56,3 +57,16 @@ def test_no_true_division_outside_linalg_div():
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert inside_div, "linalg.div not found"
     assert found == []
+
+
+def test_tracer_targets_are_package_functions():
+    """Every layer ``bench/tracer.py`` wraps is a plain function of the
+    package, so a rename shows up here and not only in the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for target in tracer.TARGETS:
+        code = tracer.resolve(target)[2].__code__
+        assert Path(code.co_filename).resolve().parent == PACKAGE, target

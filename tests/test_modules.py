@@ -6,8 +6,10 @@ import pytest
 
 from superflag.linalg import Rat, SparseVector
 from superflag.liesuper import negative_basis
+from superflag.degeneration import LevelTower
 from superflag.modules import (
     NotConvergedError,
+    Representation,
     act_via_expansion,
     build_realization,
     cartan_expand,
@@ -80,6 +82,48 @@ class TestRepresentations:
                 assert square.parities[i1 * d + i2] == (
                     rep.parities[i1] + rep.parities[i2]
                 ) % 2
+
+
+def _broken(rep, defect):
+    """A copy of ``rep`` with one defect that ``validate`` must reject."""
+    alg = rep.algebra
+    action = [{j: dict(col) for j, col in cols.items()} for cols in rep.action]
+    weights = list(rep.weights)
+    h = alg.cartan_indices[0]
+    if defect == "parity":
+        i, j = (next(k for k in range(rep.dim) if rep.parities[k] == p) for p in (0, 1))
+        action[h].setdefault(j, {})[i] = 1
+    elif defect == "off-diagonal-cartan":
+        i, j = [k for k in range(rep.dim) if rep.parities[k] == 1][:2]
+        action[h].setdefault(j, {})[i] = 1
+    elif defect == "weight":
+        j = next(iter(action[h]))
+        weights[j] = (weights[j][0] + 1,) + weights[j][1:]
+    elif defect == "doubled-root-vector":
+        g = next(g for g in range(alg.dim) if g not in alg.cartan_indices)
+        action[g] = {
+            j: {i: 2 * c for i, c in col.items()} for j, col in action[g].items()
+        }
+    return Representation(
+        algebra=alg, dim=rep.dim, parities=rep.parities,
+        weights=tuple(weights), action=action,
+    )
+
+
+class TestValidate:
+    """Each failure branch of ``Representation.validate``."""
+
+    @pytest.mark.parametrize("defect, message", [
+        ("parity", "action of generator 0 is not parity-homogeneous"),
+        ("off-diagonal-cartan", "Cartan does not act diagonally"),
+        ("weight", "stored weights disagree with the action"),
+        ("doubled-root-vector", r"bracket axiom fails on generator pair \(\d+, \d+\)"),
+    ])
+    def test_broken_action_rejected(self, osp_context, defect, message):
+        rep = natural(osp_context.algebra)
+        rep.validate()
+        with pytest.raises(ValueError, match=message):
+            _broken(rep, defect).validate()
 
 
 class TestRealizations:
@@ -297,6 +341,70 @@ class TestModuleRealization:
             module_realization(broken)
 
 
+def _expand_by_weight_block(module, exp):
+    """Reference expansion: the monomial's vector in the scan's own
+    realization, expressed over the essential vectors of its weight block."""
+    vec = pbw_act(module.realization, module.basis, exp)
+    if vec.is_zero():
+        return {}
+    rep = module.realization.rep
+    acc, idxs = module.blocks[rep.weights[next(iter(vec.entries))]]
+    coeffs = acc.express(vec)
+    assert coeffs is not None, f"{exp} is outside the recorded cyclic span"
+    return {module.essentials[idxs[p]][0]: c for p, c in enumerate(coeffs) if c}
+
+
+# (context, blocks, order weights or None for graded-lex) per tower job
+EXPANSION_JOBS = {
+    "sl3-adjoint": ("sl3_context", [("natural", 0), ("dual-natural", 2)], None),
+    "osp-graded-lex": ("osp_context", [("flip-natural", 1)], None),
+    "osp-weighted": ("osp_context", [("flip-natural", 1)], (2, 1, 3, 1, 1, 2)),
+    "osp-flip-square": (
+        "osp_context", [("flip-natural", 1), ("flip-natural", 1)], None
+    ),
+}
+
+
+class TestExpandOnEssentials:
+    """``CyclicModule.expand`` is the monomial's action in the module's
+    representation on its essential vectors."""
+
+    @pytest.mark.parametrize("job", list(EXPANSION_JOBS))
+    def test_expand_matches_the_weight_block_expression(self, request, job):
+        context_name, blocks, weights = EXPANSION_JOBS[job]
+        context = request.getfixturevalue(context_name)
+        order = MonomialOrder("weighted", weights=weights) if weights else None
+        tower = LevelTower(
+            context.basis, build_realization(context, blocks), order
+        )
+        n, q = context.basis.n, context.basis.q
+        graded = MonomialOrder("graded-lex")
+        for k in (1, 2, 3):
+            module = tower.module(k)
+            exps = enumerate_monomials(graded, module.stabilization_degree + 1, n, q)
+            for e in exps:
+                assert module.expand(e) == _expand_by_weight_block(module, e), (k, e)
+            essential = set(module.essential_exponents())
+            assert any(module.expand(e) for e in exps if e not in essential)
+
+    def test_built_once_per_module(self, sl3_context, sl3_adjoint, monkeypatch):
+        import superflag.modules
+
+        built = []
+        original = superflag.modules.module_realization
+
+        def counting(module):
+            built.append(module)
+            return original(module)
+
+        monkeypatch.setattr(superflag.modules, "module_realization", counting)
+        tower = LevelTower(sl3_context.basis, sl3_adjoint)
+        tower.essential(4)  # levels 2..4 tensor M_{k-1} and M_1
+        for k1, k2 in [(1, 1), (2, 1), (3, 1), (2, 2)]:
+            tower.table(k1, k2)  # expands over M_k1 and M_k2
+        assert [id(m) for m in built] == [id(tower.module(k)) for k in (1, 2, 3)]
+
+
 def _scanned_exponents(module):
     """Every exponent the scan visits, in visiting order (layer 0 first).
 
@@ -360,10 +468,8 @@ SCAN_ORDERS = {
 class TestPrefixSharedScan:
     @pytest.mark.parametrize("context_name, real_name, level", SCANS)
     @pytest.mark.parametrize("kind", list(SCAN_ORDERS))
-    @pytest.mark.parametrize("divided", [True, False])
     def test_scanned_vectors_equal_pbw_act(
-        self, request, monkeypatch, context_name, real_name, level, kind,
-        divided,
+        self, request, monkeypatch, context_name, real_name, level, kind
     ):
         from superflag.linalg import SpanAccumulator
 
@@ -378,21 +484,21 @@ class TestPrefixSharedScan:
             return original(acc, v)
 
         monkeypatch.setattr(SpanAccumulator, "insert", recording)
-        module = cyclic_span(real, basis, order=order, divided=divided)
+        module = cyclic_span(real, basis, order=order)
         monkeypatch.undo()
         scans = [module]
         if order.kind == "weighted":
             # a weighted scan first finds the dimension by a graded-lex scan
-            scans.insert(0, cyclic_span(real, basis, divided=divided))
+            scans.insert(0, cyclic_span(real, basis))
         expected = []
         for scan in scans:
             for e in _scanned_exponents(scan):
-                vec = pbw_act(real, basis, e, divided=divided)
+                vec = pbw_act(real, basis, e)
                 if not vec.is_zero():
                     expected.append(vec)
         assert inserted == expected
         for e, vec in module.essentials:
-            assert vec == pbw_act(real, basis, e, divided=divided)
+            assert vec == pbw_act(real, basis, e)
 
     @pytest.mark.parametrize("context_name, real_name, level", SCANS)
     def test_one_application_per_monomial_with_nonzero_parent(

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -371,6 +372,16 @@ class TestSuperPolynomial:
         p = SuperPolynomial.parse("xi1*xi2", 0, 2)
         q = SuperPolynomial.parse("-xi2*xi1", 0, 2)
         assert p == q
+
+    @pytest.mark.parametrize("text, term", [
+        ("x1^-1", "x1^"),
+        ("x1^", "x1^"),
+        ("2*x1^2 - 3*x1^-2", "3*x1^"),
+        ("x1^a", "x1^a"),
+    ])
+    def test_parse_rejects_a_power_that_is_not_a_natural_number(self, text, term):
+        with pytest.raises(ValueError, match=re.escape(f"in term {term!r}")):
+            SuperPolynomial.parse(text, 1, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
