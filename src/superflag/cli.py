@@ -344,7 +344,7 @@ def _degeneration(
             "the family construction is infeasible for this input"
         )
         return {**report, "weight_failure": failure}, ring, lifted
-    family = family_ideal(lifted, weight, tower, ring, bound)
+    family = family_ideal(lifted, weight, ring)
     hilbert = hilbert_check(family, tower, samples, max_degree)
     report["lifted"] = [relation_dict(rel) for rel in lifted]
     report["weight_vector"] = list(weight)
@@ -629,6 +629,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a bug, never a verdict: exit 1 means negative
+        import traceback  # only a crash pays for the import
+
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,17 +9,18 @@ as in the K-th tensor power of the level-1 representation, on a space of
 dimension dim M_{K-1} * dim M_1 instead of d^K.
 
 The dual basis of a cyclic module tower multiplies with structure constants
-computed by splitting ordered monomials across tensor factors and expanding
-each factor over the essential vectors; a product's value is memoized as
-its prefix's value times one table product.  Grouping presentation-ring
-monomials by semigroup component yields the kernel of the degenerate
-(initial) algebra: each component's signed collapse map is one row of +-1
-entries, so its kernel is spanned by binomials in closed form.  Lifting
-rewrites each binomial as an exact relation by absorbing higher components,
-and a weight vector turns the corrections into positive powers of one
-parameter t, giving a family with fibers interpolating between the original
-algebra (t = 1) and its monomial degeneration (t = 0); each fiber's ideal is
-ranked degree by degree, I_h = R_1 I_{h-1} + (generators of degree h).
+read off the essential vectors of M_{k1} (x) M_{k2}: the entry of u's vector
+at the pair (e1, e2) is, up to the sign (-1)^{|e1||e2|}, the coefficient of
+u in eta_{e1} * eta_{e2}.  A product's value is memoized as its prefix's
+value times one table product.  Grouping presentation-ring monomials by
+semigroup component yields the kernel of the degenerate (initial) algebra:
+each component's signed collapse map is one row of +-1 entries, so its
+kernel is spanned by binomials in closed form.  Lifting rewrites each
+binomial as an exact relation by absorbing higher components, and a weight
+vector turns the corrections into positive powers of one parameter t,
+giving a family with fibers interpolating between the original algebra
+(t = 1) and its monomial degeneration (t = 0); each fiber's ideal is ranked
+degree by degree, I_h = R_1 I_{h-1} + (generators of degree h).
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from typing import Sequence
 
 from .linalg import RankAccumulator, Rat, SparseVector, fourier_motzkin_solve
 from .liesuper import NegativeBasis
-from .modules import (
-    CyclicModule,
-    HighestWeightRealization,
-    cartan_expand,
-    tensor,
-)
+from .modules import CyclicModule, HighestWeightRealization, pbw_act, tensor
 from .essential import BOTTOM, EssentialSet, decompose_to_chain, essential_monomials
 from .superpoly import (
     MonomialOrder,
@@ -93,6 +89,9 @@ class LevelTower:
     rep_{K-1} (x) rep_1 by an injective g-map that fixes the highest-weight
     vector, so every monomial image has the same linear dependencies there:
     essential sets, expansions and structure tables do not change.
+    ``table(k, 1)`` relies on this layout: it reads the products off the
+    level-(k+1) essential vectors, whose entries are indexed by pairs of
+    level-k and level-1 essentials.
     """
 
     def __init__(
@@ -189,31 +188,33 @@ class StructureTable:
 def structure_constants(tower: LevelTower, k1: int, k2: int) -> StructureTable:
     """Expand all pairwise dual-basis products of levels (k1, k2).
 
-    For each level-(k1+k2) essential exponent u, the ordered monomial is
-    split across the k1|k2 tensor factorization (first slot acting on the
-    level-k1 factor); expanding the two slots over their essential vectors
-    and pairing in order picks up the global parity factor
-    (-1)^{|e1||e2|} from evaluating a tensor of functionals.
+    The vector of a level-(k1+k2) essential exponent u in M_k1 (x) M_k2,
+    both factors written on their essential vectors, has entry c at the pair
+    (e1, e2) exactly when eta_{e1} * eta_{e2} has coefficient
+    (-1)^{|e1||e2|} c on u: evaluating a tensor of functionals picks up that
+    parity factor.  For k2 = 1 these are the vectors the tower scanned at
+    level k1 + 1; otherwise each is ``pbw_act`` of u in the tensor product.
     """
-    es12 = tower.essential(k1 + k2)
-    mod1 = tower.module(k1)
-    mod2 = tower.module(k2)
+    ess1, ess2 = tower.module(k1).essentials, tower.module(k2).essentials
+    if k2 == 1:
+        vectors = tower.module(k1 + 1).essentials
+    else:
+        real = tensor(
+            tower.module(k1).on_essentials, tower.module(k2).on_essentials
+        )
+        vectors = [
+            (u, pbw_act(real, tower.basis, u))
+            for u in tower.essential(k1 + k2).monomials
+        ]
+    d = len(ess2)
     products: dict[
         tuple[MultiExponent, MultiExponent], dict[MultiExponent, Rat]
     ] = {}
-    for u in es12.monomials:
-        for (a, b), coeff in cartan_expand(u, divided=True):
-            pa = mod1.expand(a)
-            if not pa:
-                continue
-            pb = mod2.expand(b)
-            if not pb:
-                continue
-            for e1, c1 in pa.items():
-                for e2, c2 in pb.items():
-                    sign = -1 if (e1.parity and e2.parity) else 1
-                    _add(products.setdefault((e1, e2), {}), u, sign * coeff * c1 * c2)
-    products = {k: v for k, v in products.items() if v}
+    for u, vec in vectors:
+        for i, c in vec.entries.items():
+            e1, e2 = ess1[i // d][0], ess2[i % d][0]
+            sign = -1 if (e1.parity and e2.parity) else 1
+            products.setdefault((e1, e2), {})[u] = sign * c
     return StructureTable(k1=k1, k2=k2, products=products)
 
 
@@ -444,9 +445,11 @@ def lift_relations(
     smallest component, subtracts the signed ring monomial given by an
     essential-chain decomposition of that component and adds that
     monomial's value to the residual.  The final polynomial evaluates to
-    exactly zero.
+    exactly zero.  The essential sets do not change during the call, so all
+    relations share one chain memo.
     """
     key = tower.order.key
+    chains: dict = {}
     lifted: list[GradedRelation] = []
     for rel in relations:
         h = rel.degree
@@ -465,7 +468,7 @@ def lift_relations(
                     f"residual component {u_min} does not exceed the lead "
                     f"component {rel.component[0]}"
                 )
-            chain = decompose_to_chain(u_min, h, es_by_level)
+            chain = decompose_to_chain(u_min, h, es_by_level, chains)
             if chain is None:
                 raise LiftError(
                     f"residual component {u_min} at level {h} admits no "
@@ -560,9 +563,7 @@ class FamilyGenerator:
 @dataclass
 class DegenerationFamily:
     ring: SRing
-    weight: tuple[int, ...]
     generators: list[FamilyGenerator]
-    degree_bound: int
 
     def all_specialized(self, a: Rat) -> list[SuperPolynomial]:
         out = (g.specialize(a) for g in self.generators)
@@ -572,14 +573,10 @@ class DegenerationFamily:
 def family_ideal(
     lifted: Sequence[GradedRelation],
     weight: Sequence[int],
-    tower: LevelTower,
     ring: SRing,
-    degree_bound: int,
 ) -> DegenerationFamily:
-    """Assemble the t-family: each correction enters at t^{w.(u - lead)}.
-
-    The family is the lifted relations alone; ``tower`` is unused.
-    """
+    """Assemble the t-family of the lifted relations: each correction
+    enters at t^{w.(u - lead)}."""
     generators: list[FamilyGenerator] = []
     for rel in lifted:
         pieces: dict[int, SuperPolynomial] = {0: rel.lead}
@@ -606,12 +603,7 @@ def family_ideal(
         generators.append(
             FamilyGenerator(degree=rel.degree, component=rel.component, pieces=pieces)
         )
-    return DegenerationFamily(
-        ring=ring,
-        weight=tuple(weight),
-        generators=generators,
-        degree_bound=degree_bound,
-    )
+    return DegenerationFamily(ring=ring, generators=generators)
 
 
 # ---------------------------------------------------------------------------

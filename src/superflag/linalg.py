@@ -38,12 +38,16 @@ __all__ = [
 def Rat(value: int | Fraction | str, den: int = 1) -> int | Fraction:
     """The exact rational value/den: an ``int`` when it is integral, else a
     ``Fraction``.  ``value`` is an int, a Fraction or a decimal/fraction
-    string such as ``"3/2"``.  In annotations ``Rat`` names ``int | Fraction``.
+    string such as ``"3/2"``; text with a zero denominator raises ValueError.
+    In annotations ``Rat`` names ``int | Fraction``.
     """
     if den == 1:
         if type(value) is int:
             return value
-        q = value if type(value) is Fraction else Fraction(value)
+        try:
+            q = value if type(value) is Fraction else Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     else:
         q = Fraction(value, den)
     return q.numerator if q.denominator == 1 else q

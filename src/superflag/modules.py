@@ -271,6 +271,11 @@ def single_block_realization(
             f"unknown block {block!r}; expected one of {sorted(BLOCK_BUILDERS)}"
         )
     rep = BLOCK_BUILDERS[block](context.algebra)
+    if not 0 <= hw_index < rep.dim:
+        raise ValueError(
+            f"block {block}:{hw_index} has no basis vector {hw_index}; "
+            f"expected an index in 0..{rep.dim - 1}"
+        )
     real = HighestWeightRealization(
         rep=rep, hw_index=hw_index, weight=rep.weights[hw_index], level=1
     )
@@ -386,9 +391,6 @@ class CyclicModule:
     dimension: int
     stabilization_degree: int
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]]
-    _expand_memo: dict[MultiExponent, dict[MultiExponent, Rat]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def essential_exponents(self) -> list[MultiExponent]:
         return [e for e, _ in self.essentials]
@@ -402,18 +404,10 @@ class CyclicModule:
     def expand(self, exp: MultiExponent) -> dict[MultiExponent, Rat]:
         """Expansion of the (possibly non-essential) monomial vector over the
         essential vectors: the divided-power action of the monomial in
-        ``on_essentials``, whose coordinates are essential indices.
-
-        Results are memoized per module: callers must not change the
-        returned dict.
-        """
-        out = self._expand_memo.get(exp)
-        if out is None:
-            vec = pbw_act(self.on_essentials, self.basis, exp)
-            out = self._expand_memo[exp] = {
-                self.essentials[i][0]: c for i, c in vec.entries.items()
-            }
-        return out
+        ``on_essentials``, whose coordinates are essential indices.  The
+        structure tables do not call it; they read the tower's vectors."""
+        vec = pbw_act(self.on_essentials, self.basis, exp)
+        return {self.essentials[i][0]: c for i, c in vec.entries.items()}
 
 
 def module_realization(mod: CyclicModule) -> HighestWeightRealization:

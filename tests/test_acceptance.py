@@ -251,7 +251,7 @@ def test_criterion_07_family_fibers_match_module_dimensions(acceptance):
     ring = SRing(tower.essential(1))
     lifted = lift_relations(gr_ideal(ring, 2), tower, ring)
     weight = find_weight_vector(lifted)
-    family = family_ideal(lifted, weight, tower, ring, 2)
+    family = family_ideal(lifted, weight, ring)
     reports.append(hilbert_check(family, tower, [0, 1, 2, 5], 2))
 
     _, octx, oreal = _bundled_job()
@@ -259,7 +259,7 @@ def test_criterion_07_family_fibers_match_module_dimensions(acceptance):
     oring = SRing(otower.essential(1))
     olifted = lift_relations(gr_ideal(oring, 2), otower, oring)
     oweight = find_weight_vector(olifted)
-    ofamily = family_ideal(olifted, oweight, otower, oring, 2)
+    ofamily = family_ideal(olifted, oweight, oring)
     reports.append(hilbert_check(ofamily, otower, [0, 1, 2, 5], 2))
 
     ok = all(r.passed for r in reports)
@@ -314,7 +314,7 @@ def test_criterion_09_rank_one_square_degenerates_to_a_conic(acceptance):
         and lifted[0].lead == conic
         and not lifted[0].corrections
     )
-    family = family_ideal(lifted, (0,), tower, ring, 2)
+    family = family_ideal(lifted, (0,), ring)
     report = hilbert_check(family, tower, [0, 1, 3], 3)
     elapsed = time.monotonic() - t0
     acceptance(

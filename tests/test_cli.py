@@ -654,6 +654,55 @@ class TestErrorsAndConfig:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed config:") and reason in err
 
+    @pytest.mark.parametrize("index", [-1, 99])
+    def test_block_index_out_of_range_exits_two(self, tmp_path, index, capsys):
+        # -1 would wrap to the lowest-weight vector, 99 past the end
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            SL3_CFG.replace("natural:0,", f"natural:{index},"), encoding="utf-8"
+        )
+        code, out, err = run(["degenerate", "--config", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: block natural:{index} has no basis vector {index}; "
+            "expected an index in 0..2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, path_text",
+        [
+            (["degenerate", "--config", "CFG", "--samples", "0 1/0"], SL3_CFG),
+            (
+                ["degenerate", "--config", "CFG"],
+                SL3_CFG.replace("functional = 3 2", "functional = 3 1/0"),
+            ),
+            (["polytope", "--system", "CFG"], "vars a b\n1 1 <= 1/0\n"),
+        ],
+        ids=["samples", "functional", "polytope-row"],
+    )
+    def test_zero_denominator_exits_two(self, tmp_path, command, path_text, capsys):
+        path = tmp_path / "input.txt"
+        path.write_text(path_text, encoding="utf-8")
+        argv = [str(path) if arg == "CFG" else arg for arg in command]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: zero denominator in '1/0'\n"
+        assert "Traceback" not in err
+
+    def test_internal_error_exits_three(self, monkeypatch, capsys):
+        import superflag.cli as cli
+
+        def broken(args):
+            return [][0]
+
+        monkeypatch.setattr(cli, "cmd_polytope", broken)
+        code, out, err = run(
+            ["polytope", "--system", str(DATA / "osp14_w1_polytope.txt")], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: IndexError: list index out of range\n")
+        assert "Traceback" in err
+
     def test_config_parsing(self):
         job = load_job_from_text(SL3_CFG)
         assert job.family == "sl"

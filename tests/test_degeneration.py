@@ -26,7 +26,7 @@ from superflag.degeneration import (
 )
 from superflag.essential import EssentialSet, essential_monomials
 from superflag.linalg import RankAccumulator, Rat, SparseVector, nullspace
-from superflag.modules import tensor_power
+from superflag.modules import CyclicModule, cartan_expand, tensor_power
 from superflag.superpoly import (
     MonomialOrder,
     MultiExponent,
@@ -168,7 +168,7 @@ def pipeline_family(tower, bound):
     ring = SRing(tower.essential(1))
     lifted = lift_relations(gr_ideal(ring, bound), tower, ring)
     weight = find_weight_vector(lifted)
-    return family_ideal(lifted, weight, tower, ring, bound)
+    return family_ideal(lifted, weight, ring)
 
 
 def perturbed_family(ring, bound, seed):
@@ -187,9 +187,30 @@ def perturbed_family(ring, bound, seed):
             degree=rel.degree, component=rel.component,
             pieces={0: rel.lead, 1: noise},
         ))
-    return DegenerationFamily(
-        ring=ring, weight=(), generators=generators, degree_bound=bound,
-    )
+    return DegenerationFamily(ring=ring, generators=generators)
+
+
+def split_and_expand_products(tower, k1, k2):
+    """Products of levels (k1, k2) by splitting each level-(k1+k2) essential
+    monomial across the two tensor factors (``cartan_expand``) and expanding
+    both parts over their essential vectors: the reference for the read-off
+    in ``structure_constants``."""
+    mod1, mod2 = tower.module(k1), tower.module(k2)
+    products = {}
+    for u in tower.essential(k1 + k2).monomials:
+        for (a, b), coeff in cartan_expand(u, divided=True):
+            pa = mod1.expand(a)
+            pb = mod2.expand(b) if pa else {}
+            for e1, c1 in pa.items():
+                for e2, c2 in pb.items():
+                    sign = -1 if (e1.parity and e2.parity) else 1
+                    entry = products.setdefault((e1, e2), {})
+                    entry[u] = entry.get(u, 0) + sign * coeff * c1 * c2
+    products = {
+        key: {u: c for u, c in entry.items() if c}
+        for key, entry in products.items()
+    }
+    return {key: entry for key, entry in products.items() if entry}
 
 
 # expected sizes of a ring with no tower; only the table is compared
@@ -217,6 +238,8 @@ TOWER_CASES = {
         "osp_real",
         MonomialOrder("weighted", weights=(2, 1, 3, 1, 1, 2)),
     ),
+    # two odd level-1 essentials with a nonzero product: the parity sign shows
+    "sl12-natural": ("sl12_context", "sl12_real", None),
 }
 
 
@@ -259,11 +282,38 @@ class TestLevelTower:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_structure_tables_match_tensor_powers(self, tower_pair, k):
+        # the read-off needs level k inside M_{k-1} (x) M_1, so the oracle
+        # tower's table comes from splitting and expanding
         tower, oracle = tower_pair
-        assert (
-            structure_constants(tower, k - 1, 1).products
-            == structure_constants(oracle, k - 1, 1).products
+        assert structure_constants(tower, k - 1, 1).products == (
+            split_and_expand_products(oracle, k - 1, 1)
         )
+
+    @pytest.mark.parametrize(
+        "k1, k2", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)]
+    )
+    def test_structure_tables_match_split_and_expand(self, tower_pair, k1, k2):
+        tower, _ = tower_pair
+        assert structure_constants(tower, k1, k2).products == (
+            split_and_expand_products(tower, k1, k2)
+        )
+
+    def test_level_one_tables_read_the_scanned_vectors(
+        self, sl3_context, sl3_adjoint, monkeypatch
+    ):
+        import superflag.modules as modules
+
+        tower = LevelTower(sl3_context.basis, sl3_adjoint)
+        tower.essential(4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a (k, 1) table recomputed a tensor vector")
+
+        monkeypatch.setattr(degeneration, "pbw_act", forbidden)
+        monkeypatch.setattr(modules, "pbw_act", forbidden)
+        monkeypatch.setattr(CyclicModule, "expand", forbidden)
+        for k in (1, 2, 3):
+            assert tower.table(k, 1).products
 
 
 class TestStructureConstants:
@@ -502,7 +552,7 @@ class TestFamily:
     def test_classical_quadric_family(self, sl2_tower):
         ring = SRing(sl2_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl2_tower, ring)
-        family = family_ideal(lifted, (0,), sl2_tower, ring, 2)
+        family = family_ideal(lifted, (0,), ring)
         assert len(family.generators) == 1
         gen = family.generators[0]
         assert set(gen.pieces) == {0}
@@ -514,7 +564,7 @@ class TestFamily:
         ring = SRing(sl3_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl3_tower, ring)
         weight = find_weight_vector(lifted)
-        family = family_ideal(lifted, weight, sl3_tower, ring, 2)
+        family = family_ideal(lifted, weight, ring)
         assert len(family.generators) == 9
         for gen in family.generators:
             for power in gen.pieces:
@@ -530,14 +580,14 @@ class TestFamily:
         ring = SRing(sl3_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl3_tower, ring)
         with pytest.raises(LiftError, match="non-positive power"):
-            family_ideal(lifted, (0, 0, 0), sl3_tower, ring, 2)
+            family_ideal(lifted, (0, 0, 0), ring)
 
 
 class TestHilbert:
     def test_classical_quadric_dimensions(self, sl2_tower):
         ring = SRing(sl2_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl2_tower, ring)
-        family = family_ideal(lifted, (0,), sl2_tower, ring, 2)
+        family = family_ideal(lifted, (0,), ring)
         report = hilbert_check(family, sl2_tower, [0, 1, 3], 3)
         assert report.passed
         assert report.expected == {1: 3, 2: 5, 3: 7}
@@ -546,7 +596,7 @@ class TestHilbert:
         ring = SRing(sl3_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl3_tower, ring)
         weight = find_weight_vector(lifted)
-        family = family_ideal(lifted, weight, sl3_tower, ring, 2)
+        family = family_ideal(lifted, weight, ring)
         report = hilbert_check(family, sl3_tower, [0, 1, 2, 5], 2)
         assert report.passed
         assert report.expected == {1: 8, 2: 27}
@@ -556,9 +606,7 @@ class TestHilbert:
     def test_orthosymplectic_fibers(self, osp_tower):
         ring = SRing(osp_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), osp_tower, ring)
-        family = family_ideal(
-            lifted, (0,) * 6, osp_tower, ring, 2
-        )
+        family = family_ideal(lifted, (0,) * 6, ring)
         report = hilbert_check(family, osp_tower, [0, 1], 2)
         assert report.passed
         assert report.expected == {1: 5, 2: 14}
@@ -601,7 +649,7 @@ class TestDegreeByDegreeHilbert:
         ring = SRing(sl2_tower.essential(1))
         mixed = SuperPolynomial.parse("x1*x3 - x2", ring.nS, ring.qS)
         family = DegenerationFamily(
-            ring=ring, weight=(0,), degree_bound=2,
+            ring=ring,
             generators=[FamilyGenerator(degree=2, component=None,
                                         pieces={0: mixed})],
         )

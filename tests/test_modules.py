@@ -257,12 +257,6 @@ class TestCyclicSpan:
         for e in module.essential_exponents():
             assert module.expand(e) == {e: Rat(1)}
 
-    def test_expand_is_memoized(self, osp_context, osp_real):
-        module = cyclic_span(tensor_power(osp_real, 2), osp_context.basis)
-        e = exp_of(osp_context.basis, d1=1, **{"2d1": 1})
-        assert module.expand(e)
-        assert module.expand(e) is module.expand(e)
-
     def test_expand_nonessential_monomial(self, osp_context, osp_real):
         basis = osp_context.basis
         square = tensor_power(osp_real, 2)
@@ -401,7 +395,7 @@ class TestExpandOnEssentials:
         tower = LevelTower(sl3_context.basis, sl3_adjoint)
         tower.essential(4)  # levels 2..4 tensor M_{k-1} and M_1
         for k1, k2 in [(1, 1), (2, 1), (3, 1), (2, 2)]:
-            tower.table(k1, k2)  # expands over M_k1 and M_k2
+            tower.table(k1, k2)  # (2, 2) tensors M_2 with itself
         assert [id(m) for m in built] == [id(tower.module(k)) for k in (1, 2, 3)]
 
 
