@@ -46,7 +46,7 @@ from .essential import (
 )
 from .linalg import Rat
 from .liesuper import AlgebraContext, build_context
-from .modules import HighestWeightRealization, build_realization
+from .modules import HighestWeightRealization, ProgramFault, build_realization
 from .polytopes import (
     compare_point_sets,
     dilate,
@@ -285,23 +285,6 @@ def cmd_essential(args) -> int:
     _, tower = _tower(job)
     es = tower.essential(args.level)
     text = serialize_essential_set(es)
-    if args.favourable_k is not None:
-        max_level = max(args.level, args.favourable_k)
-        levels = [tower.essential(k) for k in range(1, max_level + 1)]
-        fav = is_favourable(levels)
-        text += (
-            f"# favourable up to level {max_level}: "
-            f"{'yes' if fav.favourable else 'no'}\n"
-        )
-        for k in range(2, max_level + 1):
-            rep = check_semigroup_property(
-                tower.essential(1), tower.essential(k - 1), tower.essential(k)
-            )
-            text += (
-                f"# semigroup additivity at level {k}: "
-                f"{'ok' if rep.passed else 'FAIL'}\n"
-            )
-
     payload = {
         "level": es.level,
         "ambient": {"n": es.n, "q": es.q},
@@ -310,7 +293,27 @@ def cmd_essential(args) -> int:
         "size": es.size,
         "monomials": [str(e) for e in es.monomials],
     }
-    # the JSON form leaves out the favourable lines
+    if args.favourable_k is not None:
+        max_level = max(args.level, args.favourable_k)
+        levels = [tower.essential(k) for k in range(1, max_level + 1)]
+        favourable = is_favourable(levels).favourable
+        # level k -> whether level 1 + level k-1 lands in level k
+        semigroup = {
+            k: check_semigroup_property(
+                levels[0], levels[k - 2], levels[k - 1]
+            ).passed
+            for k in range(2, max_level + 1)
+        }
+        payload["favourable"] = {"up_to_level": max_level, "passed": favourable}
+        payload["semigroup"] = {str(k): ok for k, ok in semigroup.items()}
+        text += (
+            f"# favourable up to level {max_level}: "
+            f"{'yes' if favourable else 'no'}\n"
+        )
+        text += "".join(
+            f"# semigroup additivity at level {k}: {'ok' if ok else 'FAIL'}\n"
+            for k, ok in semigroup.items()
+        )
     _emit(args, text, payload)
     return 0
 
@@ -344,7 +347,11 @@ def _degeneration(
             "the family construction is infeasible for this input"
         )
         return {**report, "weight_failure": failure}, ring, lifted
-    family = family_ideal(lifted, weight, ring)
+    try:
+        family = family_ideal(lifted, weight, ring)
+    except LiftError as exc:
+        # the weight vector separates every correction: a fault, not a verdict
+        raise ProgramFault(f"family_ideal: {exc}") from exc
     hilbert = hilbert_check(family, tower, samples, max_degree)
     report["lifted"] = [relation_dict(rel) for rel in lifted]
     report["weight_vector"] = list(weight)
@@ -491,11 +498,18 @@ def cmd_verify_example(args) -> int:
     matches = search_order_catalog(
         context, tower.realization(1), points.labeled()
     )
+    # every order's essential set has dim M = es1.size elements
+    certificate = (
+        f" (module dimension {es1.size}, {points.size} region points: "
+        "no order can match)"
+        if es1.size != points.size
+        else ""
+    )
     stage(
         "order-search",
         bool(matches),
         f"{len(matches)} basis-order/monomial-order combinations realize "
-        "the polytope points",
+        f"the polytope points{certificate}",
     )
 
     semi = check_semigroup_property(es1, es1, tower.essential(2))
@@ -626,15 +640,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ProgramFault as exc:
+        return _internal_error(exc)
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except Exception as exc:  # a bug, never a verdict: exit 1 means negative
-        import traceback  # only a crash pays for the import
+    except Exception as exc:
+        return _internal_error(exc)
 
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        traceback.print_exc()
-        return 3
+
+def _internal_error(exc: Exception) -> int:
+    """Report the exception being handled as a bug, never a verdict: exit 1
+    means negative."""
+    import traceback  # only a crash pays for the import
+
+    sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+    traceback.print_exc()
+    return 3
 
 
 if __name__ == "__main__":

@@ -94,6 +94,22 @@ class TestEssentialCommand:
         assert "# semigroup additivity at level 2: ok" in out
         assert "# semigroup additivity at level 3: ok" in out
 
+    def test_json_carries_favourable_results(self, capsys):
+        argv = [
+            "essential", "--config",
+            str(GOLDEN / "osp14_w1_weighted_priority.cfg"),
+            "--level", "2", "--favourable-k", "3",
+        ]
+        code, text, _ = run(argv, capsys)
+        assert code == 0
+        code, out, _ = run(argv + ["--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["favourable"] == {"up_to_level": 3, "passed": False}
+        assert payload["semigroup"] == {"2": True, "3": True}
+        assert "# favourable up to level 3: no\n" in text
+        assert "# semigroup additivity at level 3: ok\n" in text
+
     def test_out_file_is_deterministic(self, bundled_cfg, tmp_path, capsys):
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
@@ -448,6 +464,11 @@ class TestVerifyExample:
             "0 only-in-module" in out
         )
         assert "FAILED stages: polytope-match, order-search" in out
+        assert (
+            "FAIL order-search: 0 basis-order/monomial-order combinations "
+            "realize the polytope points (module dimension 5, 10 region "
+            "points: no order can match)" in out.splitlines()
+        )
 
     def test_infeasible_weight_fails_the_family_stage(self, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -701,6 +722,41 @@ class TestErrorsAndConfig:
         )
         assert (code, out) == (3, "")
         assert err.startswith("internal error: IndexError: list index out of range\n")
+        assert "Traceback" in err
+
+    def test_family_fault_exits_three(self, monkeypatch, sl3_cfg, capsys):
+        # a weight vector that fails to separate the corrections is a bug:
+        # find_weight_vector only returns separating ones
+        monkeypatch.setattr(
+            "superflag.cli.find_weight_vector", lambda lifted: (0,) * 8
+        )
+        code, out, err = run(["degenerate", "--config", sl3_cfg], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "internal error: ProgramFault: family_ideal: weight vector gives "
+            "non-positive power 0 for correction component "
+        )
+        assert "Traceback" in err
+
+    def test_module_outside_its_span_exits_three(
+        self, monkeypatch, bundled_cfg, capsys
+    ):
+        import superflag.modules as modules
+
+        class Blind(modules.SpanAccumulator):
+            """Span blocks whose scanned vectors express nothing."""
+
+            def express(self, v):
+                return None
+
+        monkeypatch.setattr(modules, "SpanAccumulator", Blind)
+        code, out, err = run(
+            ["essential", "--config", bundled_cfg, "--level", "2"], capsys
+        )
+        assert (code, out) == (3, "")
+        first = err.splitlines()[0]
+        assert first.startswith("internal error: ProgramFault: generator ")
+        assert first.endswith("outside the recorded cyclic span")
         assert "Traceback" in err
 
     def test_config_parsing(self):

@@ -1,5 +1,6 @@
 """Essential monomials, semigroup additivity, chains, order catalogs."""
 
+import itertools
 import re
 
 import pytest
@@ -18,6 +19,8 @@ from superflag.essential import (
     semigroup_add,
     serialize_essential_set,
 )
+from superflag.liesuper import negative_basis
+from superflag.modules import cyclic_span, tensor_power
 from superflag.superpoly import MonomialOrder, MultiExponent
 from superflag.toric import parse_exponent_set
 
@@ -213,6 +216,95 @@ class TestOrderCatalog:
         assert (
             search_order_catalog(sl12_context, sl12_real, target) == []
         )
+
+    def test_size_mismatch_needs_one_scan(
+        self, monkeypatch, osp_context, osp_real
+    ):
+        import superflag.essential as essential
+
+        calls = []
+        original = essential.cyclic_span
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(essential, "cyclic_span", counting)
+        # the bundled module has dimension 5; a 6-point target cannot match
+        target = {frozenset({("x", k)}) for k in range(6)}
+        assert search_order_catalog(osp_context, osp_real, target) == []
+        assert calls == [{}]
+
+    @pytest.mark.parametrize(
+        "context_name, real_name, level",
+        [
+            ("osp_context", "osp_real", 1),
+            ("sl12_context", "sl12_real", 1),
+            ("sl3_context", "sl3_adjoint", 1),
+            ("sl3_context", "sl3_adjoint", 2),
+        ],
+    )
+    def test_stopped_scans_equal_full_scans(
+        self, request, context_name, real_name, level
+    ):
+        context = request.getfixturevalue(context_name)
+        real = tensor_power(request.getfixturevalue(real_name), level)
+        default = negative_basis(context.borel)
+        m = len(default.elements)
+        orders = [
+            MonomialOrder("graded-lex"),
+            MonomialOrder("graded-revlex"),
+            MonomialOrder("weighted", weights=(2, 1, 3, 1, 1, 2)[:m]),
+            MonomialOrder(
+                "weighted",
+                weights=(1, 2, 1, 3, 1, 1)[:m],
+                priority=tuple(reversed(range(m))),
+            ),
+        ]
+        dimension = cyclic_span(real, default).dimension
+        for perm in itertools.permutations(range(m)):
+            basis = default.permuted(perm)
+            for order in orders:
+                full = cyclic_span(real, basis, order=order)
+                stopped = cyclic_span(real, basis, order=order, dimension=dimension)
+                assert stopped.essential_exponents() == full.essential_exponents()
+                assert stopped.dimension == full.dimension == dimension
+                assert (
+                    stopped.stabilization_degree == full.stabilization_degree
+                )
+
+    @pytest.mark.parametrize(
+        "context_name, real_name, expected",
+        [("sl12_context", "sl12_real", 12), ("osp_context", "osp_real", 1440)],
+    )
+    def test_catalog_equals_exhaustive_search(
+        self, request, context_name, real_name, expected
+    ):
+        context = request.getfixturevalue(context_name)
+        real = request.getfixturevalue(real_name)
+        es, _ = essential_monomials(real, context.basis)
+        target = {context.basis.exponent_as_labeled(e) for e in es.monomials}
+        found = search_order_catalog(context, real, target)
+        reference = _exhaustive_catalog(context, real, target)
+        assert len(reference) == expected
+        assert [
+            (m.kind, m.permutation, m.essential.monomials) for m in found
+        ] == reference
+
+
+def _exhaustive_catalog(context, real, target_labeled):
+    """The catalog search without the size certificate or the stop rule:
+    one full scan per basis permutation and graded order."""
+    default = negative_basis(context.borel)
+    matches = []
+    for perm in itertools.permutations(range(len(default.elements))):
+        basis_p = default.permuted(perm)
+        for kind in ("graded-lex", "graded-revlex"):
+            es, _ = essential_monomials(real, basis_p, MonomialOrder(kind))
+            labeled = {basis_p.exponent_as_labeled(e) for e in es.monomials}
+            if labeled == target_labeled:
+                matches.append((kind, tuple(perm), es.monomials))
+    return matches
 
 
 class TestSerialization:

@@ -403,7 +403,7 @@ def _scanned_exponents(module):
     """Every exponent the scan visits, in visiting order (layer 0 first).
 
     A graded scan runs one degree past its last essential exponent; a
-    weighted scan ends with the weighted-value layer of its last one.
+    weighted scan knows the module dimension and stops at its last one.
     """
     from superflag.superpoly import enumerate_monomials
 
@@ -413,11 +413,12 @@ def _scanned_exponents(module):
         def value(e):
             return sum(w * x for w, x in zip(order.weights, e.as_vector()))
 
-        last = max(value(e) for e in module.essential_exponents())
-        return [
-            e for e in enumerate_monomials(order, last, n, q)
-            if value(e) <= last
+        last = module.essential_exponents()[-1]
+        visited = [
+            e for e in enumerate_monomials(order, value(last), n, q)
+            if value(e) <= value(last)
         ]
+        return visited[: visited.index(last) + 1]
     out = [MultiExponent.zero(n, q)]
     for d in range(1, module.stabilization_degree + 2):
         out.extend(
