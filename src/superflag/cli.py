@@ -498,18 +498,12 @@ def cmd_verify_example(args) -> int:
     matches = search_order_catalog(
         context, tower.realization(1), points.labeled()
     )
-    # every order's essential set has dim M = es1.size elements
-    certificate = (
-        f" (module dimension {es1.size}, {points.size} region points: "
-        "no order can match)"
-        if es1.size != points.size
-        else ""
-    )
     stage(
         "order-search",
         bool(matches),
         f"{len(matches)} basis-order/monomial-order combinations realize "
-        f"the polytope points{certificate}",
+        f"the polytope points (module dimension {es1.size}, "
+        f"{points.size} region points)",
     )
 
     semi = check_semigroup_property(es1, es1, tower.essential(2))
@@ -640,23 +634,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProgramFault as exc:
-        return _internal_error(exc)
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except Exception as exc:
-        return _internal_error(exc)
+    except Exception as exc:  # a bug, never a verdict: exit 1 means negative
+        import traceback  # only a crash pays for the import
 
-
-def _internal_error(exc: Exception) -> int:
-    """Report the exception being handled as a bug, never a verdict: exit 1
-    means negative."""
-    import traceback  # only a crash pays for the import
-
-    sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-    traceback.print_exc()
-    return 3
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -83,18 +83,14 @@ def essential_monomials(
     basis: NegativeBasis,
     order: MonomialOrder | None = None,
     degree_cap: int | None = None,
-    dimension: int | None = None,
 ) -> tuple[EssentialSet, CyclicModule]:
     """Essential exponents of the cyclic module generated inside ``real``.
 
     The cyclic-span scan runs ascending in the monomial order (weighted
     orders need positive integer weights), so it already yields the
-    essential exponents.  A known module ``dimension`` stops the scan at
-    the last essential exponent.
+    essential exponents.
     """
-    module = cyclic_span(
-        real, basis, order=order, degree_cap=degree_cap, dimension=dimension
-    )
+    module = cyclic_span(real, basis, order=order, degree_cap=degree_cap)
     es = EssentialSet(
         level=real.level,
         n=basis.n,
@@ -244,20 +240,16 @@ def search_order_catalog(
     Under every basis order and monomial order the essential set has
     exactly dim M elements, since ordered monomials in any order span the
     same module, and ``exponent_as_labeled`` is injective.  So one default
-    scan certifies the answer [] when ``target_labeled`` has another size,
-    and otherwise every catalog scan stops at dim M.
+    scan certifies the answer [] when ``target_labeled`` has another size.
     """
     default = negative_basis(context.borel)
-    dimension = cyclic_span(real, default).dimension
-    if dimension != len(target_labeled):
+    if cyclic_span(real, default).dimension != len(target_labeled):
         return []
     matches: list[CatalogMatch] = []
     for perm in itertools.permutations(range(len(default.elements))):
         basis_p = default.permuted(perm)
         for kind in ("graded-lex", "graded-revlex"):
-            es, _ = essential_monomials(
-                real, basis_p, MonomialOrder(kind), dimension=dimension
-            )
+            es, _ = essential_monomials(real, basis_p, MonomialOrder(kind))
             labeled = {basis_p.exponent_as_labeled(e) for e in es.monomials}
             if labeled == target_labeled:
                 matches.append(

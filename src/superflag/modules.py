@@ -56,7 +56,7 @@ class NotConvergedError(RuntimeError):
     """Cyclic span failed to stabilize below the degree cap."""
 
 
-class ProgramFault(RuntimeError):
+class ProgramFault(Exception):
     """An invariant of the computation failed: a bug, never an input error
     or a negative verdict."""
 
@@ -468,7 +468,6 @@ def cyclic_span(
     basis: NegativeBasis,
     order: MonomialOrder | None = None,
     degree_cap: int | None = None,
-    dimension: int | None = None,
 ) -> CyclicModule:
     """Scan ordered monomials layer by layer, ascending in the monomial
     order, and collect the scan-independent exponents.
@@ -488,19 +487,12 @@ def cyclic_span(
     kept: a parent missing from them has a zero vector, and so has the
     child.
 
-    Given the module ``dimension``, a scan stops at the insert that reaches
-    it, even mid-layer: every later vector lies in the span, so the
-    essential exponents, dimension and stabilization degree are those of
-    the full scan.  Without it, a graded scan stops once a full layer
-    contributes no new vectors (the span of monomial images of degree <= d
-    generates all higher layers once layer d + 1 stalls), and a weighted
-    scan first learns the dimension from a graded-lex scan.  A graded scan
-    raises NotConvergedError when it needs a layer past the cap (layer
-    cap + 1 when it must see the stall; the cap defaults to the ambient
-    dimension + 1).  A weighted scan reaches the dimension by weighted value
-    dimension * max weight: each graded layer up to the stabilization degree
-    adds a vector, so monomials of degree below the dimension span the
-    module.
+    A graded scan stops once a full layer contributes no new vectors (the
+    span of monomial images of degree <= d generates all higher layers once
+    layer d + 1 stalls), and raises NotConvergedError when layer cap + 1
+    does not stall (the cap defaults to the ambient dimension + 1).  A
+    weighted scan first finds the module dimension by a graded-lex scan and
+    stops once it reaches it.
     """
     n, q = basis.n, basis.q
     if order is None:
@@ -515,15 +507,16 @@ def cyclic_span(
                 "weighted scans require positive integer weights; otherwise "
                 "ascending-value truncation is unsound"
             )
-        if dimension is None:
-            dimension = cyclic_span(real, basis, degree_cap=degree_cap).dimension
-        cap = dimension * max(weights)
+        graded = cyclic_span(real, basis, degree_cap=degree_cap)
+        target = graded.dimension
+        cap = graded.stabilization_degree * max(weights) + max(weights)
         failure = (
             "weighted scan failed to reach the module dimension within "
             f"weighted value {cap}"
         )
     else:
         weights = (1,) * (n + q)
+        target = None
         cap = degree_cap
         failure = f"cyclic span did not stabilize within degree {cap}"
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]] = {}
@@ -552,9 +545,9 @@ def cyclic_span(
     insert(zero, real.hw_vector)
     kept = {0: {zero: real.hw_vector}}
     v = 0
-    while len(essentials) != dimension:
+    while target is None or len(essentials) < target:
         v += 1
-        if v > cap + (dimension is None):  # layer cap + 1 only shows the stall
+        if v > cap + (target is None):  # layer cap + 1 only shows the stall
             raise NotConvergedError(failure)
         layer: dict[MultiExponent, SparseVector] = {}
         found = len(essentials)
@@ -581,9 +574,7 @@ def cyclic_span(
                 vec = vec.scaled(Rat(1, mult))
             layer[exp] = vec
             insert(exp, vec)
-            if len(essentials) == dimension:
-                break
-        if dimension is None and len(essentials) == found:
+        if target is None and len(essentials) == found:
             break
         kept[v] = layer
         kept.pop(v - max(weights), None)

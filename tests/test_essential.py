@@ -20,7 +20,6 @@ from superflag.essential import (
     serialize_essential_set,
 )
 from superflag.liesuper import negative_basis
-from superflag.modules import cyclic_span, tensor_power
 from superflag.superpoly import MonomialOrder, MultiExponent
 from superflag.toric import parse_exponent_set
 
@@ -236,44 +235,6 @@ class TestOrderCatalog:
         assert calls == [{}]
 
     @pytest.mark.parametrize(
-        "context_name, real_name, level",
-        [
-            ("osp_context", "osp_real", 1),
-            ("sl12_context", "sl12_real", 1),
-            ("sl3_context", "sl3_adjoint", 1),
-            ("sl3_context", "sl3_adjoint", 2),
-        ],
-    )
-    def test_stopped_scans_equal_full_scans(
-        self, request, context_name, real_name, level
-    ):
-        context = request.getfixturevalue(context_name)
-        real = tensor_power(request.getfixturevalue(real_name), level)
-        default = negative_basis(context.borel)
-        m = len(default.elements)
-        orders = [
-            MonomialOrder("graded-lex"),
-            MonomialOrder("graded-revlex"),
-            MonomialOrder("weighted", weights=(2, 1, 3, 1, 1, 2)[:m]),
-            MonomialOrder(
-                "weighted",
-                weights=(1, 2, 1, 3, 1, 1)[:m],
-                priority=tuple(reversed(range(m))),
-            ),
-        ]
-        dimension = cyclic_span(real, default).dimension
-        for perm in itertools.permutations(range(m)):
-            basis = default.permuted(perm)
-            for order in orders:
-                full = cyclic_span(real, basis, order=order)
-                stopped = cyclic_span(real, basis, order=order, dimension=dimension)
-                assert stopped.essential_exponents() == full.essential_exponents()
-                assert stopped.dimension == full.dimension == dimension
-                assert (
-                    stopped.stabilization_degree == full.stabilization_degree
-                )
-
-    @pytest.mark.parametrize(
         "context_name, real_name, expected",
         [("sl12_context", "sl12_real", 12), ("osp_context", "osp_real", 1440)],
     )
@@ -293,8 +254,8 @@ class TestOrderCatalog:
 
 
 def _exhaustive_catalog(context, real, target_labeled):
-    """The catalog search without the size certificate or the stop rule:
-    one full scan per basis permutation and graded order."""
+    """The catalog search without the size certificate: one full scan per
+    basis permutation and graded order."""
     default = negative_basis(context.borel)
     matches = []
     for perm in itertools.permutations(range(len(default.elements))):

@@ -9,6 +9,7 @@ from superflag.liesuper import negative_basis
 from superflag.degeneration import LevelTower
 from superflag.modules import (
     NotConvergedError,
+    ProgramFault,
     Representation,
     act_via_expansion,
     build_realization,
@@ -328,7 +329,7 @@ class TestModuleRealization:
         hw_block = {osp_real.weight: module.blocks[osp_real.weight]}
         broken = dataclasses.replace(module, blocks=hw_block)
         with pytest.raises(
-            RuntimeError,
+            ProgramFault,
             match=r"generator \d+ maps essential vector I=\d+ m=\([\d,]+\) "
             "outside the recorded cyclic span",
         ):
@@ -403,7 +404,7 @@ def _scanned_exponents(module):
     """Every exponent the scan visits, in visiting order (layer 0 first).
 
     A graded scan runs one degree past its last essential exponent; a
-    weighted scan knows the module dimension and stops at its last one.
+    weighted scan ends with the weighted-value layer of its last one.
     """
     from superflag.superpoly import enumerate_monomials
 
@@ -413,12 +414,11 @@ def _scanned_exponents(module):
         def value(e):
             return sum(w * x for w, x in zip(order.weights, e.as_vector()))
 
-        last = module.essential_exponents()[-1]
-        visited = [
-            e for e in enumerate_monomials(order, value(last), n, q)
-            if value(e) <= value(last)
+        last = max(value(e) for e in module.essential_exponents())
+        return [
+            e for e in enumerate_monomials(order, last, n, q)
+            if value(e) <= last
         ]
-        return visited[: visited.index(last) + 1]
     out = [MultiExponent.zero(n, q)]
     for d in range(1, module.stabilization_degree + 2):
         out.extend(
