@@ -90,6 +90,22 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _rats(text: str) -> tuple[Rat, ...]:
+    return tuple(Rat(tok) for tok in text.replace(",", " ").split())
+
+
+def _blocks(text: str) -> list[tuple[str, int]]:
+    """``name:index`` entries separated by commas; a bare name means index 0."""
+    blocks = []
+    for entry in filter(None, map(str.strip, text.split(","))):
+        if ":" in entry:
+            name, idx = entry.rsplit(":", 1)
+            blocks.append((name.strip(), int(idx)))
+        else:
+            blocks.append((entry, 0))
+    return blocks
+
+
 def load_job(path: str) -> Job:
     def read(cfg: configparser.ConfigParser) -> None:
         try:
@@ -130,28 +146,24 @@ def _job_from_config(cfg: configparser.ConfigParser) -> Job:
     for section, key in _REQUIRED_KEYS:
         if not cfg.has_option(section, key):
             raise ValueError(f"config is missing '{key}' in [{section}]")
+
+    def setting(section: str, key: str, parse):
+        """``parse`` of the setting's text; an error names the setting."""
+        try:
+            return parse(cfg[section][key])
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {key}: {exc}") from None
+
     alg = cfg["algebra"]
     family = alg["family"].strip()
-    m = alg.getint("m")
-    n = alg.getint("n")
-    functional = tuple(
-        Rat(tok) for tok in alg["functional"].replace(",", " ").split()
-    )
+    m = setting("algebra", "m", int)
+    n = setting("algebra", "n", int)
+    functional = setting("algebra", "functional", _rats)
     permutation = (
-        _ints(alg["basis_perm"]) if alg.get("basis_perm") else None
+        setting("algebra", "basis_perm", _ints) if alg.get("basis_perm") else None
     )
 
-    blocks: list[tuple[str, int]] = []
-    block_list = cfg["realization"]["blocks"]
-    for entry in block_list.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        if ":" in entry:
-            name, idx = entry.rsplit(":", 1)
-            blocks.append((name.strip(), int(idx)))
-        else:
-            blocks.append((entry, 0))
+    blocks = setting("realization", "blocks", _blocks)
     if not blocks:
         raise ValueError("realization.blocks must name at least one block")
 
@@ -161,14 +173,14 @@ def _job_from_config(cfg: configparser.ConfigParser) -> Job:
         section = cfg["order"]
         kind = section.get("kind", "graded-lex").strip()
         if section.get("weights"):
-            weights = _ints(section["weights"])
+            weights = setting("order", "weights", _ints)
         if section.get("priority"):
-            priority = _ints(section["priority"])
+            priority = setting("order", "priority", _ints)
     order = MonomialOrder(kind, weights=weights, priority=priority)
 
     degree_cap = None
     if cfg.has_section("bounds") and cfg["bounds"].get("degree_cap"):
-        degree_cap = cfg["bounds"].getint("degree_cap")
+        degree_cap = setting("bounds", "degree_cap", int)
         _require_at_least(0, ("[bounds] degree_cap", degree_cap))
 
     return Job(

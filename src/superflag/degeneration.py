@@ -177,8 +177,6 @@ class StructureTable:
     """Products eta_{e1,k1} * eta_{e2,k2} expanded over the level-(k1+k2)
     dual basis: products[(e1, e2)] = {u: coefficient}."""
 
-    k1: int
-    k2: int
     products: dict[tuple[MultiExponent, MultiExponent], dict[MultiExponent, Rat]]
 
     def product(self, e1: MultiExponent, e2: MultiExponent) -> dict[MultiExponent, Rat]:
@@ -215,7 +213,7 @@ def structure_constants(tower: LevelTower, k1: int, k2: int) -> StructureTable:
             e1, e2 = ess1[i // d][0], ess2[i % d][0]
             sign = -1 if (e1.parity and e2.parity) else 1
             products.setdefault((e1, e2), {})[u] = sign * c
-    return StructureTable(k1=k1, k2=k2, products=products)
+    return StructureTable(products)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +244,6 @@ class SRing:
         self._gamma_cache: dict[MultiExponent, tuple[object, int]] = {}
         self._components: dict[int, dict[object, list[tuple[MultiExponent, int]]]] = {}
         self._shifts: dict[int, list[dict[int, tuple[int, int]]]] = {}
-
-    def generator_names(self) -> dict[str, MultiExponent]:
-        names: dict[str, MultiExponent] = {}
-        for t, e in enumerate(self.even_gens):
-            names[f"x{t + 1}"] = e
-        for s, e in enumerate(self.odd_gens):
-            names[f"xi{s + 1}"] = e
-        return names
 
     def factors(self, sexp: MultiExponent) -> list[MultiExponent]:
         """Generator images in canonical written order (odds desc, evens asc)."""

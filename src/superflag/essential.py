@@ -54,9 +54,6 @@ class EssentialSet:
     def size(self) -> int:
         return len(self.monomials)
 
-    def as_set(self) -> frozenset[MultiExponent]:
-        return self._members
-
     def __contains__(self, exp: MultiExponent) -> bool:
         return exp in self._members
 
@@ -231,7 +228,6 @@ def search_order_catalog(
     context: AlgebraContext,
     real: HighestWeightRealization,
     target_labeled: set[frozenset],
-    stop_at_first: bool = False,
 ) -> list[CatalogMatch]:
     """Scan all basis permutations x {graded-lex, graded-revlex} and return
     the combinations whose essential exponents match ``target_labeled``
@@ -255,8 +251,6 @@ def search_order_catalog(
                 matches.append(
                     CatalogMatch(kind=kind, permutation=tuple(perm), essential=es)
                 )
-                if stop_at_first:
-                    return matches
     return matches
 
 

@@ -179,14 +179,6 @@ class LieSuperalgebra:
         return len(self.basis)
 
     @property
-    def dim_even(self) -> int:
-        return sum(1 for p in self.parities if p == 0)
-
-    @property
-    def dim_odd(self) -> int:
-        return sum(1 for p in self.parities if p == 1)
-
-    @property
     def cartan(self) -> list[SuperMatrix]:
         return [self.basis[i] for i in self.cartan_indices]
 
@@ -321,14 +313,6 @@ class RootDatum:
                 return r
         raise KeyError(f"no root with coordinates {coords}")
 
-    @property
-    def even_roots(self) -> list[Root]:
-        return [r for r in self.roots if r.parity == 0]
-
-    @property
-    def odd_roots(self) -> list[Root]:
-        return [r for r in self.roots if r.parity == 1]
-
 
 def _format_delta_label(coords: tuple[Rat, ...], symbol: str = "d") -> str:
     pieces: list[str] = []
@@ -421,9 +405,6 @@ class BorelChoice:
     negative_roots: list[Root]
     simple_roots: list[Root]
 
-    def pairing(self, coords: tuple[Rat, ...]) -> Rat:
-        return sum((f * c for f, c in zip(self.functional, coords)), Rat(0))
-
 
 def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoice:
     """Positive system {roots with <functional, root> > 0} and its simples."""
@@ -457,7 +438,6 @@ def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoi
 
 @dataclass(frozen=True)
 class NegativeBasisElement:
-    matrix: SuperMatrix
     coords: tuple[Rat, ...]  # coordinates of the (negative) root
     parity: int
     positive_label: str
@@ -563,7 +543,6 @@ def negative_basis(
         coords = algebra.coordinates(r.vector)
         elements.append(
             NegativeBasisElement(
-                matrix=r.vector,
                 coords=r.coords,
                 parity=r.parity,
                 positive_label=pos_label,

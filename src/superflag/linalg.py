@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "Rat",
@@ -78,10 +78,6 @@ class SparseVector:
     def unit(cls, index: int) -> "SparseVector":
         return cls({index: Rat(1)})
 
-    @classmethod
-    def from_dense(cls, values: Iterable[Rat | int]) -> "SparseVector":
-        return cls({i: Rat(v) for i, v in enumerate(values) if v != 0})
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -111,20 +107,8 @@ class SparseVector:
         v.entries = {i: x for i, x in out.items() if x}
         return v
 
-    def dot(self, other: "SparseVector") -> Rat:
-        a, b = self.entries, other.entries
-        if len(b) < len(a):
-            a, b = b, a
-        return sum((c * b[i] for i, c in a.items() if i in b), Rat(0))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SparseVector) and self.entries == other.entries
-
-    def __hash__(self):  # pragma: no cover - vectors are not meant as dict keys
-        return hash(frozenset(self.entries.items()))
-
-    def __iter__(self) -> Iterator[tuple[int, Rat]]:
-        return iter(sorted(self.entries.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}: {c}" for i, c in sorted(self.entries.items()))
@@ -257,7 +241,7 @@ class RankAccumulator:
 def nullspace(rows: list[SparseVector], dim: int) -> list[SparseVector]:
     """Basis of the right kernel of the matrix with the given rows.
 
-    Each row is a functional on Q^dim; returns vectors v with row.dot(v) = 0
+    Each row is a functional on Q^dim; returns vectors v with <row, v> = 0
     for every row.  The vector for free column f is 1 at f and 0 at every
     other free column (the reduced-echelon basis, as sympy's
     ``Matrix.nullspace`` gives it), found by back-substitution over the

@@ -261,8 +261,11 @@ class HighestWeightRealization:
 
     rep: Representation
     hw_index: int
-    weight: Weight
     level: int = 1
+
+    @property
+    def weight(self) -> Weight:
+        return self.rep.weights[self.hw_index]
 
     @property
     def hw_vector(self) -> SparseVector:
@@ -282,9 +285,7 @@ def single_block_realization(
             f"block {block}:{hw_index} has no basis vector {hw_index}; "
             f"expected an index in 0..{rep.dim - 1}"
         )
-    real = HighestWeightRealization(
-        rep=rep, hw_index=hw_index, weight=rep.weights[hw_index], level=1
-    )
+    real = HighestWeightRealization(rep=rep, hw_index=hw_index)
     _validate_highest_weight(context, real)
     return real
 
@@ -306,8 +307,6 @@ def _validate_highest_weight(
                 f"candidate vector is not annihilated by the raising "
                 f"operator of root {root.label}"
             )
-    if rep.weights[real.hw_index] != real.weight:
-        raise ValueError("stored weight disagrees with the Cartan action")
 
 
 def tensor(
@@ -320,7 +319,6 @@ def tensor(
     return HighestWeightRealization(
         rep=rep,
         hw_index=hw_index,
-        weight=tuple(a + b for a, b in zip(r1.weight, r2.weight)),
         level=(r1.level + r2.level) if level is None else level,
     )
 
@@ -458,7 +456,6 @@ def module_realization(mod: CyclicModule) -> HighestWeightRealization:
             action=action,
         ),
         hw_index=0,
-        weight=real.weight,
         level=real.level,
     )
 

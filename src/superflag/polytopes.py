@@ -60,35 +60,43 @@ class InequalitySystem:
 
 
 def parse_system(text: str) -> InequalitySystem:
+    """Read one ``vars`` header, at most one ``odd`` header and rows
+    ``a1 ... an <= b``; a ValueError ends with the offending line."""
     labels: list[str] | None = None
     odd_names: set[str] = set()
+    odd_line = None
     rows: list[tuple[tuple[Rat, ...], Rat]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
+    for line in map(str.strip, text.splitlines()):
         if not line or line.startswith("#"):
             continue
-        if line.startswith("vars"):
-            labels = line.split()[1:]
-            continue
-        if line.startswith("odd"):
-            odd_names = set(line.split()[1:])
-            continue
-        if "<=" not in line:
-            raise ValueError(f"malformed inequality row: {line!r}")
-        lhs, rhs = line.split("<=")
-        coeffs = tuple(Rat(tok) for tok in lhs.split())
-        if labels is None:
-            raise ValueError("the vars header must precede inequality rows")
-        if len(coeffs) != len(labels):
-            raise ValueError(
-                f"row has {len(coeffs)} coefficients for {len(labels)} variables"
-            )
-        rows.append((coeffs, Rat(rhs.strip())))
-    if labels is None:
-        labels = []
-    unknown_odd = odd_names - set(labels)
-    if unknown_odd:
-        raise ValueError(f"odd names {sorted(unknown_odd)} not among variables")
+        try:
+            if line.startswith("vars"):
+                if labels is not None:
+                    raise ValueError("repeated vars header")
+                labels = line.split()[1:]
+                if len(set(labels)) != len(labels):
+                    raise ValueError("repeated variable name")
+            elif line.startswith("odd"):
+                if odd_line is not None:
+                    raise ValueError("repeated odd header")
+                odd_names, odd_line = set(line.split()[1:]), line
+            else:
+                lhs, sep, rhs = line.partition("<=")
+                if not sep or "<=" in rhs:
+                    raise ValueError("malformed inequality row")
+                coeffs = tuple(Rat(tok) for tok in lhs.split())
+                if labels is None:
+                    raise ValueError("the vars header must precede inequality rows")
+                if len(coeffs) != len(labels):
+                    raise ValueError(f"row has {len(coeffs)} coefficients "
+                                     f"for {len(labels)} variables")
+                rows.append((coeffs, Rat(rhs.strip())))
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {line}") from None
+    labels = labels or []
+    unknown = sorted(odd_names - set(labels))
+    if unknown:
+        raise ValueError(f"odd names {unknown} not among variables: {odd_line}")
     return InequalitySystem(
         labels=labels,
         odd=[name in odd_names for name in labels],

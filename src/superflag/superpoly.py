@@ -23,7 +23,6 @@ __all__ = [
     "MonomialOrder",
     "ExponentFile",
     "SuperPolynomial",
-    "koszul_sign",
     "koszul_count",
     "multiply",
     "enumerate_monomials",
@@ -57,10 +56,6 @@ class MultiExponent:
     @property
     def degree(self) -> int:
         return sum(self.odd) + sum(self.even)
-
-    @property
-    def odd_degree(self) -> int:
-        return sum(self.odd)
 
     @property
     def parity(self) -> int:
@@ -111,12 +106,6 @@ def koszul_count(first: Iterable[int], second: Iterable[int]) -> int:
             count += running
         running += a
     return count
-
-
-def koszul_sign(first: Iterable[int], second: Iterable[int]) -> tuple[int, int]:
-    """Return (K, K mod 2) for the inversion count of the two bit-vectors."""
-    k = koszul_count(first, second)
-    return k, k % 2
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +387,6 @@ class SuperPolynomial:
         return cls(n, q)
 
     @classmethod
-    def one(cls, n: int, q: int) -> "SuperPolynomial":
-        return cls(n, q, {MultiExponent.zero(n, q): Rat(1)})
-
-    @classmethod
     def monomial(
         cls, n: int, q: int, exp: MultiExponent, coeff: Rat | int = 1
     ) -> "SuperPolynomial":
@@ -460,7 +445,7 @@ class SuperPolynomial:
 
     # -- serialization -------------------------------------------------------
 
-    def to_text(self, even_prefix: str = "x", odd_prefix: str = "xi") -> str:
+    def to_text(self) -> str:
         """Render terms joined by ' + '/' - ', e.g. ``3/2*x1^2*xi2*xi1``."""
         if not self.terms:
             return "0"
@@ -476,12 +461,12 @@ class SuperPolynomial:
                 factors.append(str(mag))
             for i in range(e.q - 1, -1, -1):  # canonical descending odd part
                 if e.odd[i]:
-                    factors.append(f"{odd_prefix}{i + 1}")
+                    factors.append(f"xi{i + 1}")
             for i, m in enumerate(e.even):
                 if m == 1:
-                    factors.append(f"{even_prefix}{i + 1}")
+                    factors.append(f"x{i + 1}")
                 elif m > 1:
-                    factors.append(f"{even_prefix}{i + 1}^{m}")
+                    factors.append(f"x{i + 1}^{m}")
             body = "*".join(factors)
             if idx == 0:
                 pieces.append(body if sign == "+" else f"-{body}")
@@ -490,10 +475,7 @@ class SuperPolynomial:
         return "".join(pieces)
 
     @classmethod
-    def parse(
-        cls, text: str, n: int, q: int,
-        even_prefix: str = "x", odd_prefix: str = "xi",
-    ) -> "SuperPolynomial":
+    def parse(cls, text: str, n: int, q: int) -> "SuperPolynomial":
         """Parse the to_text format; arbitrary odd-factor orders are accepted
         and normalized to the canonical form with the appropriate sign."""
         text = text.strip()
@@ -506,9 +488,7 @@ class SuperPolynomial:
         for m in token.finditer(text):
             if m.group(1):
                 if pending is not None:
-                    result = result + cls._parse_term(
-                        pending, sign, n, q, even_prefix, odd_prefix
-                    )
+                    result = result + cls._parse_term(pending, sign, n, q)
                     pending = None
                 sign = 1 if m.group(1) == "+" else -1
             else:
@@ -516,16 +496,11 @@ class SuperPolynomial:
                     raise ValueError(f"malformed polynomial text: {text!r}")
                 pending = m.group(2)
         if pending is not None:
-            result = result + cls._parse_term(
-                pending, sign, n, q, even_prefix, odd_prefix
-            )
+            result = result + cls._parse_term(pending, sign, n, q)
         return result
 
     @classmethod
-    def _parse_term(
-        cls, term: str, sign: int, n: int, q: int,
-        even_prefix: str, odd_prefix: str,
-    ) -> "SuperPolynomial":
+    def _parse_term(cls, term: str, sign: int, n: int, q: int) -> "SuperPolynomial":
         poly = cls.monomial(
             n, q, MultiExponent.zero(n, q), Rat(sign)
         )
@@ -542,15 +517,15 @@ class SuperPolynomial:
                     f"power is not a non-negative integer in term {term!r}"
                 )
             exp = int(power) if caret else 1
-            if name.startswith(odd_prefix) and name[len(odd_prefix):].isdigit():
-                i = int(name[len(odd_prefix):]) - 1
+            if name.startswith("xi") and name[2:].isdigit():
+                i = int(name[2:]) - 1
                 if not 0 <= i < q:
                     raise ValueError(f"unknown odd variable {name!r}")
                 gen = cls.variable(n, q, i, odd=True)
                 for _ in range(exp):
                     poly = multiply(poly, gen)
-            elif name.startswith(even_prefix) and name[len(even_prefix):].isdigit():
-                i = int(name[len(even_prefix):]) - 1
+            elif name.startswith("x") and name[1:].isdigit():
+                i = int(name[1:]) - 1
                 if not 0 <= i < n:
                     raise ValueError(f"unknown even variable {name!r}")
                 gen = cls.variable(n, q, i, odd=False)

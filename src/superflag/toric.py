@@ -221,13 +221,10 @@ class ActionSolution:
 
     ``spaces[j]`` is a basis (tuples of length n+1 over (m, v)) of the
     solution space for the j-th odd raising coefficient; the constraint rows
-    are identical for every derivation index i, so the space depends only on
-    j.  ``constraints[j]`` records which generators imposed conditions.
+    are identical for every derivation index i, so the space depends only on j.
     """
 
-    reading: str
     spaces: dict[int, list[tuple[Rat, ...]]]
-    constraints: dict[int, list[VPoint]]
 
 
 def solve_action(
@@ -250,11 +247,9 @@ def solve_action(
         raise ValueError(f"bound must be >= 1, got {bound}")
     member = _Membership(ks)
     spaces: dict[int, list[tuple[Rat, ...]]] = {}
-    constraints: dict[int, list[VPoint]] = {}
     dim = ks.n + 1
     for j in range(ks.q):
         rows: list[SparseVector] = []
-        offenders: list[VPoint] = []
         for p in ks.points:
             if p.exp.odd[j]:
                 continue
@@ -268,17 +263,12 @@ def solve_action(
                 ok = any(member.member(raised, v) for v in range(1, bound + 1))
             if ok:
                 continue
-            offenders.append(p)
-            row = p.even_row()
-            rows.append(
-                SparseVector({k: Rat(c) for k, c in enumerate(row) if c != 0})
-            )
+            rows.append(SparseVector(enumerate(p.even_row())))
         kern = nullspace(rows, dim)
         spaces[j] = [
             tuple(vec.get(k) for k in range(dim)) for vec in kern
         ]
-        constraints[j] = offenders
-    return ActionSolution(reading=reading, spaces=spaces, constraints=constraints)
+    return ActionSolution(spaces)
 
 
 @dataclass

@@ -690,25 +690,59 @@ class TestErrorsAndConfig:
         )
 
     @pytest.mark.parametrize(
-        "command, path_text",
+        "command, path_text, message",
         [
-            (["degenerate", "--config", "CFG", "--samples", "0 1/0"], SL3_CFG),
+            (
+                ["degenerate", "--config", "CFG", "--samples", "0 1/0"],
+                SL3_CFG,
+                "zero denominator in '1/0'",
+            ),
             (
                 ["degenerate", "--config", "CFG"],
                 SL3_CFG.replace("functional = 3 2", "functional = 3 1/0"),
+                "[algebra] functional: zero denominator in '1/0'",
             ),
-            (["polytope", "--system", "CFG"], "vars a b\n1 1 <= 1/0\n"),
+            (
+                ["polytope", "--system", "CFG"],
+                "vars a b\n1 1 <= 1/0\n",
+                "zero denominator in '1/0': 1 1 <= 1/0",
+            ),
         ],
         ids=["samples", "functional", "polytope-row"],
     )
-    def test_zero_denominator_exits_two(self, tmp_path, command, path_text, capsys):
+    def test_zero_denominator_exits_two(
+        self, tmp_path, command, path_text, message, capsys
+    ):
         path = tmp_path / "input.txt"
         path.write_text(path_text, encoding="utf-8")
         argv = [str(path) if arg == "CFG" else arg for arg in command]
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
-        assert err == "error: zero denominator in '1/0'\n"
+        assert err == f"error: {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("m = 3", "m = abc", "[algebra] m: invalid literal for int()"),
+            ("functional = 3 2", "functional = 2 y",
+             "[algebra] functional: Invalid literal for Fraction: 'y'"),
+            ("natural:0,", "natural:x,", "[realization] blocks: invalid literal"),
+            ("kind = graded-lex", "kind = weighted\nweights = 1/2 1 1",
+             "[order] weights: invalid literal for int()"),
+            ("kind = graded-lex", "priority = 0 one",
+             "[order] priority: invalid literal for int()"),
+            ("[order]", "[bounds]\ndegree_cap = 2.5\n\n[order]",
+             "[bounds] degree_cap: invalid literal for int()"),
+        ],
+        ids=["m", "functional", "blocks", "weights", "priority", "degree-cap"],
+    )
+    def test_malformed_setting_is_named(self, tmp_path, old, new, message, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SL3_CFG.replace(old, new), encoding="utf-8")
+        code, out, err = run(["essential", "--config", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     def test_internal_error_exits_three(self, monkeypatch, capsys):
         import superflag.cli as cli

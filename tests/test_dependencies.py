@@ -70,3 +70,78 @@ def test_tracer_targets_are_package_functions():
     for target in tracer.TARGETS:
         code = tracer.resolve(target)[2].__code__
         assert Path(code.co_filename).resolve().parent == PACKAGE, target
+
+
+# Public names that nothing in the package, the benchmark or the acceptance
+# criteria calls, kept on purpose.
+KEPT = {
+    "validate": "reference oracle: the Cartan action against the stored weights",
+    "tensor_power": "reference oracle: tensor powers against the tower's levels",
+    "exponent_weight": "reference oracle: the weight of a scanned monomial",
+    "supertrace": "reference check: the sl and osp bases are supertraceless",
+    "parse_essential_set": "round-trip twin of serialize_essential_set",
+    "serialize_exponent_set": "round-trip twin of parse_exponent_set",
+    "serialize_system": "round-trip twin of parse_system",
+    "exponent_set_from_essential": "planned caller: toric certificate of a degeneration",
+}
+
+
+def _public_definitions(tree):
+    """(name, first line, last line) of each public module function and
+    each public method of a module-level class."""
+    scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    for scope in scopes:
+        for node in scope.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield node.name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every use of a name: identifiers, attributes,
+    imported names and the components of dotted-name strings (the
+    tracer's targets), leaving out the ``__all__`` lists."""
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skip |= {id(sub) for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if all(part.isidentifier() for part in node.value.split(".")):
+                for part in node.value.split("."):
+                    yield part, node.lineno
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or method that no package code, benchmark file or
+    acceptance criterion calls is surface every refactor must carry; delete
+    it or say in ``KEPT`` why it stays."""
+    callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    callers.append(ROOT / "tests" / "test_acceptance.py")
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for path in callers:
+        for name, line in _references(ast.parse(path.read_text(encoding="utf-8"))):
+            refs.setdefault(name, []).append((path, line))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, first, last in _public_definitions(tree):
+            used = any(
+                not (where == path and first <= line <= last)
+                for where, line in refs.get(name, ())
+            )
+            if not used and name not in KEPT:
+                dead.append(f"{path.name}:{first}: {name}")
+    assert not dead, "public names without a caller: " + ", ".join(dead)
+    stale = [name for name in KEPT if name in refs]
+    assert not stale, "KEPT names that now have a caller: " + ", ".join(stale)

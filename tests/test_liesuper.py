@@ -251,7 +251,7 @@ class TestAlgebraConstruction:
     )
     def test_dimensions(self, family, m, n, expected):
         algebra = build_algebra(family, m, n)
-        assert (algebra.dim_even, algebra.dim_odd) == expected
+        assert (algebra.parities.count(0), algebra.parities.count(1)) == expected
 
     def test_unknown_family(self):
         with pytest.raises(UnsupportedFamilyError):
@@ -315,17 +315,22 @@ class TestAlgebraConstruction:
             assert (t1 + t2.scaled(-1) + t3.scaled(-1)).is_zero()
 
 
+def parity_counts(datum):
+    """(even, odd) root counts of a root datum."""
+    return (
+        sum(r.parity == 0 for r in datum.roots),
+        sum(r.parity == 1 for r in datum.roots),
+    )
+
+
 class TestRootDecomposition:
     def test_root_counts(self):
         datum = root_decomposition(build_algebra("osp", 1, 2))
-        assert len(datum.even_roots) == 8
-        assert len(datum.odd_roots) == 4
+        assert parity_counts(datum) == (8, 4)
         datum = root_decomposition(build_algebra("sl", 1, 2))
-        assert len(datum.even_roots) == 2
-        assert len(datum.odd_roots) == 4
+        assert parity_counts(datum) == (2, 4)
         datum = root_decomposition(build_algebra("gl", 1, 1))
-        assert len(datum.even_roots) == 0
-        assert len(datum.odd_roots) == 2
+        assert parity_counts(datum) == (0, 2)
 
     def test_roots_plus_cartan_fill_the_algebra(self):
         for family, m, n in (("gl", 1, 1), ("sl", 1, 2), ("osp", 1, 2)):

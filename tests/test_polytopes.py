@@ -71,6 +71,28 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_system("vars a b\n1 1 == 1\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vars a b\n1 1 <= 2\nvars c\n", "repeated vars header: vars c"),
+            ("vars a a\n1 1 <= 2\n", "repeated variable name: vars a a"),
+            ("vars a\nodd a\nodd a\n", "repeated odd header: odd a"),
+            ("vars a b\n1 1 <= 2 <= 3\n", "malformed inequality row: 1 1 <= 2 <= 3"),
+            ("vars a\n1 <=\n", "Invalid literal for Fraction: '': 1 <="),
+            ("vars a b\n1 x <= 1\n", "Invalid literal for Fraction: 'x': 1 x <= 1"),
+            ("vars a b\n1 1 1 <= 1\n", "3 coefficients for 2 variables: 1 1 1 <= 1"),
+            ("vars a b\nodd c\n", "not among variables: odd c"),
+        ],
+        ids=[
+            "second-vars", "repeated-name", "second-odd", "two-bounds",
+            "empty-bound", "bad-coefficient", "coefficient-count", "unknown-odd",
+        ],
+    )
+    def test_errors_name_the_offending_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_system(text)
+        assert str(info.value).endswith(message)
+
 
 class TestEnumeration:
     def test_bundled_region_has_ten_points(self):

@@ -17,7 +17,6 @@ from superflag.superpoly import (
     SuperPolynomial,
     enumerate_monomials,
     koszul_count,
-    koszul_sign,
     monomials_of_degree,
     multiply,
 )
@@ -31,7 +30,6 @@ class TestMultiExponent:
     def test_degree_and_parity(self):
         e = exp((1, 0, 1), (2, 0))
         assert e.degree == 4
-        assert e.odd_degree == 2
         assert e.parity == 0
         assert exp((1, 0, 0), ()).parity == 1
 
@@ -94,11 +92,6 @@ class TestKoszul:
                         koszul_count(bits, bits2) + koszul_count(bits2, bits)
                         == total
                     )
-
-    def test_koszul_sign_returns_count_and_parity(self):
-        assert koszul_sign((1, 0), (0, 1)) == (1, 1)
-        assert koszul_sign((0, 1), (1, 0)) == (0, 0)
-        assert koszul_sign((1, 1), (0, 0)) == (0, 0)
 
 
 def reference_compare(order, a, b):
@@ -405,7 +398,7 @@ class TestSuperPolynomial:
         }
 
     def test_ambient_mismatch_rejected(self):
-        a = SuperPolynomial.one(1, 0)
-        b = SuperPolynomial.one(2, 0)
+        a = SuperPolynomial.zero(1, 0)
+        b = SuperPolynomial.zero(2, 0)
         with pytest.raises(ValueError):
             a + b
