@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .degeneration import (
     BOTTOM,
@@ -45,7 +44,12 @@ from .essential import (
     serialize_essential_set,
 )
 from .linalg import Rat
-from .liesuper import AlgebraContext, build_context
+from .liesuper import (
+    AlgebraContext,
+    BasisPermutationError,
+    DegenerateFunctionalError,
+    build_context,
+)
 from .modules import HighestWeightRealization, ProgramFault, build_realization
 from .polytopes import (
     compare_point_sets,
@@ -64,9 +68,9 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Job:
-    """A fully described computation: algebra, realization, order, caps."""
+class Job(NamedTuple):
+    """A fully described computation: algebra, realization, order, caps.
+    ``permutation_setting`` names where the basis permutation came from."""
 
     family: str
     m: int
@@ -76,11 +80,19 @@ class Job:
     blocks: list[tuple[str, int]]
     order: MonomialOrder
     degree_cap: int | None
+    permutation_setting: str = "[algebra] basis_perm"
 
     def context(self) -> AlgebraContext:
-        return build_context(
-            self.family, self.m, self.n, self.functional, self.permutation
-        )
+        """The algebra context; a functional or basis permutation that does
+        not fit the algebra is an error that names its setting."""
+        try:
+            return build_context(
+                self.family, self.m, self.n, self.functional, self.permutation
+            )
+        except DegenerateFunctionalError as exc:
+            raise ValueError(f"[algebra] functional: {exc}") from None
+        except BasisPermutationError as exc:
+            raise ValueError(f"{self.permutation_setting}: {exc}") from None
 
     def realization(self, context: AlgebraContext) -> HighestWeightRealization:
         return build_realization(context, self.blocks)
@@ -176,7 +188,10 @@ def _job_from_config(cfg: configparser.ConfigParser) -> Job:
             weights = setting("order", "weights", _ints)
         if section.get("priority"):
             priority = setting("order", "priority", _ints)
-    order = MonomialOrder(kind, weights=weights, priority=priority)
+    try:
+        order = MonomialOrder(kind, weights=weights, priority=priority)
+    except ValueError as exc:
+        raise ValueError(f"[order] kind: {exc}") from None
 
     degree_cap = None
     if cfg.has_section("bounds") and cfg["bounds"].get("degree_cap"):
@@ -204,6 +219,8 @@ def _emit(args, text: str, payload: dict | None = None) -> None:
     """Write the report to ``--out`` or stdout: ``payload`` as JSON under
     ``--json``, else ``text``."""
     if payload is not None and args.json:
+        import json  # only a --json report pays for the import
+
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -276,7 +293,9 @@ def _job(args) -> Job:
     """The ``--config`` job, with the ``--basis-perm`` override applied."""
     job = load_job(args.config)
     if args.basis_perm:
-        job.permutation = _ints(args.basis_perm)
+        job = job._replace(
+            permutation=_ints(args.basis_perm), permutation_setting="--basis-perm"
+        )
     return job
 
 
@@ -291,9 +310,9 @@ def cmd_essential(args) -> int:
     _require_at_least(0, ("--degree-bound", args.degree_bound))
     job = _job(args)
     if args.order:
-        job.order = MonomialOrder(args.order)
+        job = job._replace(order=MonomialOrder(args.order))
     if args.degree_bound is not None:
-        job.degree_cap = args.degree_bound
+        job = job._replace(degree_cap=args.degree_bound)
     _, tower = _tower(job)
     es = tower.essential(args.level)
     text = serialize_essential_set(es)
@@ -352,7 +371,11 @@ def _degeneration(
     except LiftError as exc:
         # a negative outcome for this order, not an input error
         return {**report, "lift_failure": str(exc)}, ring, None
-    weight = find_weight_vector(lifted)
+    try:
+        weight = find_weight_vector(lifted)
+    except LiftError as exc:
+        # a bottom relation the weight vector cannot grade: a verdict too
+        return {**report, "weight_failure": str(exc)}, ring, lifted
     if weight is None:
         failure = (
             "no integer weight vector separates the correction components; "

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .linalg import RankAccumulator, Rat, SparseVector, fourier_motzkin_solve
 from .liesuper import NegativeBasis
@@ -172,8 +172,7 @@ class LevelTower:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StructureTable:
+class StructureTable(NamedTuple):
     """Products eta_{e1,k1} * eta_{e2,k2} expanded over the level-(k1+k2)
     dual basis: products[(e1, e2)] = {u: coefficient}."""
 
@@ -349,8 +348,7 @@ class SRing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradedRelation:
+class GradedRelation(NamedTuple):
     """A presentation-ring relation attached to a semigroup component.
 
     ``lead`` is the component's kernel combination (the t^0 part);
@@ -361,9 +359,7 @@ class GradedRelation:
     degree: int
     component: object  # (MultiExponent, level) or BOTTOM
     lead: SuperPolynomial
-    corrections: list[tuple[tuple[MultiExponent, int], SuperPolynomial]] = field(
-        default_factory=list
-    )
+    corrections: list[tuple[tuple[MultiExponent, int], SuperPolynomial]]
 
     def total(self) -> SuperPolynomial:
         return sum((poly for _, poly in self.corrections), self.lead)
@@ -389,7 +385,7 @@ def gr_ideal(ring: SRing, degree_bound: int) -> list[GradedRelation]:
             else:
                 leads = ring.kernel_binomials(groups[comp])
             relations.extend(
-                GradedRelation(degree=h, component=comp, lead=lead)
+                GradedRelation(degree=h, component=comp, lead=lead, corrections=[])
                 for lead in leads
             )
     return relations
@@ -501,15 +497,22 @@ def find_weight_vector(
 ) -> tuple[int, ...] | None:
     """An integer vector w (in module exponent coordinates, even block first)
     with w . (correction - lead) >= 1 for every correction component of every
-    lifted relation; None when infeasible."""
+    lifted relation; None when infeasible.
+
+    Raises LiftError for a bottom-component relation with corrections: its
+    lead has no module exponent, so no weight vector grades the corrections.
+    That is a property of the input, not a fault: the leading-coefficient
+    law only says such a product has no term at the exponent sum.
+    """
     constraints: list[tuple[list[Rat], Rat]] = []
     nvars = None
     for rel in relations:
         if rel.component is BOTTOM:
             if rel.corrections:
                 raise LiftError(
-                    "bottom-component relation with corrections has no "
-                    "reference exponent for weight selection"
+                    f"bottom-component relation {rel.lead.to_text()} has "
+                    "corrections but no lead exponent for a weight vector "
+                    "to grade them"
                 )
             continue
         lead_vec = rel.component[0].as_vector()
@@ -537,8 +540,7 @@ def find_weight_vector(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FamilyGenerator:
+class FamilyGenerator(NamedTuple):
     """One family relation: pieces[p] enters with coefficient t^p."""
 
     degree: int
@@ -550,8 +552,7 @@ class FamilyGenerator:
         return sum(scaled[1:], scaled[0])
 
 
-@dataclass
-class DegenerationFamily:
+class DegenerationFamily(NamedTuple):
     ring: SRing
     generators: list[FamilyGenerator]
 
@@ -601,8 +602,7 @@ def family_ideal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HilbertReport:
+class HilbertReport(NamedTuple):
     samples: list[Rat]
     degrees: list[int]
     table: dict[tuple[Rat, int], int]

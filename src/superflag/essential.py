@@ -10,8 +10,8 @@ essential exponent to split off a level-one essential summand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .liesuper import AlgebraContext, NegativeBasis, negative_basis
 from .modules import CyclicModule, HighestWeightRealization, cyclic_span
@@ -34,21 +34,28 @@ __all__ = [
 ]
 
 
-@dataclass
 class EssentialSet:
     """Essential exponents of a level-``level`` cyclic module, scan order
     ascending, plus the monomial order and variable labels used."""
 
-    level: int
-    n: int
-    q: int
-    monomials: list[MultiExponent]
-    order: MonomialOrder
-    labels: dict[str, str] = field(default_factory=dict)
-    _members: frozenset[MultiExponent] = field(init=False, repr=False)
+    __slots__ = ("level", "n", "q", "monomials", "order", "labels", "_members")
 
-    def __post_init__(self):
-        self._members = frozenset(self.monomials)
+    def __init__(
+        self,
+        level: int,
+        n: int,
+        q: int,
+        monomials: list[MultiExponent],
+        order: MonomialOrder,
+        labels: dict[str, str] | None = None,
+    ):
+        self.level = level
+        self.n = n
+        self.q = q
+        self.monomials = monomials
+        self.order = order
+        self.labels = {} if labels is None else labels
+        self._members = frozenset(monomials)
 
     @property
     def size(self) -> int:
@@ -115,8 +122,7 @@ def semigroup_add(a, b):
     return (combined, ka + kb)
 
 
-@dataclass
-class SemigroupReport:
+class SemigroupReport(NamedTuple):
     checked: int
     violations: list[tuple[MultiExponent, MultiExponent]]
 
@@ -145,11 +151,9 @@ def check_semigroup_property(
     return SemigroupReport(checked=checked, violations=violations)
 
 
-@dataclass
-class FavourabilityReport:
+class FavourabilityReport(NamedTuple):
     max_level: int
     failures: list[tuple[int, MultiExponent]]
-    chains: dict[tuple[int, MultiExponent], list[MultiExponent]]
 
     @property
     def favourable(self) -> bool:
@@ -197,19 +201,14 @@ def is_favourable(es_levels: Sequence[EssentialSet]) -> FavourabilityReport:
     max_level = max(es_by_level)
     if set(es_by_level) != set(range(1, max_level + 1)):
         raise ValueError("need essential sets for every level 1..K")
-    failures: list[tuple[int, MultiExponent]] = []
-    chains: dict[tuple[int, MultiExponent], list[MultiExponent]] = {}
     memo: dict = {}
-    for k in range(2, max_level + 1):
-        for exp in es_by_level[k].monomials:
-            chain = decompose_to_chain(exp, k, es_by_level, memo)
-            if chain is None:
-                failures.append((k, exp))
-            else:
-                chains[(k, exp)] = chain
-    return FavourabilityReport(
-        max_level=max_level, failures=failures, chains=chains
-    )
+    failures = [
+        (k, exp)
+        for k in range(2, max_level + 1)
+        for exp in es_by_level[k].monomials
+        if decompose_to_chain(exp, k, es_by_level, memo) is None
+    ]
+    return FavourabilityReport(max_level=max_level, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +216,7 @@ def is_favourable(es_levels: Sequence[EssentialSet]) -> FavourabilityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CatalogMatch:
+class CatalogMatch(NamedTuple):
     kind: str
     permutation: tuple[int, ...]
     essential: EssentialSet

@@ -9,9 +9,8 @@ systems selected by a linear functional, and ordered negative-root bases
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import NamedTuple
 
 from .linalg import Dependent, Rat, SparseVector, SpanAccumulator, div
 
@@ -26,6 +25,7 @@ __all__ = [
     "AlgebraContext",
     "UnsupportedFamilyError",
     "DegenerateFunctionalError",
+    "BasisPermutationError",
     "RootDecompositionError",
     "build_algebra",
     "root_decomposition",
@@ -40,7 +40,12 @@ class UnsupportedFamilyError(ValueError):
 
 
 class DegenerateFunctionalError(ValueError):
-    """Raised when the ordering functional vanishes on some root."""
+    """Raised when the ordering functional selects no positive system: its
+    length is not the Cartan rank, or it vanishes on some root."""
+
+
+class BasisPermutationError(ValueError):
+    """Raised when a basis permutation does not reorder every position."""
 
 
 class RootDecompositionError(RuntimeError):
@@ -162,17 +167,33 @@ def superbracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
     return (x @ y) - (y @ x)
 
 
-@dataclass
 class LieSuperalgebra:
-    """A basic-family matrix realization with exact structure constants."""
+    """A basic-family matrix realization with exact structure constants:
+    ``space`` gives the ambient p|q block sizes and the first ``rank``
+    basis elements span the Cartan subalgebra."""
 
-    family: str
-    params: tuple[int, int]
-    space: tuple[int, int]  # ambient p|q block sizes
-    basis: list[SuperMatrix]
-    parities: list[int]
-    cartan_indices: list[int]
-    _coords: SpanAccumulator = field(repr=False)
+    __slots__ = (
+        "family", "params", "space", "basis", "parities", "cartan_indices", "_coords"
+    )
+
+    def __init__(
+        self,
+        family: str,
+        params: tuple[int, int],
+        space: tuple[int, int],
+        basis: list[SuperMatrix],
+        rank: int,
+    ):
+        self.family = family
+        self.params = params
+        self.space = space
+        self.basis = basis
+        self.parities = [b.parity() for b in basis]
+        self.cartan_indices = list(range(rank))
+        self._coords = SpanAccumulator()
+        for b in basis:
+            if isinstance(self._coords.insert(b.flatten()), Dependent):
+                raise ValueError("algebra basis is linearly dependent")
 
     @property
     def dim(self) -> int:
@@ -197,15 +218,7 @@ class LieSuperalgebra:
 def _finish(family, params, space, entry_maps, rank) -> LieSuperalgebra:
     """The algebra spanned by the entry maps; the first ``rank`` are Cartan."""
     basis = [SuperMatrix(*space, entries) for entries in entry_maps]
-    acc = SpanAccumulator()
-    for b in basis:
-        if isinstance(acc.insert(b.flatten()), Dependent):
-            raise ValueError("algebra basis is linearly dependent")
-    return LieSuperalgebra(
-        family=family, params=params, space=space, basis=basis,
-        parities=[b.parity() for b in basis],
-        cartan_indices=list(range(rank)), _coords=acc,
-    )
+    return LieSuperalgebra(family, params, space, basis, rank)
 
 
 def build_algebra(family: str, m: int, n: int) -> LieSuperalgebra:
@@ -291,8 +304,7 @@ def _build_osp(m: int, n: int) -> LieSuperalgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root: its values on the Cartan basis, parity, vector, and label."""
 
     coords: tuple[Rat, ...]
@@ -301,8 +313,7 @@ class Root:
     label: str
 
 
-@dataclass
-class RootDatum:
+class RootDatum(NamedTuple):
     algebra: LieSuperalgebra
     cartan: list[SuperMatrix]
     roots: list[Root]
@@ -397,8 +408,7 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BorelChoice:
+class BorelChoice(NamedTuple):
     datum: RootDatum
     functional: tuple[Rat, ...]
     positive_roots: list[Root]
@@ -410,7 +420,10 @@ def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoi
     """Positive system {roots with <functional, root> > 0} and its simples."""
     func = tuple(Rat(f) for f in functional)
     if len(func) != len(datum.cartan):
-        raise ValueError("functional length must equal the Cartan rank")
+        raise DegenerateFunctionalError(
+            f"functional length {len(func)} must equal the Cartan rank "
+            f"{len(datum.cartan)}"
+        )
     positive: list[Root] = []
     negative: list[Root] = []
     for r in datum.roots:
@@ -436,15 +449,13 @@ def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoi
     )
 
 
-@dataclass(frozen=True)
-class NegativeBasisElement:
+class NegativeBasisElement(NamedTuple):
     coords: tuple[Rat, ...]  # coordinates of the (negative) root
     parity: int
     positive_label: str
     algebra_coords: tuple[tuple[int, Rat], ...]  # over the algebra basis
 
 
-@dataclass
 class NegativeBasis:
     """Ordered basis of the negative nilpotent part.
 
@@ -454,24 +465,21 @@ class NegativeBasis:
     the odd/even coordinates of a MultiExponent.
     """
 
-    borel: BorelChoice
-    elements: list[NegativeBasisElement]
+    __slots__ = ("borel", "elements", "odd_positions", "even_positions")
+
+    def __init__(self, borel: BorelChoice, elements: list[NegativeBasisElement]):
+        self.borel = borel
+        self.elements = elements
+        self.odd_positions = [i for i, e in enumerate(elements) if e.parity == 1]
+        self.even_positions = [i for i, e in enumerate(elements) if e.parity == 0]
 
     def permuted(self, permutation: Sequence[int]) -> "NegativeBasis":
         """The basis with new_elements[i] = elements[permutation[i]]."""
         if sorted(permutation) != list(range(len(self.elements))):
-            raise ValueError("permutation must reorder all positions")
+            raise BasisPermutationError("permutation must reorder all positions")
         return NegativeBasis(
             borel=self.borel, elements=[self.elements[p] for p in permutation]
         )
-
-    @cached_property
-    def odd_positions(self) -> list[int]:
-        return [i for i, e in enumerate(self.elements) if e.parity == 1]
-
-    @cached_property
-    def even_positions(self) -> list[int]:
-        return [i for i, e in enumerate(self.elements) if e.parity == 0]
 
     @property
     def q(self) -> int:
@@ -560,8 +568,7 @@ def negative_basis(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AlgebraContext:
+class AlgebraContext(NamedTuple):
     """Algebra + root decomposition + Borel + ordered negative basis."""
 
     algebra: LieSuperalgebra

@@ -16,9 +16,9 @@ is no floating point anywhere, so rank and membership decisions are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import NamedTuple
 
 __all__ = [
     "Rat",
@@ -115,13 +115,13 @@ class SparseVector:
         return f"SparseVector({{{inner}}})"
 
 
-@dataclass(frozen=True)
 class Independent:
     """Result of inserting a vector that enlarged the span."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Dependent:
+
+class Dependent(NamedTuple):
     """Result of inserting a dependent vector.
 
     ``coefficients[j]`` is the coefficient of the j-th *original* inserted
@@ -169,7 +169,6 @@ def _reduce(
     return None
 
 
-@dataclass
 class SpanAccumulator:
     """Incremental span tracker that expresses vectors of its span.
 
@@ -179,8 +178,11 @@ class SpanAccumulator:
     ``Dependent`` and ``express`` report exact coefficients.
     """
 
-    rows: dict[int, Row] = field(default_factory=dict)
-    combos: dict[int, Row] = field(default_factory=dict)
+    __slots__ = ("rows", "combos")
+
+    def __init__(self):
+        self.rows: dict[int, Row] = {}
+        self.combos: dict[int, Row] = {}
 
     @property
     def rank(self) -> int:
@@ -216,12 +218,14 @@ class SpanAccumulator:
         return Independent()
 
 
-@dataclass
 class RankAccumulator:
     """Incremental rank tracker: the pivot rows of ``SpanAccumulator``
     without their expansions, for callers that need only the rank."""
 
-    rows: dict[int, Row] = field(default_factory=dict)
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[int, Row] = {}
 
     @property
     def rank(self) -> int:

@@ -18,9 +18,8 @@ essential vectors is its action in that representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from .linalg import Independent, Rat, SparseVector, SpanAccumulator
 from .liesuper import AlgebraContext, LieSuperalgebra, NegativeBasis
@@ -61,7 +60,6 @@ class ProgramFault(Exception):
     or a negative verdict."""
 
 
-@dataclass
 class Representation:
     """Exact matrix representation with diagonal Cartan and graded basis.
 
@@ -70,12 +68,22 @@ class Representation:
     of basis vector j (the Cartan must act diagonally).
     """
 
-    algebra: LieSuperalgebra
-    dim: int
-    parities: tuple[int, ...]
-    weights: tuple[Weight, ...]
-    action: list[dict[int, dict[int, Rat]]]
-    _element_cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("algebra", "dim", "parities", "weights", "action", "_element_cache")
+
+    def __init__(
+        self,
+        algebra: LieSuperalgebra,
+        dim: int,
+        parities: tuple[int, ...],
+        weights: tuple[Weight, ...],
+        action: list[dict[int, dict[int, Rat]]],
+    ):
+        self.algebra = algebra
+        self.dim = dim
+        self.parities = parities
+        self.weights = weights
+        self.action = action
+        self._element_cache: dict = {}
 
     def element_action(
         self, coords: tuple[tuple[int, Rat], ...]
@@ -251,8 +259,7 @@ def tensor_representations(r1: Representation, r2: Representation) -> Representa
     )
 
 
-@dataclass
-class HighestWeightRealization:
+class HighestWeightRealization(NamedTuple):
     """A concrete cyclic highest-weight module inside a representation.
 
     ``level`` counts how many copies of the base weight the realization
@@ -384,26 +391,43 @@ def exponent_weight(
     return tuple(out)
 
 
-@dataclass
 class CyclicModule:
-    """Result of scanning ordered monomials against a cyclic hw module."""
+    """Result of scanning ordered monomials against a cyclic hw module:
+    the scan-independent ``essentials`` with their vectors, and per weight
+    the span of the scanned vectors with their ``essentials`` indices."""
 
-    realization: HighestWeightRealization
-    basis: NegativeBasis
-    order: MonomialOrder
-    essentials: list[tuple[MultiExponent, SparseVector]]
-    dimension: int
-    stabilization_degree: int
-    blocks: dict[Weight, tuple[SpanAccumulator, list[int]]]
+    __slots__ = (
+        "realization", "basis", "order", "essentials", "dimension",
+        "stabilization_degree", "blocks", "_on_essentials",
+    )
+
+    def __init__(
+        self,
+        realization: HighestWeightRealization,
+        basis: NegativeBasis,
+        order: MonomialOrder,
+        essentials: list[tuple[MultiExponent, SparseVector]],
+        blocks: dict[Weight, tuple[SpanAccumulator, list[int]]],
+    ):
+        self.realization = realization
+        self.basis = basis
+        self.order = order
+        self.essentials = essentials
+        self.dimension = len(essentials)
+        self.stabilization_degree = max(e.degree for e, _ in essentials)
+        self.blocks = blocks
+        self._on_essentials: HighestWeightRealization | None = None
 
     def essential_exponents(self) -> list[MultiExponent]:
         return [e for e, _ in self.essentials]
 
-    @cached_property
+    @property
     def on_essentials(self) -> HighestWeightRealization:
         """The module as a representation on its essential vectors
         (``module_realization``), built once."""
-        return module_realization(self)
+        if self._on_essentials is None:
+            self._on_essentials = module_realization(self)
+        return self._on_essentials
 
     def expand(self, exp: MultiExponent) -> dict[MultiExponent, Rat]:
         """Expansion of the (possibly non-essential) monomial vector over the
@@ -575,15 +599,7 @@ def cyclic_span(
             break
         kept[v] = layer
         kept.pop(v - max(weights), None)
-    return CyclicModule(
-        realization=real,
-        basis=basis,
-        order=order,
-        essentials=essentials,
-        dimension=len(essentials),
-        stabilization_degree=max(e.degree for e, _ in essentials),
-        blocks=blocks,
-    )
+    return CyclicModule(real, basis, order, essentials, blocks)
 
 
 def cartan_expand(

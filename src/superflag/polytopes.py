@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import Rat, fourier_motzkin_bounds
 
@@ -33,8 +33,7 @@ class UnboundedRegionError(ValueError):
     """The described region is unbounded; enumeration is impossible."""
 
 
-@dataclass
-class InequalitySystem:
+class InequalitySystem(NamedTuple):
     labels: list[str]
     odd: list[bool]
     rows: list[tuple[tuple[Rat, ...], Rat]]
@@ -114,8 +113,7 @@ def serialize_system(system: InequalitySystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class LatticePointSet:
+class LatticePointSet(NamedTuple):
     labels: list[str]
     odd: list[bool]
     points: list[tuple[int, ...]]
@@ -181,8 +179,7 @@ def dilate(system: InequalitySystem, k: int) -> InequalitySystem:
     )
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     matched: list[frozenset]
     first_only: list[frozenset]
     second_only: list[frozenset]

@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple
 
 from .linalg import Rat
 
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=False)
-class MultiExponent:
+class MultiExponent(NamedTuple):
     """Exponent pair (I, m): odd bits I in {0,1}^q, even exponents m in N^n.
 
     Not validated here: outside data enters through ``ExponentFile.parse``,
@@ -113,7 +112,6 @@ def koszul_count(first: Iterable[int], second: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order on N^{n+q} restricted to {0,1}^q x N^n.
 
@@ -123,21 +121,43 @@ class MonomialOrder:
     Weighted orders rank by the weight functional (on the unpermuted flat
     vector) first and break ties with graded-lex; essential-monomial scans
     run by ascending weighted value and so require positive integer weights.
+    Orders are values: equal fields compare and hash equal.
     """
 
-    kind: str = "graded-lex"
-    weights: tuple[int, ...] | None = None
-    priority: tuple[int, ...] | None = None
+    __slots__ = ("kind", "weights", "priority")
 
-    def __post_init__(self):
-        if self.kind not in ("graded-lex", "graded-revlex", "weighted"):
-            raise ValueError(f"unknown order kind: {self.kind}")
-        if self.kind == "weighted" and self.weights is None:
+    def __init__(
+        self,
+        kind: str = "graded-lex",
+        weights: Sequence[int] | None = None,
+        priority: Sequence[int] | None = None,
+    ):
+        if kind not in ("graded-lex", "graded-revlex", "weighted"):
+            raise ValueError(f"unknown order kind: {kind}")
+        if kind == "weighted" and weights is None:
             raise ValueError("weighted order needs a weight vector")
+        self.kind = kind
         # tuples keep the order hashable (layers are memoized per order)
-        for name in ("weights", "priority"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+        self.weights = None if weights is None else tuple(weights)
+        self.priority = None if priority is None else tuple(priority)
+
+    def _as_tuple(self) -> tuple:
+        return (self.kind, self.weights, self.priority)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, MonomialOrder)
+            and self._as_tuple() == other._as_tuple()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._as_tuple())
+
+    def __repr__(self) -> str:
+        return (
+            f"MonomialOrder(kind={self.kind!r}, weights={self.weights!r}, "
+            f"priority={self.priority!r})"
+        )
 
     def check(self, nvars: int) -> None:
         """Raise ValueError unless the order fits ``nvars`` variables: one
@@ -199,8 +219,7 @@ def _key_values(tokens: list[str]) -> dict[str, str]:
     return dict(tok.split("=", 1) for tok in tokens)
 
 
-@dataclass
-class ExponentFile:
+class ExponentFile(NamedTuple):
     """An exponent-line file (essential sets, toric input): ``# ambient
     n=.. q=..``, optional ``# labels ..`` and ``# order ..`` headers, then
     one ``I=.. m=(..) k=..`` line per (exponent, k) in ``points``."""
@@ -208,7 +227,7 @@ class ExponentFile:
     n: int
     q: int
     points: list[tuple[MultiExponent, int]]
-    labels: dict[str, str] = field(default_factory=dict)
+    labels: dict[str, str]
     order: MonomialOrder | None = None
 
     def __str__(self) -> str:

@@ -13,8 +13,8 @@ rather than the depth of a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
+from typing import NamedTuple
 
 from .linalg import Rat, SparseVector, nullspace, smith_normal_form
 from .essential import EssentialSet
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VPoint:
+class VPoint(NamedTuple):
     """A generator exponent with its v-degree."""
 
     exp: MultiExponent
@@ -52,12 +51,22 @@ class VPoint:
         return tuple(self.exp.even) + (self.v,)
 
 
-@dataclass
 class ExponentSet:
-    n: int
-    q: int
-    points: list[VPoint]
-    labels: dict[str, str] = field(default_factory=dict)
+    """Generators in n even and q odd variables, with variable labels."""
+
+    __slots__ = ("n", "q", "points", "labels")
+
+    def __init__(
+        self,
+        n: int,
+        q: int,
+        points: list[VPoint],
+        labels: dict[str, str] | None = None,
+    ):
+        self.n = n
+        self.q = q
+        self.points = points
+        self.labels = {} if labels is None else labels
 
     @property
     def even_points(self) -> list[VPoint]:
@@ -129,8 +138,7 @@ class _Membership:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RemovalReport:
+class RemovalReport(NamedTuple):
     violations: list[tuple[VPoint, int]]
 
     @property
@@ -156,8 +164,7 @@ def check_odd_removal(ks: ExponentSet) -> RemovalReport:
     return RemovalReport(violations=violations)
 
 
-@dataclass
-class LaurentReport:
+class LaurentReport(NamedTuple):
     rows: list[tuple[int, ...]]
     diagonal: list[int]
     rank_needed: int
@@ -181,8 +188,7 @@ def check_even_laurent(ks: ExponentSet) -> LaurentReport:
     return LaurentReport(rows=rows, diagonal=diag, rank_needed=rank_needed)
 
 
-@dataclass
-class ReachabilityReport:
+class ReachabilityReport(NamedTuple):
     witnesses: dict[int, VPoint | None]
 
     @property
@@ -215,8 +221,7 @@ def check_odd_reachable(ks: ExponentSet) -> ReachabilityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ActionSolution:
+class ActionSolution(NamedTuple):
     """Admissible coefficient vectors for the odd raising directions.
 
     ``spaces[j]`` is a basis (tuples of length n+1 over (m, v)) of the
@@ -271,8 +276,7 @@ def solve_action(
     return ActionSolution(spaces)
 
 
-@dataclass
-class ClosureReport:
+class ClosureReport(NamedTuple):
     violations: list[tuple[int, int, VPoint, str]]
 
     @property
@@ -334,8 +338,7 @@ def verify_derivation_closure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ToricCertificate:
+class ToricCertificate(NamedTuple):
     verdict: str  # "toric" | "hypotheses-not-met"
     reasons: list[str]
     removal: RemovalReport

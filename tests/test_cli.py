@@ -331,6 +331,33 @@ class TestDegenerateCommand:
             "weight_failure": self.WEIGHT_FAILURE,
         }
 
+    def test_ungradable_bottom_relation_is_a_negative_report(
+        self, sl3_cfg, monkeypatch, capsys
+    ):
+        # no bundled job lifts a bottom relation with corrections, so add one
+        import superflag.cli as cli
+        from superflag.degeneration import BOTTOM, GradedRelation
+        from superflag.superpoly import SuperPolynomial
+
+        real_lift = cli.lift_relations
+
+        def lift_with_bottom(graded, tower, ring):
+            lifted = real_lift(graded, tower, ring)
+            poly = SuperPolynomial.parse("x1*x2", 8, 0)
+            bottom = GradedRelation(
+                degree=2, component=BOTTOM, lead=poly,
+                corrections=[(lifted[0].component, poly)],
+            )
+            return lifted + [bottom]
+
+        monkeypatch.setattr(cli, "lift_relations", lift_with_bottom)
+        code, out, err = run(["degenerate", "--config", sl3_cfg], capsys)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == (
+            "bottom-component relation x1*x2 has corrections but no lead "
+            "exponent for a weight vector to grade them"
+        )
+
 
 class TestToricCommand:
     def test_good_fixture(self, capsys):
@@ -734,8 +761,17 @@ class TestErrorsAndConfig:
              "[order] priority: invalid literal for int()"),
             ("[order]", "[bounds]\ndegree_cap = 2.5\n\n[order]",
              "[bounds] degree_cap: invalid literal for int()"),
+            # values that parse but that the algebra or the order rejects
+            ("functional = 3 2", "functional = 3 2\nbasis_perm = 0 0 1",
+             "[algebra] basis_perm: permutation must reorder all positions\n"),
+            ("functional = 3 2", "functional = 3 2 1",
+             "[algebra] functional: functional length 3 must equal the "
+             "Cartan rank 2\n"),
+            ("kind = graded-lex", "kind = lexx",
+             "[order] kind: unknown order kind: lexx\n"),
         ],
-        ids=["m", "functional", "blocks", "weights", "priority", "degree-cap"],
+        ids=["m", "functional", "blocks", "weights", "priority", "degree-cap",
+             "basis-perm-misfit", "functional-misfit", "order-kind"],
     )
     def test_malformed_setting_is_named(self, tmp_path, old, new, message, capsys):
         bad = tmp_path / "bad.cfg"
@@ -743,6 +779,12 @@ class TestErrorsAndConfig:
         code, out, err = run(["essential", "--config", str(bad)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+    def test_basis_perm_flag_is_named(self, sl3_cfg, capsys):
+        argv = ["essential", "--config", sl3_cfg, "--basis-perm", "0 0 1"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --basis-perm: permutation must reorder all positions\n"
 
     def test_internal_error_exits_three(self, monkeypatch, capsys):
         import superflag.cli as cli

@@ -545,6 +545,25 @@ class TestWeightVector:
         ]
         assert find_weight_vector(rels) is None
 
+    def test_bottom_relation_with_corrections_is_a_verdict(self):
+        # xi1*xi2 collides in an odd coordinate, yet lifting corrected it:
+        # its lead has no exponent to grade the corrections by
+        lead = SuperPolynomial.parse("xi2*xi1", 0, 2)
+        correction = ((me((1,), (2,)), 2), SuperPolynomial.parse("-xi2*xi1", 0, 2))
+        rels = [
+            GradedRelation(degree=2, component=BOTTOM, lead=lead, corrections=[]),
+            GradedRelation(
+                degree=2, component=BOTTOM, lead=lead, corrections=[correction]
+            ),
+        ]
+        assert find_weight_vector(rels[:1]) == ()
+        with pytest.raises(
+            LiftError,
+            match=r"^bottom-component relation xi2\*xi1 has corrections but no "
+            "lead exponent",
+        ):
+            find_weight_vector(rels)
+
 
 class TestFamily:
     def test_classical_quadric_family(self, sl2_tower):

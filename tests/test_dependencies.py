@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +35,24 @@ def test_project_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_cli_starts_without_dataclass_machinery():
+    """Records are NamedTuples or slotted classes: ``dataclasses`` (which
+    pulls in ``inspect``) costs every short CLI run tens of milliseconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, superflag.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_no_true_division_outside_linalg_div():

@@ -149,7 +149,14 @@ class TestFavourability:
         report = is_favourable([osp_tower.essential(k) for k in (1, 2, 3)])
         assert report.favourable
         assert report.max_level == 3
-        assert len(report.chains) == 14 + 30
+        es_by_level = {k: osp_tower.essential(k) for k in (1, 2, 3)}
+        chained = [
+            exp
+            for k in (2, 3)
+            for exp in es_by_level[k].monomials
+            if decompose_to_chain(exp, k, es_by_level) is not None
+        ]
+        assert len(chained) == 14 + 30
 
     def test_chains_have_essential_partial_sums(self, osp_tower):
         es_by_level = {k: osp_tower.essential(k) for k in (1, 2, 3)}

@@ -1,13 +1,12 @@
 """Representations, highest-weight realizations, cyclic spans, expansions."""
 
-import dataclasses
-
 import pytest
 
 from superflag.linalg import Rat, SparseVector
 from superflag.liesuper import negative_basis
 from superflag.degeneration import LevelTower
 from superflag.modules import (
+    CyclicModule,
     NotConvergedError,
     ProgramFault,
     Representation,
@@ -327,7 +326,10 @@ class TestModuleRealization:
         module = cyclic_span(osp_real, osp_context.basis)
         # keep only the highest-weight block: every lowering leaves it
         hw_block = {osp_real.weight: module.blocks[osp_real.weight]}
-        broken = dataclasses.replace(module, blocks=hw_block)
+        broken = CyclicModule(
+            module.realization, module.basis, module.order, module.essentials,
+            hw_block,
+        )
         with pytest.raises(
             ProgramFault,
             match=r"generator \d+ maps essential vector I=\d+ m=\([\d,]+\) "

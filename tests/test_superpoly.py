@@ -61,6 +61,13 @@ class TestMultiExponent:
         assert str(exp((0, 1), (0, 0, 1))) == "I=01 m=(0,0,1)"
         assert str(exp((), (2,))) == "I=- m=(2)"
 
+    def test_equal_exponents_are_one_dict_key(self):
+        a, b = exp([1, 0], [2]), exp((1, 0), (2,))
+        assert a == b and hash(a) == hash(b)
+        assert {a: "memo"}[b] == "memo"
+        assert a != exp((0, 1), (2,))
+        assert repr(a) == "MultiExponent(odd=(1, 0), even=(2,))"
+
 
 class TestKoszul:
     def brute(self, first, second):
@@ -199,8 +206,21 @@ class TestMonomialOrder:
             MonomialOrder("weighted")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown order kind: mystery$"):
             MonomialOrder("mystery")
+
+    def test_equal_orders_are_one_dict_key(self):
+        listed = MonomialOrder("weighted", weights=[3, 1], priority=[1, 0])
+        tupled = MonomialOrder("weighted", weights=(3, 1), priority=(1, 0))
+        assert (listed.weights, listed.priority) == ((3, 1), (1, 0))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert {listed: "memo"}[tupled] == "memo"
+        assert listed != MonomialOrder("weighted", weights=(3, 1))
+        assert MonomialOrder() == MonomialOrder("graded-lex")
+        assert MonomialOrder() != MonomialOrder("graded-revlex")
+        assert repr(tupled) == (
+            "MonomialOrder(kind='weighted', weights=(3, 1), priority=(1, 0))"
+        )
 
     def test_priority_permutes_significance(self):
         a = exp((), (1, 0))
