@@ -2,33 +2,4 @@
 certificates for highest-weight modules over basic matrix Lie superalgebras.
 """
 
-from .degeneration import LevelTower, SRing, family_ideal, hilbert_check
-from .essential import check_semigroup_property, essential_monomials, is_favourable
-from .liesuper import build_algebra, build_context
-from .modules import build_realization
-from .polytopes import enumerate_lattice_points, parse_system
-from .superpoly import MonomialOrder, MultiExponent, SuperPolynomial
-from .toric import certify, parse_exponent_set
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "LevelTower",
-    "MonomialOrder",
-    "MultiExponent",
-    "SRing",
-    "SuperPolynomial",
-    "build_algebra",
-    "build_context",
-    "build_realization",
-    "certify",
-    "check_semigroup_property",
-    "enumerate_lattice_points",
-    "essential_monomials",
-    "family_ideal",
-    "hilbert_check",
-    "is_favourable",
-    "parse_exponent_set",
-    "parse_system",
-    "__version__",
-]

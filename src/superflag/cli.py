@@ -46,8 +46,8 @@ from .essential import (
 from .linalg import Rat
 from .liesuper import (
     AlgebraContext,
-    BasisPermutationError,
-    DegenerateFunctionalError,
+    ParameterError,
+    RootDecompositionError,
     build_context,
 )
 from .modules import HighestWeightRealization, ProgramFault, build_realization
@@ -83,19 +83,30 @@ class Job(NamedTuple):
     permutation_setting: str = "[algebra] basis_perm"
 
     def context(self) -> AlgebraContext:
-        """The algebra context; a functional or basis permutation that does
-        not fit the algebra is an error that names its setting."""
+        """The algebra context; a setting that does not fit the algebra is
+        an error that names the setting."""
         try:
             return build_context(
                 self.family, self.m, self.n, self.functional, self.permutation
             )
-        except DegenerateFunctionalError as exc:
-            raise ValueError(f"[algebra] functional: {exc}") from None
-        except BasisPermutationError as exc:
-            raise ValueError(f"{self.permutation_setting}: {exc}") from None
+        except ParameterError as exc:
+            setting = (
+                self.permutation_setting
+                if exc.parameter == "permutation"
+                else f"[algebra] {exc.parameter}"
+            )
+            raise ValueError(f"{setting}: {exc}") from None
+        except RootDecompositionError as exc:
+            # the three settings together give an algebra without root data
+            raise ValueError(f"[algebra] family, m, n: {exc}") from None
 
     def realization(self, context: AlgebraContext) -> HighestWeightRealization:
-        return build_realization(context, self.blocks)
+        """The highest-weight realization; a block that does not give one
+        is an error that names the setting."""
+        try:
+            return build_realization(context, self.blocks)
+        except ValueError as exc:
+            raise ValueError(f"[realization] blocks: {exc}") from None
 
 
 def _ints(text: str) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import warnings
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
-from .linalg import Dependent, Rat, SparseVector, SpanAccumulator, div
+from .linalg import Rat, SparseVector, SpanAccumulator, div
 
 __all__ = [
     "SuperMatrix",
@@ -23,9 +23,7 @@ __all__ = [
     "NegativeBasisElement",
     "NegativeBasis",
     "AlgebraContext",
-    "UnsupportedFamilyError",
-    "DegenerateFunctionalError",
-    "BasisPermutationError",
+    "ParameterError",
     "RootDecompositionError",
     "build_algebra",
     "root_decomposition",
@@ -35,17 +33,15 @@ __all__ = [
 ]
 
 
-class UnsupportedFamilyError(ValueError):
-    """Raised for families without a bundled matrix realization."""
+class ParameterError(ValueError):
+    """Raised when an argument of ``build_context`` does not fit; its
+    ``parameter`` names it: a family without a bundled matrix realization,
+    m or n out of range, a functional that selects no positive system, or a
+    permutation that does not reorder every position."""
 
-
-class DegenerateFunctionalError(ValueError):
-    """Raised when the ordering functional selects no positive system: its
-    length is not the Cartan rank, or it vanishes on some root."""
-
-
-class BasisPermutationError(ValueError):
-    """Raised when a basis permutation does not reorder every position."""
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
 
 
 class RootDecompositionError(RuntimeError):
@@ -192,7 +188,7 @@ class LieSuperalgebra:
         self.cartan_indices = list(range(rank))
         self._coords = SpanAccumulator()
         for b in basis:
-            if isinstance(self._coords.insert(b.flatten()), Dependent):
+            if self._coords.insert(b.flatten()) is None:
                 raise ValueError("algebra basis is linearly dependent")
 
     @property
@@ -236,7 +232,8 @@ def build_algebra(family: str, m: int, n: int) -> LieSuperalgebra:
         return _build_gl(m, n, special=True)
     if family == "osp":
         return _build_osp(m, n)
-    raise UnsupportedFamilyError(
+    raise ParameterError(
+        "family",
         f"family {family!r} has no bundled matrix realization "
         "(supported: gl, sl, osp)"
     )
@@ -244,7 +241,8 @@ def build_algebra(family: str, m: int, n: int) -> LieSuperalgebra:
 
 def _build_gl(m: int, n: int, special: bool) -> LieSuperalgebra:
     if m < 0 or n < 0 or m + n == 0:
-        raise ValueError("need m, n >= 0 with m + n > 0")
+        bad = "m" if m < 0 else "n" if n < 0 else "m, n"
+        raise ParameterError(bad, "need m, n >= 0 with m + n > 0")
     size = m + n
     if special and m == n:
         warnings.warn(
@@ -269,7 +267,7 @@ def _build_gl(m: int, n: int, special: bool) -> LieSuperalgebra:
 def _build_osp(m: int, n: int) -> LieSuperalgebra:
     """osp(m|2n) preserving identity (sym) + standard symplectic (antisym)."""
     if m < 1 or n < 1:
-        raise ValueError("osp(m|2n) needs m >= 1 and n >= 1")
+        raise ParameterError("m" if m < 1 else "n", "osp(m|2n) needs m >= 1 and n >= 1")
     if (m, n) in ((2, 1), (4, 1)):
         warnings.warn(
             f"osp({m}|{2 * n}) parameters are outside the standard type-II "
@@ -420,7 +418,8 @@ def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoi
     """Positive system {roots with <functional, root> > 0} and its simples."""
     func = tuple(Rat(f) for f in functional)
     if len(func) != len(datum.cartan):
-        raise DegenerateFunctionalError(
+        raise ParameterError(
+            "functional",
             f"functional length {len(func)} must equal the Cartan rank "
             f"{len(datum.cartan)}"
         )
@@ -429,8 +428,8 @@ def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoi
     for r in datum.roots:
         val = sum((f * c for f, c in zip(func, r.coords)), Rat(0))
         if val == 0:
-            raise DegenerateFunctionalError(
-                f"functional vanishes on root {r.label}"
+            raise ParameterError(
+                "functional", f"functional vanishes on root {r.label}"
             )
         (positive if val > 0 else negative).append(r)
     pos_coords = {r.coords for r in positive}
@@ -476,7 +475,9 @@ class NegativeBasis:
     def permuted(self, permutation: Sequence[int]) -> "NegativeBasis":
         """The basis with new_elements[i] = elements[permutation[i]]."""
         if sorted(permutation) != list(range(len(self.elements))):
-            raise BasisPermutationError("permutation must reorder all positions")
+            raise ParameterError(
+                "permutation", "permutation must reorder all positions"
+            )
         return NegativeBasis(
             borel=self.borel, elements=[self.elements[p] for p in permutation]
         )

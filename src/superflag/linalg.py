@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import NamedTuple
 
 __all__ = [
     "Rat",
     "div",
     "SparseVector",
     "Independent",
-    "Dependent",
     "SpanAccumulator",
     "RankAccumulator",
     "nullspace",
@@ -121,16 +119,6 @@ class Independent:
     __slots__ = ()
 
 
-class Dependent(NamedTuple):
-    """Result of inserting a dependent vector.
-
-    ``coefficients[j]`` is the coefficient of the j-th *original* inserted
-    independent vector in the unique expansion of the inserted vector.
-    """
-
-    coefficients: list[Rat]
-
-
 Row = dict[int, Rat]
 
 
@@ -175,7 +163,7 @@ class SpanAccumulator:
     ``rows[p]`` is the pivot row with smallest index p (entry 1 there) and
     ``combos[p]`` its sparse expansion over the independent inserted
     vectors, numbered in insertion order.  That expansion is unique, so
-    ``Dependent`` and ``express`` report exact coefficients.
+    ``express`` reports exact coefficients.
     """
 
     __slots__ = ("rows", "combos")
@@ -188,27 +176,24 @@ class SpanAccumulator:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _dense(self, combo: Row) -> list[Rat]:
-        out = [Rat(0)] * self.rank
-        for j, t in combo.items():
-            out[j] = Rat(t)
-        return out
-
     def express(self, v: SparseVector) -> list[Rat] | None:
         """Expansion of v over the independent inserted vectors, or None if
         v lies outside the current span.  Does not modify the accumulator."""
         combo: Row = {}
         if _reduce(self.rows, dict(v.entries), self.combos, combo) is not None:
             return None
-        return self._dense(combo)
+        out = [Rat(0)] * self.rank
+        for j, t in combo.items():
+            out[j] = Rat(t)
+        return out
 
-    def insert(self, v: SparseVector) -> Independent | Dependent:
-        """Insert v; returns Independent (span grew) or Dependent(coeffs)."""
+    def insert(self, v: SparseVector) -> Independent | None:
+        """Insert v; returns Independent when the span grew, else None."""
         w = dict(v.entries)
         combo: Row = {}
         p = _reduce(self.rows, w, self.combos, combo)
         if p is None:
-            return Dependent(self._dense(combo))
+            return None
         c = w[p]
         # row = (v - sum combo_j * independent_j) / c
         new = {j: div(-t, c) for j, t in combo.items()}

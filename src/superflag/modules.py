@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .linalg import Independent, Rat, SparseVector, SpanAccumulator
+from .linalg import Rat, SparseVector, SpanAccumulator
 from .liesuper import AlgebraContext, LieSuperalgebra, NegativeBasis
 from .superpoly import MonomialOrder, MultiExponent, koszul_count, monomials_of_degree
 
@@ -558,7 +558,7 @@ def cyclic_span(
         # a weight vector's weight is that of any of its entries
         w = rep.weights[next(iter(vec.entries))]
         acc, idxs = blocks.setdefault(w, (SpanAccumulator(), []))
-        if isinstance(acc.insert(vec), Independent):
+        if acc.insert(vec) is not None:
             idxs.append(len(essentials))
             essentials.append((exp, vec))
 

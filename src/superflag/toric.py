@@ -9,6 +9,9 @@ exact.  Membership in the generated semigroup at v-degree v is a lookup in
 the graded sumset ``S_v = ⋃_p (S_{v - p.v} + p)`` (odd parts disjoint),
 built up to the largest v asked for, so its cost is the size of each layer
 rather than the depth of a search.
+
+Every check reads an ``ExponentFile``: its ``points`` are the generators as
+``(exp, v)`` pairs, an exponent with its v-degree.
 """
 
 from __future__ import annotations
@@ -17,15 +20,10 @@ from operator import add
 from typing import NamedTuple
 
 from .linalg import Rat, SparseVector, nullspace, smith_normal_form
-from .essential import EssentialSet
 from .superpoly import ExponentFile, MultiExponent
 
 __all__ = [
-    "VPoint",
-    "ExponentSet",
-    "exponent_set_from_essential",
     "parse_exponent_set",
-    "serialize_exponent_set",
     "RemovalReport",
     "check_odd_removal",
     "LaurentReport",
@@ -40,59 +38,13 @@ __all__ = [
     "certify",
 ]
 
-
-class VPoint(NamedTuple):
-    """A generator exponent with its v-degree."""
-
-    exp: MultiExponent
-    v: int
-
-    def even_row(self) -> tuple[int, ...]:
-        return tuple(self.exp.even) + (self.v,)
+# The reader of exponent files, under the name the certificate's callers use.
+parse_exponent_set = ExponentFile.parse
 
 
-class ExponentSet:
-    """Generators in n even and q odd variables, with variable labels."""
-
-    __slots__ = ("n", "q", "points", "labels")
-
-    def __init__(
-        self,
-        n: int,
-        q: int,
-        points: list[VPoint],
-        labels: dict[str, str] | None = None,
-    ):
-        self.n = n
-        self.q = q
-        self.points = points
-        self.labels = {} if labels is None else labels
-
-    @property
-    def even_points(self) -> list[VPoint]:
-        return [p for p in self.points if not any(p.exp.odd)]
-
-
-def exponent_set_from_essential(es: EssentialSet) -> ExponentSet:
-    return ExponentSet(
-        n=es.n,
-        q=es.q,
-        points=[VPoint(e, es.level) for e in es.monomials],
-        labels=dict(es.labels),
-    )
-
-
-def parse_exponent_set(text: str) -> ExponentSet:
-    """Read an exponent file (``ExponentFile.parse``, which names a malformed
-    line); points may carry different v-degrees."""
-    data = ExponentFile.parse(text)
-    points = [VPoint(exp, k) for exp, k in data.points]
-    return ExponentSet(n=data.n, q=data.q, points=points, labels=data.labels)
-
-
-def serialize_exponent_set(ks: ExponentSet) -> str:
-    points = [(p.exp, p.v) for p in ks.points]
-    return str(ExponentFile(ks.n, ks.q, points, ks.labels))
+def _with_odd(exp: MultiExponent, i: int, bit: int) -> MultiExponent:
+    """``exp`` with odd coordinate i set to ``bit``."""
+    return MultiExponent(exp.odd[:i] + (bit,) + exp.odd[i + 1 :], exp.even)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +66,9 @@ class _Membership:
     generators, not the depth of a search.
     """
 
-    def __init__(self, ks: ExponentSet):
+    def __init__(self, ks: ExponentFile):
         self.q = ks.q
-        self.points = {(p.v, p.exp.odd + p.exp.even) for p in ks.points}
+        self.points = {(v, exp.odd + exp.even) for exp, v in ks.points}
         self.layers = [{(0,) * (ks.q + ks.n)}]
 
     def member(self, exp: MultiExponent, v: int) -> bool:
@@ -139,28 +91,23 @@ class _Membership:
 
 
 class RemovalReport(NamedTuple):
-    violations: list[tuple[VPoint, int]]
+    violations: list[tuple[tuple[MultiExponent, int], int]]
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-def check_odd_removal(ks: ExponentSet) -> RemovalReport:
+def check_odd_removal(ks: ExponentFile) -> RemovalReport:
     """Removing any single odd coordinate from a generator must stay in the
     set at the same v-degree."""
     have = set(ks.points)
-    violations: list[tuple[VPoint, int]] = []
-    for p in ks.points:
-        for i, bit in enumerate(p.exp.odd):
-            if not bit:
-                continue
-            lowered = MultiExponent(
-                tuple(b if k != i else 0 for k, b in enumerate(p.exp.odd)),
-                p.exp.even,
-            )
-            if VPoint(lowered, p.v) not in have:
-                violations.append((p, i))
+    violations = [
+        ((exp, v), i)
+        for exp, v in ks.points
+        for i, bit in enumerate(exp.odd)
+        if bit and (_with_odd(exp, i, 0), v) not in have
+    ]
     return RemovalReport(violations=violations)
 
 
@@ -177,10 +124,10 @@ class LaurentReport(NamedTuple):
         )
 
 
-def check_even_laurent(ks: ExponentSet) -> LaurentReport:
+def check_even_laurent(ks: ExponentFile) -> LaurentReport:
     """The purely even generators' (m, v) rows must span all of Z^{n+1}
     (Smith normal form with n+1 unit invariant factors)."""
-    rows = [p.even_row() for p in ks.even_points]
+    rows = [exp.even + (v,) for exp, v in ks.points if not any(exp.odd)]
     rank_needed = ks.n + 1
     if not rows:
         return LaurentReport(rows=[], diagonal=[], rank_needed=rank_needed)
@@ -189,14 +136,14 @@ def check_even_laurent(ks: ExponentSet) -> LaurentReport:
 
 
 class ReachabilityReport(NamedTuple):
-    witnesses: dict[int, VPoint | None]
+    witnesses: dict[int, tuple[MultiExponent, int] | None]
 
     @property
     def passed(self) -> bool:
         return all(w is not None for w in self.witnesses.values())
 
 
-def check_odd_reachable(ks: ExponentSet) -> ReachabilityReport:
+def check_odd_reachable(ks: ExponentFile) -> ReachabilityReport:
     """Each single odd coordinate must occur as the exact odd part of some
     generator.
 
@@ -204,15 +151,10 @@ def check_odd_reachable(ks: ExponentSet) -> ReachabilityReport:
     disjoint unions of generator odd parts, so an element with odd part
     {i} forces one summand with odd part exactly {i} and even the rest.
     """
-    witnesses: dict[int, VPoint | None] = {}
+    witnesses = {}
     for i in range(ks.q):
         target = tuple(1 if k == i else 0 for k in range(ks.q))
-        found = None
-        for p in ks.points:
-            if p.exp.odd == target:
-                found = p
-                break
-        witnesses[i] = found
+        witnesses[i] = next((p for p in ks.points if p[0].odd == target), None)
     return ReachabilityReport(witnesses=witnesses)
 
 
@@ -233,7 +175,7 @@ class ActionSolution(NamedTuple):
 
 
 def solve_action(
-    ks: ExponentSet,
+    ks: ExponentFile,
     reading: str = "v-graded",
     bound: int | None = None,
 ) -> ActionSolution:
@@ -255,20 +197,17 @@ def solve_action(
     dim = ks.n + 1
     for j in range(ks.q):
         rows: list[SparseVector] = []
-        for p in ks.points:
-            if p.exp.odd[j]:
+        for exp, v in ks.points:
+            if exp.odd[j]:
                 continue
-            raised = MultiExponent(
-                tuple(b if k != j else 1 for k, b in enumerate(p.exp.odd)),
-                p.exp.even,
-            )
+            raised = _with_odd(exp, j, 1)
             if reading == "v-graded":
-                ok = member.member(raised, p.v)
+                ok = member.member(raised, v)
             else:
-                ok = any(member.member(raised, v) for v in range(1, bound + 1))
+                ok = any(member.member(raised, u) for u in range(1, bound + 1))
             if ok:
                 continue
-            rows.append(SparseVector(enumerate(p.even_row())))
+            rows.append(SparseVector(enumerate(exp.even + (v,))))
         kern = nullspace(rows, dim)
         spaces[j] = [
             tuple(vec.get(k) for k in range(dim)) for vec in kern
@@ -277,7 +216,7 @@ def solve_action(
 
 
 class ClosureReport(NamedTuple):
-    violations: list[tuple[int, int, VPoint, str]]
+    violations: list[tuple[int, int, tuple[MultiExponent, int], str]]
 
     @property
     def passed(self) -> bool:
@@ -285,7 +224,7 @@ class ClosureReport(NamedTuple):
 
 
 def verify_derivation_closure(
-    ks: ExponentSet, action: ActionSolution
+    ks: ExponentFile, action: ActionSolution
 ) -> ClosureReport:
     """Check that the odd derivations keep the generated algebra stable.
 
@@ -298,37 +237,21 @@ def verify_derivation_closure(
     and the zero choice, is checked.
     """
     member = _Membership(ks)
-    violations: list[tuple[int, int, VPoint, str]] = []
-    for i in range(ks.q):
-        for p in ks.points:
-            if p.exp.odd[i]:
-                lowered = MultiExponent(
-                    tuple(b if k != i else 0 for k, b in enumerate(p.exp.odd)),
-                    p.exp.even,
-                )
-                if not member.member(lowered, p.v):
-                    violations.append(
-                        (i, -1, p, "lowering leaves the semigroup")
-                    )
+    violations = [
+        (i, -1, (exp, v), "lowering leaves the semigroup")
+        for i in range(ks.q)
+        for exp, v in ks.points
+        if exp.odd[i] and not member.member(_with_odd(exp, i, 0), v)
+    ]
     for j in range(ks.q):
         for c in action.spaces[j]:
-            for p in ks.points:
-                if p.exp.odd[j]:
+            for exp, v in ks.points:
+                if exp.odd[j]:
                     continue
-                coeff = sum(
-                    (a * b for a, b in zip(p.even_row(), c)), Rat(0)
-                )
-                if coeff == 0:
-                    continue
-                raised = MultiExponent(
-                    tuple(
-                        b if k != j else 1 for k, b in enumerate(p.exp.odd)
-                    ),
-                    p.exp.even,
-                )
-                if not member.member(raised, p.v):
+                coeff = sum((a * b for a, b in zip(exp.even + (v,), c)), Rat(0))
+                if coeff and not member.member(_with_odd(exp, j, 1), v):
                     violations.append(
-                        (j, j, p, "raising leaves the semigroup")
+                        (j, j, (exp, v), "raising leaves the semigroup")
                     )
     return ClosureReport(violations=violations)
 
@@ -403,7 +326,7 @@ class ToricCertificate(NamedTuple):
         }
 
 
-def certify(ks: ExponentSet, bound: int | None = None) -> ToricCertificate:
+def certify(ks: ExponentFile, bound: int | None = None) -> ToricCertificate:
     """Run all hypothesis checks and assemble the verdict.
 
     The verdict is "toric" when every hypothesis holds and the derivations
@@ -440,12 +363,9 @@ def certify(ks: ExponentSet, bound: int | None = None) -> ToricCertificate:
     faithful = removal.passed and laurent.passed and reach.passed
     witness = None
     if faithful:
-        even = [0] * ks.n
-        v = 0
-        for p in ks.even_points:
-            even = [a + b for a, b in zip(even, p.exp.even)]
-            v += p.v
-        witness = (tuple(0 for _ in range(ks.q)), tuple(even), v)
+        # the sum of the even generators: its (m, v) row is the column sum
+        *even, v = map(sum, zip(*laurent.rows))
+        witness = ((0,) * ks.q, tuple(even), v)
     verdict = "toric" if not reasons else "hypotheses-not-met"
     return ToricCertificate(
         verdict=verdict,

@@ -426,6 +426,32 @@ class TestToricCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "job, code, verdict",
+        [
+            ("sl3", 0, ["faithful: yes", "verdict: toric"]),
+            ("bundled", 1, [
+                "faithful: no",
+                "verdict: hypotheses-not-met",
+                "  reason: even generators do not span the full lattice "
+                "(invariant factors [1, 1, 1, 1], need 5 ones)",
+                "  reason: odd coordinates [1] are not reachable",
+            ]),
+        ],
+        ids=["sl3-adjoint", "bundled-osp"],
+    )
+    def test_essential_output_is_toric_input(
+        self, job, code, verdict, sl3_cfg, bundled_cfg, tmp_path, capsys
+    ):
+        # the essential set file goes into the certificate unchanged
+        cfg = sl3_cfg if job == "sl3" else bundled_cfg
+        essential = tmp_path / "essential.txt"
+        argv = ["essential", "--config", cfg, "--level", "1", "--out", str(essential)]
+        assert run(argv, capsys) == (0, "", "")
+        got, out, err = run(["toric", "--exponents", str(essential)], capsys)
+        assert (got, err) == (code, "")
+        assert out.splitlines()[-len(verdict):] == verdict
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bound_below_one_exits_two(self, value, capsys):
         code, out, err = run(
@@ -712,8 +738,8 @@ class TestErrorsAndConfig:
         code, out, err = run(["degenerate", "--config", str(bad)], capsys)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: block natural:{index} has no basis vector {index}; "
-            "expected an index in 0..2\n"
+            f"error: [realization] blocks: block natural:{index} has no basis "
+            f"vector {index}; expected an index in 0..2\n"
         )
 
     @pytest.mark.parametrize(
@@ -769,9 +795,26 @@ class TestErrorsAndConfig:
              "Cartan rank 2\n"),
             ("kind = graded-lex", "kind = lexx",
              "[order] kind: unknown order kind: lexx\n"),
+            ("family = sl", "family = sp",
+             "[algebra] family: family 'sp' has no bundled matrix realization"),
+            ("m = 3", "m = -1", "[algebra] m: need m, n >= 0 with m + n > 0\n"),
+            pytest.param(
+                "m = 3\nn = 0\nfunctional = 3 2", "m = 1\nn = 1\nfunctional = 1",
+                "[algebra] family, m, n: the zero-weight space is larger than "
+                "the diagonal subalgebra",
+                # building sl(1|1) warns that its center is not quotiented out
+                marks=pytest.mark.filterwarnings("ignore::UserWarning"),
+            ),
+            ("natural:0,", "natural:1,",
+             "[realization] blocks: candidate vector is not annihilated by "
+             "the raising operator of root e1-e2\n"),
+            ("natural:0,", "flip-natural:0,",
+             "[realization] blocks: highest-weight vector must be even\n"),
         ],
         ids=["m", "functional", "blocks", "weights", "priority", "degree-cap",
-             "basis-perm-misfit", "functional-misfit", "order-kind"],
+             "basis-perm-misfit", "functional-misfit", "order-kind",
+             "family-unsupported", "m-negative", "no-root-data",
+             "hw-not-annihilated", "hw-odd"],
     )
     def test_malformed_setting_is_named(self, tmp_path, old, new, message, capsys):
         bad = tmp_path / "bad.cfg"

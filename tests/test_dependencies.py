@@ -37,22 +37,42 @@ def test_project_declares_no_dependencies():
     assert project["dependencies"] == []
 
 
-def test_cli_starts_without_dataclass_machinery():
-    """Records are NamedTuples or slotted classes: ``dataclasses`` (which
-    pulls in ``inspect``) costs every short CLI run tens of milliseconds."""
+def _after_cli_import(expression: str) -> str:
+    """What a fresh interpreter prints for ``expression`` (over ``sys``)
+    right after ``import superflag.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    probe = (
-        "import sys, superflag.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    out = subprocess.run(
+    probe = f"import sys, superflag.cli; print({expression})"
+    return subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
+
+
+def test_cli_starts_without_dataclass_machinery():
+    """Records are NamedTuples or slotted classes: ``dataclasses`` (which
+    pulls in ``inspect``) costs every short CLI run tens of milliseconds."""
+    out = _after_cli_import("sorted({'dataclasses', 'inspect'} & set(sys.modules))")
     assert out == "[]\n"
+
+
+def test_cli_import_loads_every_module():
+    """``bench/tracer.py``'s ``install`` rebinds each traced function by
+    name in the ``superflag`` modules loaded at that moment, once.  A module
+    imported later keeps its unpatched by-name bindings, so the calls made
+    through it record no spans: with ``toric`` imported lazily inside a
+    command, ``linalg.nullspace`` recorded no span on ``verify-example``
+    while cProfile saw 4 calls.  So the CLI imports every module up front."""
+    out = _after_cli_import(
+        "sorted(m for m in sys.modules if m.startswith('superflag.'))"
+    )
+    modules = sorted(
+        f"superflag.{path.stem}" for path in PACKAGE.glob("*.py")
+        if path.stem != "__init__"
+    )
+    assert out == f"{modules}\n"
 
 
 def test_no_true_division_outside_linalg_div():
@@ -100,9 +120,7 @@ KEPT = {
     "exponent_weight": "reference oracle: the weight of a scanned monomial",
     "supertrace": "reference check: the sl and osp bases are supertraceless",
     "parse_essential_set": "round-trip twin of serialize_essential_set",
-    "serialize_exponent_set": "round-trip twin of parse_exponent_set",
     "serialize_system": "round-trip twin of parse_system",
-    "exponent_set_from_essential": "planned caller: toric certificate of a degeneration",
 }
 
 

@@ -10,10 +10,9 @@ import pytest
 
 from superflag.linalg import Rat, SparseVector
 from superflag.liesuper import (
-    DegenerateFunctionalError,
+    ParameterError,
     RootDecompositionError,
     SuperMatrix,
-    UnsupportedFamilyError,
     build_algebra,
     build_context,
     choose_borel,
@@ -253,9 +252,15 @@ class TestAlgebraConstruction:
         algebra = build_algebra(family, m, n)
         assert (algebra.parities.count(0), algebra.parities.count(1)) == expected
 
-    def test_unknown_family(self):
-        with pytest.raises(UnsupportedFamilyError):
-            build_algebra("xx", 1, 1)
+    @pytest.mark.parametrize(
+        "family, m, n, parameter",
+        [("xx", 1, 1, "family"), ("gl", -1, 2, "m"), ("sl", 2, -1, "n"),
+         ("sl", 0, 0, "m, n"), ("osp", 0, 1, "m"), ("osp", 1, 0, "n")],
+    )
+    def test_parameter_without_realization_is_named(self, family, m, n, parameter):
+        with pytest.raises(ParameterError) as info:
+            build_algebra(family, m, n)
+        assert info.value.parameter == parameter
 
     def test_equal_block_special_warns(self):
         with pytest.warns(UserWarning):
@@ -470,8 +475,9 @@ class TestBorelChoice:
 
     def test_degenerate_functional_rejected(self):
         datum = root_decomposition(build_algebra("osp", 1, 2))
-        with pytest.raises(DegenerateFunctionalError):
+        with pytest.raises(ParameterError) as info:
             choose_borel(datum, (1, 1))  # vanishes on d1-d2
+        assert info.value.parameter == "functional"
 
 
 class TestNegativeBasis:

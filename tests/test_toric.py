@@ -12,25 +12,22 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from superflag.linalg import Rat
-from superflag.superpoly import MultiExponent
+from superflag.superpoly import ExponentFile, MultiExponent
 from superflag.toric import (
-    ExponentSet,
-    VPoint,
     _Membership,
     certify,
     check_even_laurent,
     check_odd_reachable,
     check_odd_removal,
-    exponent_set_from_essential,
     parse_exponent_set,
-    serialize_exponent_set,
     solve_action,
     verify_derivation_closure,
 )
 
 
 def vp(odd, even, v=1):
-    return VPoint(MultiExponent(tuple(odd), tuple(even)), v)
+    """A generator: an exponent with its v-degree."""
+    return (MultiExponent(tuple(odd), tuple(even)), v)
 
 
 @pytest.fixture(scope="module")
@@ -47,31 +44,25 @@ def ten_points():
         vp((1, 0), (0, 0, 0, 1)),
         vp((0, 0), (0, 1, 0, 1)),
     ]
-    return ExponentSet(n=4, q=2, points=pts)
+    return ExponentFile(4, 2, pts, {})
 
 
 @pytest.fixture(scope="module")
 def bad_pair():
-    return ExponentSet(
-        n=0, q=2, points=[vp((0, 0), ()), vp((1, 1), ())]
-    )
+    return ExponentFile(0, 2, [vp((0, 0), ()), vp((1, 1), ())], {})
 
 
 @pytest.fixture(scope="module")
 def classical_curve():
     # exponents {0, 2, 3} of a monomial curve, one marker of v-degree 1 each
-    return ExponentSet(
-        n=1, q=0, points=[vp((), (0,)), vp((), (2,)), vp((), (3,))]
-    )
+    return ExponentFile(1, 0, [vp((), (0,)), vp((), (2,)), vp((), (3,))], {})
 
 
 class ReferenceMembership:
     """The depth-first search the sumset replaced, kept as its oracle."""
 
-    def __init__(self, ks: ExponentSet):
-        self.points = sorted(
-            ks.points, key=lambda p: (p.v, p.exp.as_vector())
-        )
+    def __init__(self, ks: ExponentFile):
+        self.points = sorted(ks.points, key=lambda p: (p[1], p[0].as_vector()))
         self._memo: dict = {}
 
     def member(self, exp: MultiExponent, v: int) -> bool:
@@ -115,27 +106,23 @@ class ReferenceMembership:
     def _children(self, state: tuple[int, MultiExponent, int]):
         """The states left after using generator ``idx`` 0, 1, ... times."""
         idx, exp, v = state
-        p = self.points[idx]
+        p, pv = self.points[idx]
         # how many copies of p can we use?
-        max_uses = v // p.v
-        for coord, avail in zip(p.exp.even, exp.even):
+        max_uses = v // pv
+        for coord, avail in zip(p.even, exp.even):
             if coord:
                 max_uses = min(max_uses, avail // coord)
-        if any(p.exp.odd):
+        if any(p.odd):
             max_uses = min(max_uses, 1)
         for uses in range(max_uses + 1):
-            rest_even = tuple(
-                a - uses * b for a, b in zip(exp.even, p.exp.even)
-            )
-            rest_odd = tuple(
-                a - uses * b for a, b in zip(exp.odd, p.exp.odd)
-            )
+            rest_even = tuple(a - uses * b for a, b in zip(exp.even, p.even))
+            rest_odd = tuple(a - uses * b for a, b in zip(exp.odd, p.odd))
             if any(c < 0 for c in rest_even) or any(c < 0 for c in rest_odd):
                 break
-            yield (idx + 1, MultiExponent(rest_odd, rest_even), v - uses * p.v)
+            yield (idx + 1, MultiExponent(rest_odd, rest_even), v - uses * pv)
 
 
-def random_exponent_set(rng: random.Random, with_zero: bool) -> ExponentSet:
+def random_exponent_set(rng: random.Random, with_zero: bool) -> ExponentFile:
     """1 to 8 generators in n <= 3 even and q <= 2 odd coordinates, with
     v-degrees 1 to 3; ``with_zero`` adds the zero exponent."""
     n, q = rng.randint(0, 3), rng.randint(0, 2)
@@ -149,7 +136,7 @@ def random_exponent_set(rng: random.Random, with_zero: bool) -> ExponentSet:
     }
     if with_zero:
         points.add(vp([0] * q, [0] * n, rng.randint(1, 3)))
-    return ExponentSet(n=n, q=q, points=sorted(points, key=str))
+    return ExponentFile(n, q, sorted(points, key=str), {})
 
 
 class TestMembership:
@@ -163,7 +150,7 @@ class TestMembership:
         assert member.member(MultiExponent((), (7,)), 3)  # 2 + 2 + 3
 
     def test_odd_generators_used_at_most_once(self):
-        lone = ExponentSet(n=0, q=1, points=[vp((1,), ())])
+        lone = ExponentFile(0, 1, [vp((1,), ())], {})
         member = _Membership(lone)
         assert member.member(MultiExponent((1,), ()), 1)
         # two uses of the only generator would collide in the odd bit
@@ -183,9 +170,7 @@ class TestMembership:
     def test_search_depth_is_not_bounded_by_recursion(self):
         # one generator m=(i) per i: deciding m=(1600) at v-degree 1 walks
         # past every smaller generator before it reaches the last one
-        many = ExponentSet(
-            n=1, q=0, points=[vp((), (i,)) for i in range(1, 1601)]
-        )
+        many = ExponentFile(1, 0, [vp((), (i,)) for i in range(1, 1601)], {})
         member = _Membership(many)
         assert member.member(MultiExponent((), (1600,)), 1)
         assert not member.member(MultiExponent((), (1601,)), 1)
@@ -201,7 +186,7 @@ class TestMembership:
                     exp = MultiExponent(odd, even)
                     for v in range(-1, 5):
                         assert fast.member(exp, v) == slow.member(exp, v), (
-                            serialize_exponent_set(ks), exp, v
+                            str(ks), exp, v
                         )
             # sums with a colliding odd coordinate are dropped from the layers
             for v, layer in enumerate(fast.layers):
@@ -225,17 +210,15 @@ class TestHypotheses:
         assert report.diagonal == [1, 1, 1, 1, 1]
 
     def test_laurent_fails_on_sublattice(self):
-        ks = ExponentSet(
-            n=1, q=0, points=[vp((), (0,), 2), vp((), (2,), 2)]
-        )
+        ks = ExponentFile(1, 0, [vp((), (0,), 2), vp((), (2,), 2)], {})
         report = check_even_laurent(ks)
         assert not report.passed
 
     def test_reachability_exact_witnesses(self, ten_points):
         report = check_odd_reachable(ten_points)
         assert report.passed
-        assert report.witnesses[0].exp.odd == (1, 0)
-        assert report.witnesses[1].exp.odd == (0, 1)
+        assert report.witnesses[0] == vp((1, 0), (0, 0, 0, 0))
+        assert report.witnesses[1] == vp((0, 1), (0, 0, 0, 0))
 
     def test_reachability_fails_without_pure_odd_generator(self, bad_pair):
         report = check_odd_reachable(bad_pair)
@@ -303,7 +286,7 @@ class TestCertificate:
         assert not cert.faithful
 
     def test_single_point(self):
-        ks = ExponentSet(n=0, q=0, points=[vp((), (), 1)])
+        ks = ExponentFile(0, 0, [vp((), (), 1)], {})
         cert = certify(ks)
         assert cert.verdict == "toric"
         assert cert.laurent.diagonal == [1]
@@ -317,9 +300,7 @@ class TestCertificate:
         rng = random.Random(20260814)
         for _ in range(20):
             exps = sorted({rng.randint(0, 6) for _ in range(rng.randint(1, 5))})
-            ks = ExponentSet(
-                n=1, q=0, points=[vp((), (a,)) for a in exps]
-            )
+            ks = ExponentFile(1, 0, [vp((), (a,)) for a in exps], {})
             cert = certify(ks)
             rows = sympy.Matrix([[a, 1] for a in exps])
             sm = sympy_snf(rows)
@@ -344,15 +325,14 @@ class TestCertificate:
 
 class TestSerialization:
     def test_round_trip(self, ten_points):
-        text = serialize_exponent_set(ten_points)
-        back = parse_exponent_set(text)
+        back = parse_exponent_set(str(ten_points))
         assert back.points == ten_points.points
         assert (back.n, back.q) == (4, 2)
 
     def test_mixed_vdegrees_are_legal(self):
         text = "# ambient n=1 q=0\nI=- m=(0) k=1\nI=- m=(2) k=2\n"
         ks = parse_exponent_set(text)
-        assert [p.v for p in ks.points] == [1, 2]
+        assert [v for _, v in ks.points] == [1, 2]
 
     @pytest.mark.parametrize(
         "text, message",
@@ -394,14 +374,7 @@ class TestSerialization:
         points = data.draw(st.lists(point, max_size=6))
         token = st.text("abcxyz0123+-", min_size=1, max_size=5)
         labels = data.draw(st.dictionaries(token, token, max_size=3))
-        ks = ExponentSet(n=n, q=q, points=points, labels=labels)
-        back = parse_exponent_set(serialize_exponent_set(ks))
+        back = parse_exponent_set(str(ExponentFile(n, q, points, labels)))
         assert (back.n, back.q) == (n, q)
         assert back.labels == labels
         assert back.points == points
-
-    def test_from_essential_set(self, osp_tower):
-        ks = exponent_set_from_essential(osp_tower.essential(2))
-        assert all(p.v == 2 for p in ks.points)
-        assert len(ks.points) == 14
-        assert ks.labels == osp_tower.essential(2).labels
