@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import warnings
 from importlib import resources
 from typing import NamedTuple
 
@@ -69,7 +70,7 @@ __all__ = ["main"]
 
 
 class Job(NamedTuple):
-    """A fully described computation: algebra, realization, order, caps.
+    """A fully described computation: algebra, realization and order.
     ``permutation_setting`` names where the basis permutation came from."""
 
     family: str
@@ -79,26 +80,32 @@ class Job(NamedTuple):
     permutation: tuple[int, ...] | None
     blocks: list[tuple[str, int]]
     order: MonomialOrder
-    degree_cap: int | None
     permutation_setting: str = "[algebra] basis_perm"
 
     def context(self) -> AlgebraContext:
         """The algebra context; a setting that does not fit the algebra is
-        an error that names the setting."""
-        try:
-            return build_context(
-                self.family, self.m, self.n, self.functional, self.permutation
-            )
-        except ParameterError as exc:
-            setting = (
-                self.permutation_setting
-                if exc.parameter == "permutation"
-                else f"[algebra] {exc.parameter}"
-            )
-            raise ValueError(f"{setting}: {exc}") from None
-        except RootDecompositionError as exc:
-            # the three settings together give an algebra without root data
-            raise ValueError(f"[algebra] family, m, n: {exc}") from None
+        an error that names it, and each warning is one ``warning:`` line."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return build_context(
+                    self.family, self.m, self.n, self.functional, self.permutation
+                )
+            except ParameterError as exc:
+                setting = (
+                    self.permutation_setting
+                    if exc.parameter == "permutation"
+                    else f"[algebra] {exc.parameter}"
+                )
+                raise ValueError(f"{setting}: {exc}") from None
+            except RootDecompositionError as exc:
+                # the three settings together give an algebra without root data
+                raise ValueError(f"[algebra] family, m, n: {exc}") from None
+            finally:  # warnings go ahead of the error line
+                for warning in caught:
+                    sys.stderr.write(
+                        f"warning: [algebra] family, m, n: {warning.message}\n"
+                    )
 
     def realization(self, context: AlgebraContext) -> HighestWeightRealization:
         """The highest-weight realization; a block that does not give one
@@ -156,6 +163,14 @@ def _load(read) -> Job:
         raise ValueError(f"malformed config: {exc}") from exc
 
 
+# every setting a config may give, by section; any other is an input error
+SETTINGS = {
+    "algebra": ("family", "m", "n", "functional", "basis_perm"),
+    "realization": ("blocks",),
+    "order": ("kind", "weights", "priority"),
+}
+_KNOWN = {(section, key) for section, keys in SETTINGS.items() for key in keys}
+
 _REQUIRED_KEYS = (
     ("algebra", "family"),
     ("algebra", "m"),
@@ -166,6 +181,13 @@ _REQUIRED_KEYS = (
 
 
 def _job_from_config(cfg: configparser.ConfigParser) -> Job:
+    unknown = {(s, key) for s, entries in cfg.items() for key in entries} - _KNOWN
+    if unknown:
+        section, key = min(unknown)
+        raise ValueError(f"[{section}] {key}: unknown setting")
+    for section in cfg.sections():
+        if section not in SETTINGS:
+            raise ValueError(f"[{section}]: unknown section")
     for section, key in _REQUIRED_KEYS:
         if not cfg.has_option(section, key):
             raise ValueError(f"config is missing '{key}' in [{section}]")
@@ -204,21 +226,7 @@ def _job_from_config(cfg: configparser.ConfigParser) -> Job:
     except ValueError as exc:
         raise ValueError(f"[order] kind: {exc}") from None
 
-    degree_cap = None
-    if cfg.has_section("bounds") and cfg["bounds"].get("degree_cap"):
-        degree_cap = setting("bounds", "degree_cap", int)
-        _require_at_least(0, ("[bounds] degree_cap", degree_cap))
-
-    return Job(
-        family=family,
-        m=m,
-        n=n,
-        functional=functional,
-        permutation=permutation,
-        blocks=blocks,
-        order=order,
-        degree_cap=degree_cap,
-    )
+    return Job(family, m, n, functional, permutation, blocks, order)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +301,11 @@ def dims_row(dims: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _require_at_least(low: int, *flags: tuple[str, int | None]) -> None:
-    """Reject an integer option below ``low`` (None means it is unset)."""
+def _require_positive(*flags: tuple[str, int | None]) -> None:
+    """Reject an integer option below 1 (None means it is unset)."""
     for flag, value in flags:
-        if value is not None and value < low:
-            raise ValueError(f"{flag} must be >= {low}, got {value}")
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
 def _job(args) -> Job:
@@ -313,18 +321,12 @@ def _job(args) -> Job:
 def _tower(job: Job) -> tuple[AlgebraContext, LevelTower]:
     context = job.context()
     real = job.realization(context)
-    return context, LevelTower(context.basis, real, job.order, job.degree_cap)
+    return context, LevelTower(context.basis, real, job.order)
 
 
 def cmd_essential(args) -> int:
-    _require_at_least(1, ("--level", args.level), ("--favourable-k", args.favourable_k))
-    _require_at_least(0, ("--degree-bound", args.degree_bound))
-    job = _job(args)
-    if args.order:
-        job = job._replace(order=MonomialOrder(args.order))
-    if args.degree_bound is not None:
-        job = job._replace(degree_cap=args.degree_bound)
-    _, tower = _tower(job)
+    _require_positive(("--level", args.level), ("--favourable-k", args.favourable_k))
+    _, tower = _tower(_job(args))
     es = tower.essential(args.level)
     text = serialize_essential_set(es)
     payload = {
@@ -448,7 +450,7 @@ def degenerate_text(report: dict, bound: int) -> str:
 
 def cmd_degenerate(args) -> int:
     bound = args.degree_bound
-    _require_at_least(1, ("--degree-bound", bound), ("--max-degree", args.max_degree))
+    _require_positive(("--degree-bound", bound), ("--max-degree", args.max_degree))
     samples = [Rat(tok) for tok in args.samples.split()]
     if not samples:
         raise ValueError("--samples is empty; give at least one fiber parameter")
@@ -542,7 +544,7 @@ def cmd_verify_example(args) -> int:
     )
 
     matches = search_order_catalog(
-        context, tower.realization(1), points.labeled()
+        context, tower.module(1).realization, points.labeled()
     )
     stage(
         "order-search",
@@ -638,8 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute essential monomials of a realization",
     )
     p.add_argument("--level", type=int, default=1, help="tensor level")
-    p.add_argument("--order", help="override monomial order kind")
-    p.add_argument("--degree-bound", type=int, help="span degree cap")
     p.add_argument(
         "--favourable-k",
         type=int,
@@ -680,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:  # an input error, and only that
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # a bug, never a verdict: exit 1 means negative

@@ -32,7 +32,9 @@ from typing import NamedTuple
 
 from .linalg import RankAccumulator, Rat, SparseVector, fourier_motzkin_solve
 from .liesuper import NegativeBasis
-from .modules import CyclicModule, HighestWeightRealization, pbw_act, tensor
+from .modules import (
+    CyclicModule, HighestWeightRealization, ProgramFault, pbw_act, tensor
+)
 from .essential import BOTTOM, EssentialSet, decompose_to_chain, essential_monomials
 from .superpoly import (
     MonomialOrder,
@@ -80,8 +82,8 @@ def _add(dst: dict, key, c: Rat) -> None:
 
 
 class LevelTower:
-    """Realizations, cyclic modules, and essential sets for levels 1..K;
-    ``degree_cap`` bounds the span scan of every level.
+    """Essential sets and cyclic modules of levels 1..K, scanned upward in
+    one loop: ``levels[k - 1]`` is level k's ``essential_monomials`` pair.
 
     Level K >= 2 is realized in M_{K-1} (x) M_1, each factor written on its
     own essential vectors (``CyclicModule.on_essentials``), not in the K-th
@@ -99,45 +101,33 @@ class LevelTower:
         basis: NegativeBasis,
         real1: HighestWeightRealization,
         order: MonomialOrder | None = None,
-        degree_cap: int | None = None,
     ):
         self.basis = basis
         self.order = order if order is not None else MonomialOrder("graded-lex")
-        self.degree_cap = degree_cap
-        self.reals: dict[int, HighestWeightRealization] = {1: real1}
-        self.modules: dict[int, CyclicModule] = {}
-        self.es: dict[int, EssentialSet] = {}
+        self.levels: list[tuple[EssentialSet, CyclicModule]] = [
+            essential_monomials(real1, basis, self.order)
+        ]
         self._tables: dict[tuple[int, int], "StructureTable"] = {}
         self._values: dict[tuple[MultiExponent, ...], dict[MultiExponent, Rat]] = {}
-        self._ensure_level(1)
 
-    def _ensure_level(self, k: int) -> None:
-        if k in self.es:
-            return
+    def _level(self, k: int) -> tuple[EssentialSet, CyclicModule]:
         if k < 1:
             raise ValueError(f"tower level must be >= 1, got {k}")
-        if k not in self.reals:
-            self._ensure_level(k - 1)
-            self.reals[k] = tensor(
-                self.modules[k - 1].on_essentials, self.modules[1].on_essentials
-            )
-        es, module = essential_monomials(
-            self.reals[k], self.basis, self.order, degree_cap=self.degree_cap
-        )
-        self.es[k] = es
-        self.modules[k] = module
+        while len(self.levels) < k:
+            real = self._level_realization(len(self.levels) + 1)
+            self.levels.append(essential_monomials(real, self.basis, self.order))
+        return self.levels[k - 1]
+
+    def _level_realization(self, k: int) -> HighestWeightRealization:
+        """Level k >= 2 inside M_{k-1} (x) M_1; levels below k are built."""
+        below, first = self.levels[k - 2][1], self.levels[0][1]
+        return tensor(below.on_essentials, first.on_essentials)
 
     def essential(self, k: int) -> EssentialSet:
-        self._ensure_level(k)
-        return self.es[k]
+        return self._level(k)[0]
 
     def module(self, k: int) -> CyclicModule:
-        self._ensure_level(k)
-        return self.modules[k]
-
-    def realization(self, k: int) -> HighestWeightRealization:
-        self._ensure_level(k)
-        return self.reals[k]
+        return self._level(k)[1]
 
     def table(self, k1: int, k2: int) -> "StructureTable":
         key = (k1, k2)
@@ -160,11 +150,6 @@ class LevelTower:
                         _add(val, u2, c * c2)
             self._values[factors] = val
         return val
-
-    def es_by_level(self, max_level: int) -> dict[int, EssentialSet]:
-        for k in range(1, max_level + 1):
-            self._ensure_level(k)
-        return {k: self.es[k] for k in range(1, max_level + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +249,8 @@ class SRing:
                 even[self.even_gens.index(e)] += 1
             else:
                 s = self.odd_gens.index(e)
-                if odd[s]:
-                    raise ValueError("odd generator repeated in chain")
+                if odd[s]:  # chain summands have disjoint odd parts
+                    raise ProgramFault("odd generator repeated in chain")
                 odd[s] = 1
         return MultiExponent(tuple(odd), tuple(even))
 
@@ -439,7 +424,7 @@ def lift_relations(
     lifted: list[GradedRelation] = []
     for rel in relations:
         h = rel.degree
-        es_by_level = tower.es_by_level(h)
+        es_by_level = {k: tower.essential(k) for k in range(1, h + 1)}
         residual = evaluate_in_tower(tower, ring, rel.lead)
         corrections: dict[tuple[MultiExponent, int], SuperPolynomial] = {}
         max_steps = len(tower.essential(h).monomials) + 1
@@ -464,7 +449,10 @@ def lift_relations(
             sexp = ring.exponent_of_chain(chain)
             comp, sign = ring.gamma_and_sign(sexp)
             if comp is BOTTOM or comp != (u_min, h):
-                raise LiftError("chain decomposition hit the wrong component")
+                # disjoint odd parts adding up to u_min hit (u_min, h)
+                raise ProgramFault(
+                    f"chain decomposition of {u_min} hit the wrong component"
+                )
             c = residual[(u_min, h)] * sign
             mono = SuperPolynomial.monomial(ring.nS, ring.qS, sexp, -c)
             for k, v in evaluate_in_tower(tower, ring, mono).items():
@@ -519,7 +507,7 @@ def find_weight_vector(
         if nvars is None:
             nvars = len(lead_vec)
         elif nvars != len(lead_vec):
-            raise ValueError(
+            raise ProgramFault(  # every relation comes from one tower
                 "relations mix module exponent dimensions "
                 f"{nvars} and {len(lead_vec)}"
             )

@@ -86,7 +86,6 @@ def essential_monomials(
     real: HighestWeightRealization,
     basis: NegativeBasis,
     order: MonomialOrder | None = None,
-    degree_cap: int | None = None,
 ) -> tuple[EssentialSet, CyclicModule]:
     """Essential exponents of the cyclic module generated inside ``real``.
 
@@ -94,7 +93,7 @@ def essential_monomials(
     orders need positive integer weights), so it already yields the
     essential exponents.
     """
-    module = cyclic_span(real, basis, order=order, degree_cap=degree_cap)
+    module = cyclic_span(real, basis, order=order)
     es = EssentialSet(
         level=real.level,
         n=basis.n,

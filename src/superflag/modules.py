@@ -29,7 +29,6 @@ __all__ = [
     "Representation",
     "HighestWeightRealization",
     "CyclicModule",
-    "NotConvergedError",
     "ProgramFault",
     "natural",
     "dual_natural",
@@ -49,10 +48,6 @@ __all__ = [
 ]
 
 Weight = tuple[Rat, ...]
-
-
-class NotConvergedError(RuntimeError):
-    """Cyclic span failed to stabilize below the degree cap."""
 
 
 class ProgramFault(Exception):
@@ -488,7 +483,6 @@ def cyclic_span(
     real: HighestWeightRealization,
     basis: NegativeBasis,
     order: MonomialOrder | None = None,
-    degree_cap: int | None = None,
 ) -> CyclicModule:
     """Scan ordered monomials layer by layer, ascending in the monomial
     order, and collect the scan-independent exponents.
@@ -508,18 +502,17 @@ def cyclic_span(
     kept: a parent missing from them has a zero vector, and so has the
     child.
 
-    A graded scan stops once a full layer contributes no new vectors (the
-    span of monomial images of degree <= d generates all higher layers once
-    layer d + 1 stalls), and raises NotConvergedError when layer cap + 1
-    does not stall (the cap defaults to the ambient dimension + 1).  A
-    weighted scan first finds the module dimension by a graded-lex scan and
-    stops once it reaches it.
+    A graded scan stops at the first layer that adds no vector (the images
+    of degree <= d generate all higher layers once layer d + 1 stalls);
+    every earlier layer adds one, so it stops by layer ``rep.dim``.  A
+    weighted scan stops at the module dimension, found by a graded-lex scan
+    of stabilization degree s; it reaches it by weighted value
+    s * max(weights), which no monomial of degree <= s exceeds.  Running
+    past either bound is a ProgramFault.
     """
     n, q = basis.n, basis.q
     if order is None:
         order = MonomialOrder("graded-lex")
-    if degree_cap is None:
-        degree_cap = real.rep.dim + 1
     order.check(n + q)
     if order.kind == "weighted":
         weights = order.weights
@@ -528,18 +521,13 @@ def cyclic_span(
                 "weighted scans require positive integer weights; otherwise "
                 "ascending-value truncation is unsound"
             )
-        graded = cyclic_span(real, basis, degree_cap=degree_cap)
+        graded = cyclic_span(real, basis)
         target = graded.dimension
-        cap = graded.stabilization_degree * max(weights) + max(weights)
-        failure = (
-            "weighted scan failed to reach the module dimension within "
-            f"weighted value {cap}"
-        )
+        bound = graded.stabilization_degree * max(weights)
     else:
         weights = (1,) * (n + q)
         target = None
-        cap = degree_cap
-        failure = f"cyclic span did not stabilize within degree {cap}"
+        bound = real.rep.dim
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]] = {}
     essentials: list[tuple[MultiExponent, SparseVector]] = []
     rep = real.rep
@@ -568,8 +556,8 @@ def cyclic_span(
     v = 0
     while target is None or len(essentials) < target:
         v += 1
-        if v > cap + (target is None):  # layer cap + 1 only shows the stall
-            raise NotConvergedError(failure)
+        if v > bound:
+            raise ProgramFault(f"cyclic span scan ran past layer {bound}")
         layer: dict[MultiExponent, SparseVector] = {}
         found = len(essentials)
         for exp in monomials_of_degree(order, v, n, q, weights):

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior, exercised in process via main()."""
 
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from superflag.cli import load_job_from_text, main
+from superflag.cli import SETTINGS, load_job_from_text, main
 from superflag.essential import parse_essential_set
 
 DATA = resources.files("superflag") / "data"
@@ -127,36 +128,20 @@ class TestEssentialCommand:
         code, out, err = run(["essential", "--config", bundled_cfg], capsys)
         assert (code, out, err) == (0, LEVEL_ONE_REPORT, "")
 
-    # level K of the bundled job stabilizes in degree K
-    @pytest.mark.parametrize(
-        "bound, extra",
-        [
-            ("0", ["--level", "1"]),
-            ("1", ["--level", "2"]),
-            ("1", ["--level", "1", "--favourable-k", "2"]),
-            ("2", ["--level", "3"]),
-        ],
-        ids=["level-1", "level-2", "favourable", "level-3"],
-    )
-    def test_degree_bound_applies_at_every_level(
-        self, bundled_cfg, bound, extra, capsys
-    ):
-        code, out, err = run(
-            ["essential", "--config", bundled_cfg, "--degree-bound", bound] + extra,
-            capsys,
+    def test_deep_level_builds_without_recursion(self, tmp_path, capsys):
+        # the tower fills its levels in a loop: level 1200 of the 1-dim gl(1)
+        # module is one more line, not a recursion-depth error
+        cfg = tmp_path / "gl1.cfg"
+        cfg.write_text(
+            "[algebra]\nfamily = gl\nm = 1\nn = 0\nfunctional = 1\n\n"
+            "[realization]\nblocks = natural:0\n",
+            encoding="utf-8",
         )
-        assert code == 2
-        assert out == ""
-        assert err == f"error: cyclic span did not stabilize within degree {bound}\n"
-
-    @pytest.mark.parametrize("level", ["1", "3"])
-    def test_degree_bound_at_the_stabilization_degree_suffices(
-        self, bundled_cfg, level, capsys
-    ):
-        base = ["essential", "--config", bundled_cfg, "--level", level]
-        uncapped = run(base, capsys)
-        assert uncapped[0] == 0
-        assert run(base + ["--degree-bound", level], capsys) == uncapped
+        code, out, err = run(
+            ["essential", "--config", str(cfg), "--level", "1200"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "I=- m=() k=1200"
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -169,26 +154,6 @@ class TestEssentialCommand:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be >= 1, got {value}\n"
-
-    def test_negative_degree_bound_exits_two_before_any_work(
-        self, bundled_cfg, tmp_path, capsys
-    ):
-        code, out, err = run(
-            ["essential", "--config", bundled_cfg, "--degree-bound", "-1"], capsys
-        )
-        assert (code, out, err) == (
-            2, "", "error: --degree-bound must be >= 0, got -1\n"
-        )
-        cfg = tmp_path / "negative.cfg"
-        cfg.write_text(
-            (DATA / "osp14_w1.cfg").read_text(encoding="utf-8")
-            + "\n[bounds]\ndegree_cap = -1\n",
-            encoding="utf-8",
-        )
-        code, out, err = run(["essential", "--config", str(cfg)], capsys)
-        assert (code, out, err) == (
-            2, "", "error: [bounds] degree_cap must be >= 0, got -1\n"
-        )
 
     @pytest.mark.parametrize(
         "priority", ["9 9 9 9 9 9", "0 0 0 0 0 0", "0 1 2", "0 1 2 3 4 5 6"],
@@ -210,19 +175,6 @@ class TestEssentialCommand:
             "error: order priority must be a permutation of 0..5, "
             f"got {priority}\n"
         )
-
-    def test_config_degree_cap_applies_at_level_two(self, tmp_path, capsys):
-        cfg = tmp_path / "capped.cfg"
-        cfg.write_text(
-            (DATA / "osp14_w1.cfg").read_text(encoding="utf-8")
-            + "\n[bounds]\ndegree_cap = 1\n",
-            encoding="utf-8",
-        )
-        code, out, err = run(
-            ["essential", "--config", str(cfg), "--level", "2"], capsys
-        )
-        assert code == 2
-        assert err.startswith("error:")
 
 
 class TestDegenerateCommand:
@@ -785,8 +737,12 @@ class TestErrorsAndConfig:
              "[order] weights: invalid literal for int()"),
             ("kind = graded-lex", "priority = 0 one",
              "[order] priority: invalid literal for int()"),
-            ("[order]", "[bounds]\ndegree_cap = 2.5\n\n[order]",
-             "[bounds] degree_cap: invalid literal for int()"),
+            # a section or key outside cli.SETTINGS
+            ("kind = graded-lex", "kind = graded-lex\npriorty = 2 1 0",
+             "[order] priorty: unknown setting\n"),
+            ("[order]", "[bounds]\ndegree_cap = 6\n\n[order]",
+             "[bounds] degree_cap: unknown setting\n"),
+            ("[order]", "[extra]\n\n[order]", "[extra]: unknown section\n"),
             # values that parse but that the algebra or the order rejects
             ("functional = 3 2", "functional = 3 2\nbasis_perm = 0 0 1",
              "[algebra] basis_perm: permutation must reorder all positions\n"),
@@ -798,23 +754,17 @@ class TestErrorsAndConfig:
             ("family = sl", "family = sp",
              "[algebra] family: family 'sp' has no bundled matrix realization"),
             ("m = 3", "m = -1", "[algebra] m: need m, n >= 0 with m + n > 0\n"),
-            pytest.param(
-                "m = 3\nn = 0\nfunctional = 3 2", "m = 1\nn = 1\nfunctional = 1",
-                "[algebra] family, m, n: the zero-weight space is larger than "
-                "the diagonal subalgebra",
-                # building sl(1|1) warns that its center is not quotiented out
-                marks=pytest.mark.filterwarnings("ignore::UserWarning"),
-            ),
             ("natural:0,", "natural:1,",
              "[realization] blocks: candidate vector is not annihilated by "
              "the raising operator of root e1-e2\n"),
             ("natural:0,", "flip-natural:0,",
              "[realization] blocks: highest-weight vector must be even\n"),
         ],
-        ids=["m", "functional", "blocks", "weights", "priority", "degree-cap",
+        ids=["m", "functional", "blocks", "weights", "priority",
+             "unknown-key", "unknown-bounds-key", "unknown-section",
              "basis-perm-misfit", "functional-misfit", "order-kind",
-             "family-unsupported", "m-negative", "no-root-data",
-             "hw-not-annihilated", "hw-odd"],
+             "family-unsupported", "m-negative", "hw-not-annihilated",
+             "hw-odd"],
     )
     def test_malformed_setting_is_named(self, tmp_path, old, new, message, capsys):
         bad = tmp_path / "bad.cfg"
@@ -822,6 +772,26 @@ class TestErrorsAndConfig:
         code, out, err = run(["essential", "--config", str(bad)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+    def test_algebra_warning_is_one_line_before_the_error(self, tmp_path, capsys):
+        # sl(1|1) warns that its center is not quotiented out, then has no
+        # root data
+        bad = tmp_path / "sl11.cfg"
+        bad.write_text(
+            SL3_CFG.replace("m = 3\nn = 0\nfunctional = 3 2",
+                            "m = 1\nn = 1\nfunctional = 1"),
+            encoding="utf-8",
+        )
+        code, out, err = run(["essential", "--config", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "warning: [algebra] family, m, n: sl(1|1) contains the identity in "
+            "its center; the quotient is not taken and downstream weights may "
+            "be degenerate",
+            "error: [algebra] family, m, n: the zero-weight space is larger "
+            "than the diagonal subalgebra (3 > 1); it is not a Cartan "
+            "subalgebra in this realization",
+        ]
 
     def test_basis_perm_flag_is_named(self, sl3_cfg, capsys):
         argv = ["essential", "--config", sl3_cfg, "--basis-perm", "0 0 1"]
@@ -842,6 +812,32 @@ class TestErrorsAndConfig:
         assert (code, out) == (3, "")
         assert err.startswith("internal error: IndexError: list index out of range\n")
         assert "Traceback" in err
+
+    def test_recursion_error_exits_three(self, monkeypatch, sl3_cfg, capsys):
+        # an interpreter limit is a program fault, not an input error
+        def deep(ring, bound):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("superflag.cli.gr_ideal", deep)
+        code, out, err = run(["degenerate", "--config", sl3_cfg], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "internal error: RecursionError: maximum recursion depth exceeded\n"
+        )
+
+    def test_wrong_chain_exits_three(self, monkeypatch, sl3_cfg, capsys):
+        # a chain whose ring monomial misses the residual component breaks
+        # the chain invariant; it is not a failed lift
+        def wrong_chain(exp, level, es_by_level, memo):
+            return [es_by_level[1].monomials[0]] * level
+
+        monkeypatch.setattr(
+            "superflag.degeneration.decompose_to_chain", wrong_chain
+        )
+        code, out, err = run(["degenerate", "--config", sl3_cfg], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ProgramFault: chain decomposition ")
+        assert "hit the wrong component\n" in err
 
     def test_family_fault_exits_three(self, monkeypatch, sl3_cfg, capsys):
         # a weight vector that fails to separate the corrections is a bug:
@@ -877,6 +873,25 @@ class TestErrorsAndConfig:
         assert first.startswith("internal error: ProgramFault: generator ")
         assert first.endswith("outside the recorded cyclic span")
         assert "Traceback" in err
+
+    def test_readme_config_example_lists_every_setting(self):
+        # the INI example under "Job configuration", commented keys included
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8"
+        )
+        example = readme.split("### Job configuration (INI)")[1]
+        example = example.split("```ini\n")[1].split("```")[0]
+        listed, section = set(), None
+        for line in example.splitlines():
+            header = re.fullmatch(r"\[(\w+)\]", line)
+            if header:
+                section = header.group(1)
+            key = re.match(r";?\s*(\w+)\s*=", line)
+            if key:
+                listed.add((section, key.group(1)))
+        assert listed == {
+            (section, key) for section, keys in SETTINGS.items() for key in keys
+        }
 
     def test_config_parsing(self):
         job = load_job_from_text(SL3_CFG)

@@ -24,9 +24,9 @@ from superflag.degeneration import (
     sort_key_component,
     structure_constants,
 )
-from superflag.essential import EssentialSet, essential_monomials
+from superflag.essential import EssentialSet
 from superflag.linalg import RankAccumulator, Rat, SparseVector, nullspace
-from superflag.modules import CyclicModule, cartan_expand, tensor_power
+from superflag.modules import CyclicModule, ProgramFault, cartan_expand, tensor_power
 from superflag.superpoly import (
     MonomialOrder,
     MultiExponent,
@@ -221,12 +221,8 @@ class TensorPowerTower(LevelTower):
     """The tower built the old way, level K inside the K-th tensor power of
     the level-1 representation: the oracle for the submodule tower."""
 
-    def _ensure_level(self, k):
-        if k not in self.es:
-            self.reals[k] = tensor_power(self.reals[1], k)
-            self.es[k], self.modules[k] = essential_monomials(
-                self.reals[k], self.basis, self.order
-            )
+    def _level_realization(self, k):
+        return tensor_power(self.module(1).realization, k)
 
 
 TOWER_CASES = {
@@ -260,7 +256,7 @@ class TestLevelTower:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_level_is_the_product_of_the_modules_below(self, tower_pair, k):
         tower, _ = tower_pair
-        assert tower.realization(k).rep.dim == (
+        assert tower.module(k).realization.rep.dim == (
             tower.module(k - 1).dimension * tower.module(1).dimension
         )
 
@@ -419,6 +415,12 @@ class TestPresentationRing:
         factors = ring.factors(sexp)
         assert ring.exponent_of_chain(factors) == sexp
 
+    def test_repeated_odd_generator_in_a_chain_is_a_fault(self, osp_tower):
+        # chain summands have disjoint odd parts; a repeat is a bug
+        ring = SRing(osp_tower.essential(1))
+        with pytest.raises(ProgramFault, match="odd generator repeated"):
+            ring.exponent_of_chain(ring.odd_gens * 2)
+
 
 class TestGradedKernel:
     def test_empty_for_multiplicity_free_towers(self, osp_tower, sl12_tower):
@@ -544,6 +546,16 @@ class TestWeightVector:
                            corrections=[(a, zero)]),
         ]
         assert find_weight_vector(rels) is None
+
+    def test_mixed_exponent_dimensions_are_a_fault(self):
+        # every relation of one call comes from one tower
+        zero = SuperPolynomial.zero(2, 0)
+        rels = [
+            GradedRelation(degree=2, component=(exp, 2), lead=zero, corrections=[])
+            for exp in (me((), (1, 0)), me((), (1, 0, 0)))
+        ]
+        with pytest.raises(ProgramFault, match="mix module exponent dimensions"):
+            find_weight_vector(rels)
 
     def test_bottom_relation_with_corrections_is_a_verdict(self):
         # xi1*xi2 collides in an odd coordinate, yet lifting corrected it:

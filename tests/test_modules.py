@@ -7,7 +7,6 @@ from superflag.liesuper import negative_basis
 from superflag.degeneration import LevelTower
 from superflag.modules import (
     CyclicModule,
-    NotConvergedError,
     ProgramFault,
     Representation,
     act_via_expansion,
@@ -237,9 +236,14 @@ class TestCyclicSpan:
         assert cyclic_span(tensor_power(osp_real, 2), basis).dimension == 14
         assert cyclic_span(tensor_power(osp_real, 3), basis).dimension == 30
 
-    def test_not_converged_when_capped(self, osp_context, osp_real):
-        with pytest.raises(NotConvergedError):
-            cyclic_span(osp_real, osp_context.basis, degree_cap=0)
+    def test_scan_past_its_layer_bound_is_a_fault(
+        self, monkeypatch, osp_context, osp_real
+    ):
+        # every layer before the stall adds a vector, so a graded scan
+        # stalls by layer rep.dim; a scan that passes it is a bug
+        monkeypatch.setattr(osp_real.rep, "dim", 1)
+        with pytest.raises(ProgramFault, match="ran past layer 1"):
+            cyclic_span(osp_real, osp_context.basis)
 
     def test_dimension_is_basis_order_independent(self, osp_context, osp_real):
         basis = negative_basis(osp_context.borel, (5, 4, 3, 2, 1, 0))

@@ -180,7 +180,7 @@ class TestComparison:
         region = enumerate_lattice_points(system)
 
         es, _ = essential_monomials(
-            osp_real, osp_context.basis, MonomialOrder("graded-lex"), 6
+            osp_real, osp_context.basis, MonomialOrder("graded-lex")
         )
         labeled = {
             osp_context.basis.exponent_as_labeled(exp) for exp in es.monomials
