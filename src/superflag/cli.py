@@ -70,8 +70,7 @@ __all__ = ["main"]
 
 
 class Job(NamedTuple):
-    """A fully described computation: algebra, realization and order.
-    ``permutation_setting`` names where the basis permutation came from."""
+    """A fully described computation: algebra, realization and order."""
 
     family: str
     m: int
@@ -80,7 +79,6 @@ class Job(NamedTuple):
     permutation: tuple[int, ...] | None
     blocks: list[tuple[str, int]]
     order: MonomialOrder
-    permutation_setting: str = "[algebra] basis_perm"
 
     def context(self) -> AlgebraContext:
         """The algebra context; a setting that does not fit the algebra is
@@ -92,12 +90,8 @@ class Job(NamedTuple):
                     self.family, self.m, self.n, self.functional, self.permutation
                 )
             except ParameterError as exc:
-                setting = (
-                    self.permutation_setting
-                    if exc.parameter == "permutation"
-                    else f"[algebra] {exc.parameter}"
-                )
-                raise ValueError(f"{setting}: {exc}") from None
+                key = {"permutation": "basis_perm"}.get(exc.parameter, exc.parameter)
+                raise ValueError(f"[algebra] {key}: {exc}") from None
             except RootDecompositionError as exc:
                 # the three settings together give an algebra without root data
                 raise ValueError(f"[algebra] family, m, n: {exc}") from None
@@ -308,16 +302,6 @@ def _require_positive(*flags: tuple[str, int | None]) -> None:
             raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
-def _job(args) -> Job:
-    """The ``--config`` job, with the ``--basis-perm`` override applied."""
-    job = load_job(args.config)
-    if args.basis_perm:
-        job = job._replace(
-            permutation=_ints(args.basis_perm), permutation_setting="--basis-perm"
-        )
-    return job
-
-
 def _tower(job: Job) -> tuple[AlgebraContext, LevelTower]:
     context = job.context()
     real = job.realization(context)
@@ -326,7 +310,7 @@ def _tower(job: Job) -> tuple[AlgebraContext, LevelTower]:
 
 def cmd_essential(args) -> int:
     _require_positive(("--level", args.level), ("--favourable-k", args.favourable_k))
-    _, tower = _tower(_job(args))
+    _, tower = _tower(load_job(args.config))
     es = tower.essential(args.level)
     text = serialize_essential_set(es)
     payload = {
@@ -455,7 +439,7 @@ def cmd_degenerate(args) -> int:
     if not samples:
         raise ValueError("--samples is empty; give at least one fiber parameter")
     max_degree = args.max_degree if args.max_degree is not None else bound
-    _, tower = _tower(_job(args))
+    _, tower = _tower(load_job(args.config))
     report, _, _ = _degeneration(tower, bound, samples, max_degree)
     _emit(args, degenerate_text(report, bound), report)
     return 0 if "hilbert" in report and report["hilbert"]["passed"] else 1
@@ -464,7 +448,7 @@ def cmd_degenerate(args) -> int:
 def cmd_toric(args) -> int:
     with open(args.exponents, encoding="utf-8") as fh:
         ks = parse_exponent_set(fh.read())
-    cert = certify(ks, bound=args.bound)
+    cert = certify(ks)
     _emit(args, "\n".join(cert.summary_lines()) + "\n", cert.to_dict())
     return 0 if cert.verdict == "toric" else 1
 
@@ -632,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--json", action="store_true")
     job = argparse.ArgumentParser(add_help=False)
     job.add_argument("--config", required=True, help="job config file")
-    job.add_argument("--basis-perm", help="override basis permutation")
 
     p = sub.add_parser(
         "essential",
@@ -659,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toric", parents=[report], help="certify an exponent set")
     p.add_argument("--exponents", required=True, help="exponent-set file")
-    p.add_argument("--bound", type=int, help="action coefficient bound")
     p.set_defaults(func=cmd_toric)
 
     p = sub.add_parser("polytope", parents=[report], help="integer points of a region")

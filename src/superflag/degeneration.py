@@ -629,8 +629,8 @@ def hilbert_check(
         by_degree: dict[int, list[SuperPolynomial]] = {}
         for g in family.all_specialized(a):
             h, *rest = {e.degree for e in g.terms}
-            if rest:
-                raise ValueError(f"generator {g.to_text()} is not homogeneous")
+            if rest:  # leads and chain corrections of a relation share its degree
+                raise ProgramFault(f"generator {g.to_text()} is not homogeneous")
             by_degree.setdefault(h, []).append(g)
         basis: list[dict[int, Rat]] = []
         for h in range(max_degree + 1):

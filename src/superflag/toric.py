@@ -174,40 +174,19 @@ class ActionSolution(NamedTuple):
     spaces: dict[int, list[tuple[Rat, ...]]]
 
 
-def solve_action(
-    ks: ExponentFile,
-    reading: str = "v-graded",
-    bound: int | None = None,
-) -> ActionSolution:
+def solve_action(ks: ExponentFile) -> ActionSolution:
     """Solve for coefficient vectors c with <(m, v), c> = 0 whenever raising
-    the j-th odd coordinate of a generator leaves the semigroup.
-
-    ``reading`` selects membership in the v-graded sense (target must be a
-    sum of generators of the same total v) or ungraded (any total v up to
-    ``bound``, default 2q + 2).
-    """
-    if reading not in ("v-graded", "ungraded"):
-        raise ValueError("reading must be 'v-graded' or 'ungraded'")
-    if bound is None:
-        bound = 2 * ks.q + 2
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    the j-th odd coordinate of a generator leaves the semigroup at its own
+    v-degree."""
     member = _Membership(ks)
     spaces: dict[int, list[tuple[Rat, ...]]] = {}
     dim = ks.n + 1
     for j in range(ks.q):
-        rows: list[SparseVector] = []
-        for exp, v in ks.points:
-            if exp.odd[j]:
-                continue
-            raised = _with_odd(exp, j, 1)
-            if reading == "v-graded":
-                ok = member.member(raised, v)
-            else:
-                ok = any(member.member(raised, u) for u in range(1, bound + 1))
-            if ok:
-                continue
-            rows.append(SparseVector(enumerate(exp.even + (v,))))
+        rows = [
+            SparseVector(enumerate(exp.even + (v,)))
+            for exp, v in ks.points
+            if not exp.odd[j] and not member.member(_with_odd(exp, j, 1), v)
+        ]
         kern = nullspace(rows, dim)
         spaces[j] = [
             tuple(vec.get(k) for k in range(dim)) for vec in kern
@@ -235,6 +214,11 @@ def verify_derivation_closure(
     resulting monomial with a nonzero coefficient must lie in the generated
     semigroup at the same v-degree.  Every basis choice of each c_j space,
     and the zero choice, is checked.
+
+    Under ``certify`` this cannot fail on correct linear algebra: the
+    lowering half runs only after odd removal passed, which implies it, and
+    the raising half re-tests exactly the rows ``solve_action`` handed to
+    ``nullspace``.  What it guards is ``nullspace``.
     """
     member = _Membership(ks)
     violations = [
@@ -268,7 +252,6 @@ class ToricCertificate(NamedTuple):
     laurent: LaurentReport
     reachability: ReachabilityReport
     action_graded: ActionSolution
-    action_ungraded: ActionSolution
     closure: ClosureReport | None
     faithful: bool
     faithful_witness: tuple[tuple[int, ...], tuple[int, ...], int] | None
@@ -308,10 +291,6 @@ class ToricCertificate(NamedTuple):
                 str(j + 1): [[str(x) for x in vec] for vec in space]
                 for j, space in sorted(self.action_graded.spaces.items())
             },
-            "action_spaces_ungraded": {
-                str(j + 1): [[str(x) for x in vec] for vec in space]
-                for j, space in sorted(self.action_ungraded.spaces.items())
-            },
             "closure": None if self.closure is None else self.closure.passed,
             "faithful": self.faithful,
             "faithful_witness": (
@@ -326,7 +305,7 @@ class ToricCertificate(NamedTuple):
         }
 
 
-def certify(ks: ExponentFile, bound: int | None = None) -> ToricCertificate:
+def certify(ks: ExponentFile) -> ToricCertificate:
     """Run all hypothesis checks and assemble the verdict.
 
     The verdict is "toric" when every hypothesis holds and the derivations
@@ -336,8 +315,7 @@ def certify(ks: ExponentFile, bound: int | None = None) -> ToricCertificate:
     removal = check_odd_removal(ks)
     laurent = check_even_laurent(ks)
     reach = check_odd_reachable(ks)
-    action_graded = solve_action(ks, "v-graded", bound)
-    action_ungraded = solve_action(ks, "ungraded", bound)
+    action_graded = solve_action(ks)
     reasons: list[str] = []
     if not removal.passed:
         reasons.append(
@@ -374,7 +352,6 @@ def certify(ks: ExponentFile, bound: int | None = None) -> ToricCertificate:
         laurent=laurent,
         reachability=reach,
         action_graded=action_graded,
-        action_ungraded=action_ungraded,
         closure=closure,
         faithful=faithful,
         faithful_witness=witness,

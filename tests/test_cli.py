@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exercised in process via main()."""
 
+import argparse
 import json
 import re
 from importlib import resources
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from superflag.cli import SETTINGS, load_job_from_text, main
+from superflag.cli import SETTINGS, build_parser, load_job_from_text, main
 from superflag.essential import parse_essential_set
 
 DATA = resources.files("superflag") / "data"
@@ -404,21 +405,6 @@ class TestToricCommand:
         assert (got, err) == (code, "")
         assert out.splitlines()[-len(verdict):] == verdict
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_bound_below_one_exits_two(self, value, capsys):
-        code, out, err = run(
-            [
-                "toric",
-                "--exponents",
-                str(DATA / "osp14_w1_points.txt"),
-                "--bound",
-                value,
-            ],
-            capsys,
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: bound must be >= 1, got {value}\n"
-
 
 class TestPolytopeCommand:
     def test_point_listing(self, capsys):
@@ -587,19 +573,17 @@ class TestGoldenReports:
         assert (code, err) == (want_code, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("form", [["--json"], []], ids=["json", "text"])
     @pytest.mark.parametrize("union", ["1_2", "1_3"])
-    def test_region_union_toric_certificate(self, union, capsys):
+    def test_region_union_toric_certificate(self, union, form, capsys):
         code, out, err = run(
-            [
-                "toric",
-                "--exponents",
-                str(GOLDEN / f"region_union_{union}.txt"),
-                "--json",
-            ],
+            ["toric", "--exponents", str(GOLDEN / f"region_union_{union}.txt")]
+            + form,
             capsys,
         )
         assert (code, err) == (0, "")
-        golden = GOLDEN / f"region_union_{union}_toric.json"
+        suffix = "json" if form else "txt"
+        golden = GOLDEN / f"region_union_{union}_toric.{suffix}"
         assert out == golden.read_text(encoding="utf-8")
 
 
@@ -793,12 +777,6 @@ class TestErrorsAndConfig:
             "subalgebra in this realization",
         ]
 
-    def test_basis_perm_flag_is_named(self, sl3_cfg, capsys):
-        argv = ["essential", "--config", sl3_cfg, "--basis-perm", "0 0 1"]
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: --basis-perm: permutation must reorder all positions\n"
-
     def test_internal_error_exits_three(self, monkeypatch, capsys):
         import superflag.cli as cli
 
@@ -892,6 +870,32 @@ class TestErrorsAndConfig:
         assert listed == {
             (section, key) for section, keys in SETTINGS.items() for key in keys
         }
+
+    def test_readme_usage_lists_every_option(self):
+        # each `superflag <cmd>` usage block, plus the prose's `--out` (every
+        # subcommand) and `--json` (every one but verify-example)
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8"
+        )
+        prose = " ".join(readme.split())
+        assert "Every subcommand accepts `--out FILE`" in prose
+        assert "every one but `verify-example` accepts `--json`" in prose
+        usage = {
+            block.split()[1]: set(re.findall(r"--[a-z][a-z-]*", block))
+            for block in re.findall(r"```sh\n(superflag .*?)```", readme, re.S)
+        }
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        documented, accepted = {}, {}
+        for cmd, parser in subparsers.choices.items():
+            extra = {"--out"} if cmd == "verify-example" else {"--out", "--json"}
+            documented[cmd] = usage.get(cmd, set()) | extra
+            accepted[cmd] = {
+                flag for action in parser._actions for flag in action.option_strings
+            } - {"-h", "--help"}
+        assert documented == accepted
 
     def test_config_parsing(self):
         job = load_job_from_text(SL3_CFG)

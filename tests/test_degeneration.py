@@ -682,7 +682,7 @@ class TestDegreeByDegreeHilbert:
             generators=[FamilyGenerator(degree=2, component=None,
                                         pieces={0: mixed})],
         )
-        with pytest.raises(ValueError, match="not homogeneous"):
+        with pytest.raises(ProgramFault, match="not homogeneous"):
             hilbert_check(family, sl2_tower, [0], 2)
 
     def test_rows_per_degree_are_bounded(self, sl3_tower, monkeypatch):

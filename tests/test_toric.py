@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from superflag.linalg import Rat
+import superflag.toric as toric
+from superflag.linalg import Rat, SparseVector
 from superflag.superpoly import ExponentFile, MultiExponent
 from superflag.toric import (
     _Membership,
@@ -229,7 +230,7 @@ class TestHypotheses:
 
 class TestAction:
     def test_frozen_graded_solution_space(self, ten_points):
-        action = solve_action(ten_points, "v-graded")
+        action = solve_action(ten_points)
         assert len(action.spaces[0]) == 1
         vec = action.spaces[0][0]
         # span{(-1, -1, -1, 0, 1)} up to scale
@@ -245,27 +246,37 @@ class TestAction:
         assert scale not in (None, 0)
         assert action.spaces[1] == []
 
-    def test_ungraded_reading_is_unconstrained_here(self, ten_points):
-        action = solve_action(ten_points, "ungraded")
-        assert len(action.spaces[0]) == 5
-        assert len(action.spaces[1]) == 5
-
-    def test_invalid_reading_rejected(self, ten_points):
-        with pytest.raises(ValueError):
-            solve_action(ten_points, "exotic")
-
     def test_closure_passes(self, ten_points):
-        action = solve_action(ten_points, "v-graded")
+        action = solve_action(ten_points)
         assert verify_derivation_closure(ten_points, action).passed
 
     def test_closure_reports_a_lowering_outside_the_semigroup(self):
         ks = parse_exponent_set(
             "# ambient n=1 q=1\nI=0 m=(0) k=1\nI=1 m=(1) k=1\nI=0 m=(2) k=1\n"
         )
-        report = verify_derivation_closure(ks, solve_action(ks, "v-graded"))
+        report = verify_derivation_closure(ks, solve_action(ks))
         assert not report.passed
         assert report.violations == [
             (0, -1, vp((1,), (1,)), "lowering leaves the semigroup")
+        ]
+
+    def test_closure_catches_a_wrong_nullspace(self, ten_points, monkeypatch):
+        # under certify only a nullspace vector that is not orthogonal to
+        # the rows it was given can fail the closure check; the all-ones
+        # vector pairs positively with every (m, v) row, since v >= 1
+        handed = []
+
+        def wrong(rows, dim):
+            handed.extend(rows)
+            return [SparseVector({k: Rat(1) for k in range(dim)})]
+
+        monkeypatch.setattr(toric, "nullspace", wrong)
+        cert = certify(ten_points)
+        assert handed
+        assert "derivation-closure: FAIL" in cert.summary_lines()
+        assert cert.verdict == "hypotheses-not-met"
+        assert cert.reasons == [
+            f"derivations escape the algebra in {len(handed)} case(s)"
         ]
 
 
