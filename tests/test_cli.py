@@ -573,8 +573,11 @@ class TestGoldenReports:
         assert (code, err) == (want_code, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("form", [["--json"], []], ids=["json", "text"])
-    @pytest.mark.parametrize("union", ["1_2", "1_3"])
+    @pytest.mark.parametrize(
+        "union, form",
+        [("1_2", ["--json"]), ("1_3", ["--json"]), ("1_2", []), ("1_3", [])],
+        ids=["1_2", "1_3", "1_2-text", "1_3-text"],
+    )
     def test_region_union_toric_certificate(self, union, form, capsys):
         code, out, err = run(
             ["toric", "--exponents", str(GOLDEN / f"region_union_{union}.txt")]

@@ -246,6 +246,16 @@ class TestAction:
         assert scale not in (None, 0)
         assert action.spaces[1] == []
 
+    def test_raise_is_tested_at_its_own_v_degree(self):
+        # raising the odd coordinate of (m=0, v=1) gives the generator
+        # (I=1, m=0) only at v=2, so at v=1 it escapes and its row (0, 1)
+        # forces c_v = 0, leaving c_m free
+        ks = parse_exponent_set("# ambient n=1 q=1\nI=0 m=(0) k=1\nI=1 m=(0) k=2\n")
+        action = solve_action(ks)
+        assert len(action.spaces[0]) == 1
+        c_m, c_v = action.spaces[0][0]
+        assert c_m != 0 and c_v == 0
+
     def test_closure_passes(self, ten_points):
         action = solve_action(ten_points)
         assert verify_derivation_closure(ten_points, action).passed
