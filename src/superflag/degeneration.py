@@ -260,22 +260,25 @@ class SRing:
         Returns ((exponent, level), +-1) or (BOTTOM, 0) when odd module
         coordinates collide.  The factors are summed left to right, each
         step flipping the sign on an odd Koszul count (as ``multiply`` does
-        for two monomials).
+        for two monomials), the last one from the memoized prefix.
         """
         cached = self._gamma_cache.get(sexp)
         if cached is not None:
             return cached
-        exp, sign = MultiExponent.zero(self.n_mod, self.q_mod), 1
-        for f in self.factors(sexp):
-            combined = exp.combine(f)
-            if combined is None:
-                result = (BOTTOM, 0)
-                break
-            if koszul_count(exp.odd, f.odd) % 2:
-                sign = -sign
-            exp = combined
+        written = list(sexp.odd[::-1] + sexp.even)  # as ``factors`` lists them
+        last = max((p for p, m in enumerate(written) if m), default=None)
+        if last is None:
+            return (MultiExponent.zero(self.n_mod, self.q_mod), 0), 1
+        written[last] -= 1
+        f, q = (self.odd_gens[::-1] + self.even_gens)[last], self.qS
+        prefix = MultiExponent(tuple(written[:q][::-1]), tuple(written[q:]))
+        comp, sign = self.gamma_and_sign(prefix)
+        combined = None if comp is BOTTOM else comp[0].combine(f)
+        if combined is None:
+            result = (BOTTOM, 0)
         else:
-            result = ((exp, sexp.degree), sign)
+            flip = koszul_count(comp[0].odd, f.odd) % 2
+            result = ((combined, sexp.degree), -sign if flip else sign)
         self._gamma_cache[sexp] = result
         return result
 
@@ -619,6 +622,12 @@ def hilbert_check(
     those generators and x_j b for every variable x_j and every b in I_{h-1}'s
     basis (its rows whose insert grew the rank).  The degree-h fiber
     dimension is the monomial count minus that exact rank.
+
+    Rows stop at a ceiling on the rank, proven for a ``family_ideal`` family:
+    at t = 1 the lifts vanish in the dual algebra, which R maps onto (|es(h)|
+    in degree h); at t = 0 the leads lie in the kernel of the component-
+    collapse ring map, whose image is spanned by the non-bottom components.
+    Other fibers run every row.
     """
     ring = family.ring
     samples = [Rat(a) for a in samples]
@@ -633,7 +642,7 @@ def hilbert_check(
                 raise ProgramFault(f"generator {g.to_text()} is not homogeneous")
             by_degree.setdefault(h, []).append(g)
         basis: list[dict[int, Rat]] = []
-        for h in range(max_degree + 1):
+        for h in degrees:
             index = {m: i for i, m in enumerate(ring.monomials_of_degree(h))}
             gens = (
                 {index[e]: c for e, c in g.terms.items()} for g in by_degree.get(h, ())
@@ -642,13 +651,18 @@ def hilbert_check(
                 {shift[i][0]: shift[i][1] * c for i, c in b.items() if i in shift}
                 for b in basis for shift in ring.shifts(h - 1)
             )
-            acc = RankAccumulator()
-            basis = [  # rows are made one at a time; only the basis is kept
-                row for row in itertools.chain(gens, shifted)
-                if acc.insert(SparseVector(row))
-            ]
-            if h:
-                table[(a, h)] = len(index) - acc.rank
+            if a == 1:
+                ceiling = len(index) - expected[h]
+            elif a == 0:
+                ceiling = len(index) - sum(c is not BOTTOM for c in ring.components(h))
+            else:
+                ceiling = None
+            rows, acc, basis = itertools.chain(gens, shifted), RankAccumulator(), []
+            # rows are made one at a time; only the basis is kept
+            while acc.rank != ceiling and (row := next(rows, None)) is not None:
+                if acc.insert(SparseVector(row)):
+                    basis.append(row)
+            table[(a, h)] = len(index) - acc.rank
     return HilbertReport(
         samples=samples, degrees=degrees, table=table, expected=expected
     )

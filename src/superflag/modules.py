@@ -30,6 +30,7 @@ __all__ = [
     "HighestWeightRealization",
     "CyclicModule",
     "ProgramFault",
+    "Unbuilt",
     "natural",
     "dual_natural",
     "flip_parities",
@@ -55,12 +56,27 @@ class ProgramFault(Exception):
     or a negative verdict."""
 
 
+class Unbuilt(dict):
+    """The action of generator g where a realization did not build it: any
+    column lookup raises ProgramFault, so it never acts as zero (``values()``
+    reads no column and is empty)."""
+
+    def __init__(self, g: int):
+        super().__init__()
+        self.g = g
+
+    def get(self, *args):
+        raise ProgramFault(f"generator {self.g} is not built in this realization")
+
+    items = keys = __getitem__ = __iter__ = __contains__ = __len__ = get
+
+
 class Representation:
     """Exact matrix representation with diagonal Cartan and graded basis.
 
     ``action[g]`` maps a column index to a sparse column {row: coeff} for the
-    g-th algebra basis element.  ``weights[j]`` lists the Cartan eigenvalues
-    of basis vector j (the Cartan must act diagonally).
+    g-th algebra basis element, or is ``Unbuilt``.  ``weights[j]`` lists the
+    Cartan eigenvalues of basis vector j (the Cartan must act diagonally).
     """
 
     __slots__ = ("algebra", "dim", "parities", "weights", "action", "_element_cache")
@@ -216,7 +232,8 @@ BLOCK_BUILDERS: dict[str, Callable[[LieSuperalgebra], Representation]] = {
 
 
 def tensor_representations(r1: Representation, r2: Representation) -> Representation:
-    """Graded tensor product; flat index (i1, i2) -> i1 * dim2 + i2."""
+    """Graded tensor product; flat index (i1, i2) -> i1 * dim2 + i2.  A
+    generator unbuilt on either factor stays unbuilt."""
     if r1.algebra is not r2.algebra:
         raise ValueError("tensor factors must share the algebra object")
     d1, d2 = r1.dim, r2.dim
@@ -236,7 +253,10 @@ def tensor_representations(r1: Representation, r2: Representation) -> Representa
         pg = r1.algebra.parities[g]
         cols: dict[int, dict[int, Rat]] = {}
         a1, a2 = r1.action[g], r2.action[g]
-        for j1 in range(d1):
+        if isinstance(a1, Unbuilt) or isinstance(a2, Unbuilt):
+            action.append(Unbuilt(g))
+            continue
+        for j1 in range(d1 if a1 or a2 else 0):  # none if zero on both
             for j2 in range(d2):
                 col: dict[int, Rat] = {}
                 for i1, c in a1.get(j1, {}).items():
@@ -433,7 +453,7 @@ class CyclicModule:
         return {self.essentials[i][0]: c for i, c in vec.entries.items()}
 
 
-def module_realization(mod: CyclicModule) -> HighestWeightRealization:
+def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealization:
     """The cyclic module as a representation on its own essential vectors.
 
     Basis vector j is the j-th essential vector, so index 0 (the zero
@@ -441,15 +461,20 @@ def module_realization(mod: CyclicModule) -> HighestWeightRealization:
     is g applied once to essential vector j, expanded over the essential
     vectors of the weight block it lands in.  The module U(n-)v = U(g)v is a
     g-submodule, so the expansion exists; a failure is an internal
-    inconsistency and raises ProgramFault.
+    inconsistency and raises ProgramFault.  Unless ``full``, generators
+    outside the support of ``mod.basis`` (never applied) are ``Unbuilt``.
     """
     real = mod.realization
     rep = real.rep
     vecs = [vec for _, vec in mod.essentials]
     # the weight and parity of a weight vector are those of any entry
     entry = [next(iter(vec.entries)) for vec in vecs]
+    built = {g for el in mod.basis.elements for g, _ in el.algebra_coords}
     action: list[dict[int, dict[int, Rat]]] = []
     for g in range(rep.algebra.dim):
+        if not (full or g in built):
+            action.append(Unbuilt(g))
+            continue
         op = rep.action[g]
         cols: dict[int, dict[int, Rat]] = {}
         for j, vec in enumerate(vecs):

@@ -554,6 +554,8 @@ class TestGoldenReports:
             (["verify-example"], 1, "verify_example.txt"),
             (["degenerate", "--degree-bound", "3"], 0,
              "sl3_adjoint_degenerate_b3.txt"),
+            (["degenerate", "--degree-bound", "4"], 0,
+             "sl3_adjoint_degenerate_b4.txt"),
             (["degenerate", "--degree-bound", "3", "--json",
               "--samples", "0 1 2 5"], 0,
              "sl3_adjoint_degenerate_b3_samples.json"),
@@ -561,7 +563,7 @@ class TestGoldenReports:
             (["polytope", "--dilate", "3", "--json"], 0,
              "osp14_w1_polytope_d3.json"),
         ],
-        ids=["verify-example", "sl3-b3-text", "sl3-b3-json",
+        ids=["verify-example", "sl3-b3-text", "sl3-b4-text", "sl3-b3-json",
              "polytope-d3-text", "polytope-d3-json"],
     )
     def test_whole_reports(self, argv, want_code, golden, sl3_cfg, capsys):

@@ -707,15 +707,114 @@ class TestDegreeByDegreeHilbert:
         ring = family.ring
         distinct = list(dict.fromkeys(map(Rat, SAMPLES)))
         hilbert_check(family, sl3_tower, SAMPLES, bound)
-        assert len(accumulators) == len(distinct) * (bound + 1)
+        assert len(accumulators) == len(distinct) * bound
         for f, a in enumerate(distinct):
             gens = family.all_specialized(a)
-            accs = accumulators[f * (bound + 1):(f + 1) * (bound + 1)]
+            accs = accumulators[f * bound:(f + 1) * bound]
             previous_rank = 0
-            for h, acc in enumerate(accs):
+            for h, acc in enumerate(accs, start=1):
                 gens_h = sum(1 for g in gens if max_degree(g) == h)
                 assert acc.inserts <= previous_rank * (ring.nS + ring.qS) + gens_h
                 previous_rank = acc.rank
+
+
+def uncapped_table(family, samples, top):
+    """The Hilbert table by the degree-by-degree elimination with no
+    ceiling: every generator and every shifted basis row is inserted.  The
+    reference for the ceiling in ``hilbert_check``."""
+    ring = family.ring
+    table = {}
+    for a in dict.fromkeys(map(Rat, samples)):
+        gens = family.all_specialized(a)
+        basis = []
+        for h in range(1, top + 1):
+            index = {m: i for i, m in enumerate(ring.monomials_of_degree(h))}
+            rows = [
+                {index[e]: c for e, c in g.terms.items()}
+                for g in gens if max_degree(g) == h
+            ]
+            if basis:
+                rows += [
+                    {shift[i][0]: shift[i][1] * c for i, c in b.items() if i in shift}
+                    for b in basis for shift in ring.shifts(h - 1)
+                ]
+            acc = RankAccumulator()
+            basis = [row for row in rows if acc.insert(SparseVector(row))]
+            table[(a, h)] = len(index) - acc.rank
+    return table
+
+
+CEILING_SAMPLES = [0, 1, 2, Rat(5, 3)]
+
+
+@pytest.fixture(scope="module")
+def sl3_weighted_tower():
+    """Tower of the ``sl3_adjoint_weighted.cfg`` job (weights 2 1 3)."""
+    from pathlib import Path
+
+    from superflag.cli import load_job
+
+    job = load_job(str(Path(__file__).parent / "data" / "sl3_adjoint_weighted.cfg"))
+    context = job.context()
+    return LevelTower(context.basis, job.realization(context), job.order)
+
+
+def _drop_first_of_degree(family, degree):
+    i = next(i for i, g in enumerate(family.generators) if g.degree == degree)
+    return DegenerationFamily(
+        ring=family.ring,
+        generators=family.generators[:i] + family.generators[i + 1:],
+    )
+
+
+class TestHilbertCeiling:
+    """At t = 0 and t = 1 the elimination stops at a proven ceiling on the
+    rank; the tables stay those of the uncapped elimination."""
+
+    @pytest.mark.parametrize(
+        "tower_name, bound",
+        [("sl3_tower", 4), ("osp_square_tower", 3), ("sl3_weighted_tower", 3)],
+    )
+    def test_tables_match_the_uncapped_elimination(self, tower_name, bound, request):
+        tower = request.getfixturevalue(tower_name)
+        family = pipeline_family(tower, bound)
+        report = hilbert_check(family, tower, CEILING_SAMPLES, bound)
+        assert report.passed
+        assert report.table == uncapped_table(family, CEILING_SAMPLES, bound)
+
+    def test_no_shift_map_once_the_generators_reach_the_ceiling(
+        self, sl3_tower, monkeypatch
+    ):
+        family = pipeline_family(sl3_tower, 4)
+
+        def refuse(self, h):
+            raise AssertionError(f"shifts({h}) was asked for")
+
+        monkeypatch.setattr(SRing, "shifts", refuse)
+        assert hilbert_check(family, sl3_tower, [0, 1], 4).passed
+
+    def test_generators_short_of_the_ceiling_run_the_shifted_rows(
+        self, sl3_tower, monkeypatch
+    ):
+        """Without one cubic generator the cubics fall short of the
+        ceiling, so the shifted quadrics run and restore the rank."""
+        family = _drop_first_of_degree(pipeline_family(sl3_tower, 4), 3)
+        asked = []
+        shifts = SRing.shifts
+        monkeypatch.setattr(
+            SRing, "shifts", lambda self, h: asked.append(h) or shifts(self, h)
+        )
+        report = hilbert_check(family, sl3_tower, CEILING_SAMPLES, 4)
+        assert 2 in asked
+        assert report.passed
+        assert report.table == uncapped_table(family, CEILING_SAMPLES, 4)
+
+    def test_a_fiber_that_falls_short_reports_its_true_dimension(self, sl3_tower):
+        family = _drop_first_of_degree(pipeline_family(sl3_tower, 4), 2)
+        report = hilbert_check(family, sl3_tower, CEILING_SAMPLES, 4)
+        assert not report.passed
+        assert {report.table[(Rat(a), 2)] for a in CEILING_SAMPLES} == {28}
+        assert report.table == uncapped_table(family, CEILING_SAMPLES, 4)
 
 
 class TestMemoizedEvaluation:

@@ -9,6 +9,7 @@ from superflag.modules import (
     CyclicModule,
     ProgramFault,
     Representation,
+    Unbuilt,
     act_via_expansion,
     build_realization,
     cartan_expand,
@@ -288,6 +289,18 @@ class TestCyclicSpan:
         assert checked > 0
 
 
+class FullActionTower(LevelTower):
+    """The tower with every generator built at every level: the oracle for
+    the restricted build."""
+
+    def _level_realization(self, k):
+        below, first = self.levels[k - 2][1], self.levels[0][1]
+        return tensor(
+            module_realization(below, full=True),
+            module_realization(first, full=True),
+        )
+
+
 class TestModuleRealization:
     """The cyclic module written on its own essential vectors."""
 
@@ -303,7 +316,7 @@ class TestModuleRealization:
         basis = request.getfixturevalue(ctx_name).basis
         real = request.getfixturevalue(real_name)
         module = cyclic_span(tensor_power(real, k), basis)
-        sub = module_realization(module)
+        sub = module_realization(module, full=True)
         sub.rep.validate()
         assert sub.rep.dim == module.dimension
         assert (sub.hw_index, sub.weight, sub.level) == (
@@ -313,6 +326,61 @@ class TestModuleRealization:
             i = next(iter(vec.entries))
             assert sub.rep.weights[j] == module.realization.rep.weights[i]
             assert sub.rep.parities[j] == module.realization.rep.parities[i]
+
+    @pytest.mark.parametrize(
+        "ctx_name, blocks, top",
+        [
+            ("sl3_context", [("natural", 0), ("dual-natural", 2)], 3),
+            ("osp_context", [("flip-natural", 1)], 3),
+            ("osp_context", [("flip-natural", 1), ("flip-natural", 1)], 2),
+        ],
+        ids=["sl3-adjoint", "osp-bundled", "osp-flip-square"],
+    )
+    def test_restricted_build_matches_the_full_build(
+        self, ctx_name, blocks, top, request
+    ):
+        """The tower's levels build only the generators in the negative
+        basis's support, and each of them equals its action in a tower that
+        builds every generator at every level."""
+        context = request.getfixturevalue(ctx_name)
+        real = build_realization(context, blocks)
+        tower = LevelTower(context.basis, real)
+        full_tower = FullActionTower(context.basis, real)
+        support = {
+            g for el in context.basis.elements for g, _ in el.algebra_coords
+        }
+        assert len(support) < context.algebra.dim
+        for k in range(1, top + 1):
+            assert tower.essential(k).monomials == full_tower.essential(k).monomials
+            restricted = tower.module(k).on_essentials.rep
+            full = module_realization(full_tower.module(k), full=True).rep
+            assert (restricted.dim, restricted.weights, restricted.parities) == (
+                full.dim, full.weights, full.parities
+            )
+            for g in range(context.algebra.dim):
+                if g in support:
+                    assert restricted.action[g] == full.action[g], (k, g)
+                else:
+                    assert isinstance(restricted.action[g], Unbuilt), (k, g)
+
+    def test_an_unbuilt_generator_raises(self, sl3_context, sl3_adjoint):
+        module = cyclic_span(sl3_adjoint, sl3_context.basis)
+        rep = module_realization(module).rep
+        g = next(g for g, op in enumerate(rep.action) if isinstance(op, Unbuilt))
+        v = SparseVector.unit(0)
+        message = f"generator {g} is not built in this realization"
+        with pytest.raises(ProgramFault, match=message):
+            rep.apply_element(((g, Rat(1)),), v)
+        with pytest.raises(ProgramFault, match=message):
+            rep.apply(rep.action[g], v)
+        with pytest.raises(ProgramFault, match=message):
+            rep.validate()
+        square = tensor_representations(rep, rep)
+        assert isinstance(square.action[g], Unbuilt)
+        with pytest.raises(ProgramFault, match=message):
+            square.apply(square.action[g], SparseVector.unit(0))
+        # a count of stored entries (the benchmark tracer's) sees none
+        assert list(square.action[g].values()) == []
 
     def test_scan_of_the_realization_matches_the_ambient_scan(
         self, osp_context, osp_real
