@@ -384,7 +384,7 @@ def _degeneration(
     except LiftError as exc:
         # the weight vector separates every correction: a fault, not a verdict
         raise ProgramFault(f"family_ideal: {exc}") from exc
-    hilbert = hilbert_check(family, tower, samples, max_degree)
+    hilbert = hilbert_check(family, tower, samples, max_degree, capped=True)
     report["lifted"] = [relation_dict(rel) for rel in lifted]
     report["weight_vector"] = list(weight)
     report["family"] = {

@@ -260,25 +260,22 @@ class SRing:
         Returns ((exponent, level), +-1) or (BOTTOM, 0) when odd module
         coordinates collide.  The factors are summed left to right, each
         step flipping the sign on an odd Koszul count (as ``multiply`` does
-        for two monomials), the last one from the memoized prefix.
+        for two monomials).
         """
         cached = self._gamma_cache.get(sexp)
         if cached is not None:
             return cached
-        written = list(sexp.odd[::-1] + sexp.even)  # as ``factors`` lists them
-        last = max((p for p, m in enumerate(written) if m), default=None)
-        if last is None:
-            return (MultiExponent.zero(self.n_mod, self.q_mod), 0), 1
-        written[last] -= 1
-        f, q = (self.odd_gens[::-1] + self.even_gens)[last], self.qS
-        prefix = MultiExponent(tuple(written[:q][::-1]), tuple(written[q:]))
-        comp, sign = self.gamma_and_sign(prefix)
-        combined = None if comp is BOTTOM else comp[0].combine(f)
-        if combined is None:
-            result = (BOTTOM, 0)
+        exp, sign = MultiExponent.zero(self.n_mod, self.q_mod), 1
+        for f in self.factors(sexp):
+            combined = exp.combine(f)
+            if combined is None:
+                result = (BOTTOM, 0)
+                break
+            if koszul_count(exp.odd, f.odd) % 2:
+                sign = -sign
+            exp = combined
         else:
-            flip = koszul_count(comp[0].odd, f.odd) % 2
-            result = ((combined, sexp.degree), -sign if flip else sign)
+            result = ((exp, sexp.degree), sign)
         self._gamma_cache[sexp] = result
         return result
 
@@ -613,6 +610,7 @@ def hilbert_check(
     tower: LevelTower,
     samples: Sequence[Rat | int],
     max_degree: int,
+    capped: bool = False,
 ) -> HilbertReport:
     """Per-fiber graded dimensions versus essential-set sizes.
 
@@ -623,11 +621,13 @@ def hilbert_check(
     basis (its rows whose insert grew the rank).  The degree-h fiber
     dimension is the monomial count minus that exact rank.
 
-    Rows stop at a ceiling on the rank, proven for a ``family_ideal`` family:
-    at t = 1 the lifts vanish in the dual algebra, which R maps onto (|es(h)|
-    in degree h); at t = 0 the leads lie in the kernel of the component-
-    collapse ring map, whose image is spanned by the non-bottom components.
-    Other fibers run every row.
+    ``capped`` says that the family's generators (or some of them) are
+    ``family_ideal`` pieces of ``lift_relations(gr_ideal(ring, ...), tower)``.
+    The t = 0 and t = 1 fibers then stop at a proven ceiling on the rank: at
+    t = 1 the lifts vanish in the dual algebra, which R maps onto (|es(h)| in
+    degree h); at t = 0 the leads lie in the kernel of the component-collapse
+    ring map, whose image is spanned by the non-bottom components.  Other
+    fibers, and every fiber of any other family, run every row.
     """
     ring = family.ring
     samples = [Rat(a) for a in samples]
@@ -651,9 +651,9 @@ def hilbert_check(
                 {shift[i][0]: shift[i][1] * c for i, c in b.items() if i in shift}
                 for b in basis for shift in ring.shifts(h - 1)
             )
-            if a == 1:
+            if capped and a == 1:
                 ceiling = len(index) - expected[h]
-            elif a == 0:
+            elif capped and a == 0:
                 ceiling = len(index) - sum(c is not BOTTOM for c in ring.components(h))
             else:
                 ceiling = None

@@ -256,7 +256,7 @@ def tensor_representations(r1: Representation, r2: Representation) -> Representa
         if isinstance(a1, Unbuilt) or isinstance(a2, Unbuilt):
             action.append(Unbuilt(g))
             continue
-        for j1 in range(d1 if a1 or a2 else 0):  # none if zero on both
+        for j1 in range(d1):
             for j2 in range(d2):
                 col: dict[int, Rat] = {}
                 for i1, c in a1.get(j1, {}).items():

@@ -767,6 +767,23 @@ def _drop_first_of_degree(family, degree):
     )
 
 
+def _with_noise(family, seed):
+    """The family with t times a random two-term polynomial of each
+    generator's degree added: not a family of the tower's lifts."""
+    rng = random.Random(seed)
+    ring = family.ring
+    generators = []
+    for g in family.generators:
+        noise = SuperPolynomial(ring.nS, ring.qS, {
+            m: Rat(rng.randint(1, 3))
+            for m in rng.sample(ring.monomials_of_degree(g.degree), 2)
+        })
+        pieces = dict(g.pieces)
+        pieces[1] = pieces[1] + noise if 1 in pieces else noise
+        generators.append(g._replace(pieces=pieces))
+    return DegenerationFamily(ring=ring, generators=generators)
+
+
 class TestHilbertCeiling:
     """At t = 0 and t = 1 the elimination stops at a proven ceiling on the
     rank; the tables stay those of the uncapped elimination."""
@@ -778,7 +795,7 @@ class TestHilbertCeiling:
     def test_tables_match_the_uncapped_elimination(self, tower_name, bound, request):
         tower = request.getfixturevalue(tower_name)
         family = pipeline_family(tower, bound)
-        report = hilbert_check(family, tower, CEILING_SAMPLES, bound)
+        report = hilbert_check(family, tower, CEILING_SAMPLES, bound, capped=True)
         assert report.passed
         assert report.table == uncapped_table(family, CEILING_SAMPLES, bound)
 
@@ -791,7 +808,7 @@ class TestHilbertCeiling:
             raise AssertionError(f"shifts({h}) was asked for")
 
         monkeypatch.setattr(SRing, "shifts", refuse)
-        assert hilbert_check(family, sl3_tower, [0, 1], 4).passed
+        assert hilbert_check(family, sl3_tower, [0, 1], 4, capped=True).passed
 
     def test_generators_short_of_the_ceiling_run_the_shifted_rows(
         self, sl3_tower, monkeypatch
@@ -804,14 +821,24 @@ class TestHilbertCeiling:
         monkeypatch.setattr(
             SRing, "shifts", lambda self, h: asked.append(h) or shifts(self, h)
         )
-        report = hilbert_check(family, sl3_tower, CEILING_SAMPLES, 4)
+        report = hilbert_check(family, sl3_tower, CEILING_SAMPLES, 4, capped=True)
         assert 2 in asked
         assert report.passed
         assert report.table == uncapped_table(family, CEILING_SAMPLES, 4)
 
+    def test_any_other_family_runs_every_row(self, sl3_tower):
+        """Uncapped, as for any family not of the tower's lifts: with noise
+        the t = 1 cubics pass the lifts' ceiling, and the report shows the
+        fiber that is too small (capped, it would read exactly |es(3)|)."""
+        family = _with_noise(pipeline_family(sl3_tower, 3), seed=0)
+        report = hilbert_check(family, sl3_tower, CEILING_SAMPLES, 3)
+        assert report.table[(Rat(1), 3)] < report.expected[3]
+        assert not report.passed
+        assert report.table == uncapped_table(family, CEILING_SAMPLES, 3)
+
     def test_a_fiber_that_falls_short_reports_its_true_dimension(self, sl3_tower):
         family = _drop_first_of_degree(pipeline_family(sl3_tower, 4), 2)
-        report = hilbert_check(family, sl3_tower, CEILING_SAMPLES, 4)
+        report = hilbert_check(family, sl3_tower, CEILING_SAMPLES, 4, capped=True)
         assert not report.passed
         assert {report.table[(Rat(a), 2)] for a in CEILING_SAMPLES} == {28}
         assert report.table == uncapped_table(family, CEILING_SAMPLES, 4)
