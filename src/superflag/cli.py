@@ -51,7 +51,7 @@ from .liesuper import (
     RootDecompositionError,
     build_context,
 )
-from .modules import HighestWeightRealization, ProgramFault, build_realization
+from .modules import HighestWeightRealization, build_realization
 from .polytopes import (
     compare_point_sets,
     dilate,
@@ -379,12 +379,8 @@ def _degeneration(
             "the family construction is infeasible for this input"
         )
         return {**report, "weight_failure": failure}, ring, lifted
-    try:
-        family = family_ideal(lifted, weight, ring)
-    except LiftError as exc:
-        # the weight vector separates every correction: a fault, not a verdict
-        raise ProgramFault(f"family_ideal: {exc}") from exc
-    hilbert = hilbert_check(family, tower, samples, max_degree, capped=True)
+    family = family_ideal(lifted, weight, ring)
+    hilbert = hilbert_check(family, tower, samples, max_degree)
     report["lifted"] = [relation_dict(rel) for rel in lifted]
     report["weight_vector"] = list(weight)
     report["family"] = {

@@ -279,6 +279,14 @@ class SRing:
         self._gamma_cache[sexp] = result
         return result
 
+    def collapse(self, poly: SuperPolynomial) -> dict:
+        """``poly`` under the component-collapse ring map (BOTTOM's sign is 0)."""
+        out: dict = {}
+        for sexp, coeff in poly.terms.items():
+            comp, sign = self.gamma_and_sign(sexp)
+            _add(out, comp, sign * coeff)
+        return out
+
     def monomials_of_degree(self, h: int) -> list[MultiExponent]:
         return monomials_of_degree(MonomialOrder("graded-lex"), h, self.nS, self.qS)
 
@@ -536,8 +544,12 @@ class FamilyGenerator(NamedTuple):
     pieces: dict[int, SuperPolynomial]
 
     def specialize(self, a: Rat) -> SuperPolynomial:
-        scaled = [poly.scaled(Rat(a) ** p) for p, poly in sorted(self.pieces.items())]
-        return sum(scaled[1:], scaled[0])
+        first = next(iter(self.pieces.values()))
+        return SuperPolynomial(first.n, first.q, (
+            (e, scale * c)
+            for p, poly in sorted(self.pieces.items()) if (scale := Rat(a) ** p)
+            for e, c in poly.terms.items()
+        ))
 
 
 class DegenerationFamily(NamedTuple):
@@ -554,31 +566,28 @@ def family_ideal(
     weight: Sequence[int],
     ring: SRing,
 ) -> DegenerationFamily:
-    """Assemble the t-family of the lifted relations: each correction
-    enters at t^{w.(u - lead)}."""
+    """Assemble the t-family of the lifted relations: each correction enters
+    at t^{w.(u - lead)}, a power >= 1 for ``find_weight_vector``'s w."""
     generators: list[FamilyGenerator] = []
     for rel in lifted:
         pieces: dict[int, SuperPolynomial] = {0: rel.lead}
-        if rel.component is BOTTOM:
-            if rel.corrections:
-                raise LiftError(
-                    "bottom-component relation with corrections cannot be "
-                    "graded by a weight vector"
+        if rel.component is BOTTOM and rel.corrections:
+            raise ProgramFault(
+                "family_ideal: bottom-component relation with corrections "
+                "cannot be graded by a weight vector"
+            )
+        for (u, _level), poly in rel.corrections:
+            power = sum(
+                w * (b - a)
+                for w, a, b in zip(weight, rel.component[0].as_vector(), u.as_vector())
+            )
+            if power < 1:
+                raise ProgramFault(
+                    f"family_ideal: weight vector gives non-positive power {power} "
+                    f"for correction component {u}"
                 )
-        else:
-            lead_vec = rel.component[0].as_vector()
-            for (u, _level), poly in rel.corrections:
-                power = sum(
-                    w * (b - a)
-                    for w, a, b in zip(weight, lead_vec, u.as_vector())
-                )
-                if power < 1:
-                    raise LiftError(
-                        f"weight vector gives non-positive power {power} for "
-                        f"correction component {u}"
-                    )
-                prev = pieces.get(power, SuperPolynomial.zero(ring.nS, ring.qS))
-                pieces[power] = prev + poly
+            prev = pieces.get(power, SuperPolynomial.zero(ring.nS, ring.qS))
+            pieces[power] = prev + poly
         generators.append(
             FamilyGenerator(degree=rel.degree, component=rel.component, pieces=pieces)
         )
@@ -610,7 +619,6 @@ def hilbert_check(
     tower: LevelTower,
     samples: Sequence[Rat | int],
     max_degree: int,
-    capped: bool = False,
 ) -> HilbertReport:
     """Per-fiber graded dimensions versus essential-set sizes.
 
@@ -621,13 +629,13 @@ def hilbert_check(
     basis (its rows whose insert grew the rank).  The degree-h fiber
     dimension is the monomial count minus that exact rank.
 
-    ``capped`` says that the family's generators (or some of them) are
-    ``family_ideal`` pieces of ``lift_relations(gr_ideal(ring, ...), tower)``.
-    The t = 0 and t = 1 fibers then stop at a proven ceiling on the rank: at
-    t = 1 the lifts vanish in the dual algebra, which R maps onto (|es(h)| in
-    degree h); at t = 0 the leads lie in the kernel of the component-collapse
-    ring map, whose image is spanned by the non-bottom components.  Other
-    fibers, and every fiber of any other family, run every row.
+    The t = 0 and t = 1 fibers stop each degree at a ceiling they prove.
+    When a ring map sends every generator of degree <= max_degree to zero,
+    their ideal lies in its kernel (an ideal), so the degree-h rank is at
+    most the monomial count minus the map's image dimension: the non-bottom
+    components for ``SRing.collapse`` at t = 0, |es(h)| for
+    ``evaluate_in_tower`` at t = 1 (R maps onto the dual algebra).  Any other
+    fiber runs every row.
     """
     ring = family.ring
     samples = [Rat(a) for a in samples]
@@ -641,6 +649,12 @@ def hilbert_check(
             if rest:  # leads and chain corrections of a relation share its degree
                 raise ProgramFault(f"generator {g.to_text()} is not homogeneous")
             by_degree.setdefault(h, []).append(g)
+        seen = [g for h in degrees for g in by_degree.get(h, ())]
+        image = {}  # of a ring map whose kernel holds every generator the table sees
+        if a == 0 and not any(map(ring.collapse, seen)):
+            image = {h: len(ring.components(h).keys() - {BOTTOM}) for h in degrees}
+        elif a == 1 and not any(evaluate_in_tower(tower, ring, g) for g in seen):
+            image = expected
         basis: list[dict[int, Rat]] = []
         for h in degrees:
             index = {m: i for i, m in enumerate(ring.monomials_of_degree(h))}
@@ -651,12 +665,7 @@ def hilbert_check(
                 {shift[i][0]: shift[i][1] * c for i, c in b.items() if i in shift}
                 for b in basis for shift in ring.shifts(h - 1)
             )
-            if capped and a == 1:
-                ceiling = len(index) - expected[h]
-            elif capped and a == 0:
-                ceiling = len(index) - sum(c is not BOTTOM for c in ring.components(h))
-            else:
-                ceiling = None
+            ceiling = len(index) - image[h] if image else None
             rows, acc, basis = itertools.chain(gens, shifted), RankAccumulator(), []
             # rows are made one at a time; only the basis is kept
             while acc.rank != ceiling and (row := next(rows, None)) is not None:

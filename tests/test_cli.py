@@ -559,12 +559,15 @@ class TestGoldenReports:
             (["degenerate", "--degree-bound", "3", "--json",
               "--samples", "0 1 2 5"], 0,
              "sl3_adjoint_degenerate_b3_samples.json"),
+            (["degenerate", "--degree-bound", "3", "--max-degree", "5",
+              "--samples", "0 1 2 5/3"], 0,
+             "sl3_adjoint_degenerate_b3_m5_samples.txt"),
             (["polytope", "--dilate", "3"], 0, "osp14_w1_polytope_d3.txt"),
             (["polytope", "--dilate", "3", "--json"], 0,
              "osp14_w1_polytope_d3.json"),
         ],
         ids=["verify-example", "sl3-b3-text", "sl3-b4-text", "sl3-b3-json",
-             "polytope-d3-text", "polytope-d3-json"],
+             "sl3-b3-m5-samples", "polytope-d3-text", "polytope-d3-json"],
     )
     def test_whole_reports(self, argv, want_code, golden, sl3_cfg, capsys):
         inputs = {
