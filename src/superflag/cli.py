@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from .degeneration import (
     BOTTOM,
-    DegenerationFamily,
     GradedRelation,
     LevelTower,
     LiftError,
@@ -119,7 +118,8 @@ def _rats(text: str) -> tuple[Rat, ...]:
 
 
 def _blocks(text: str) -> list[tuple[str, int]]:
-    """``name:index`` entries separated by commas; a bare name means index 0."""
+    """``name:index`` entries separated by commas; a bare name means index 0.
+    At least one entry is required."""
     blocks = []
     for entry in filter(None, map(str.strip, text.split(","))):
         if ":" in entry:
@@ -127,6 +127,8 @@ def _blocks(text: str) -> list[tuple[str, int]]:
             blocks.append((name.strip(), int(idx)))
         else:
             blocks.append((entry, 0))
+    if not blocks:
+        raise ValueError("must name at least one block")
     return blocks
 
 
@@ -203,8 +205,6 @@ def _job_from_config(cfg: configparser.ConfigParser) -> Job:
     )
 
     blocks = setting("realization", "blocks", _blocks)
-    if not blocks:
-        raise ValueError("realization.blocks must name at least one block")
 
     kind = "graded-lex"
     weights = priority = None
@@ -271,18 +271,6 @@ def relation_text(rel: dict) -> str:
         for corr in rel["corrections"]
     )
     return f"{head}  corrections: {tail}"
-
-
-def family_lines(family: DegenerationFamily) -> list[str]:
-    lines = []
-    for gen in family.generators:
-        pieces = " + ".join(
-            f"t^{p}*({poly.to_text()})" for p, poly in sorted(gen.pieces.items())
-        )
-        lines.append(
-            f"degree {gen.degree} @ {component_text(gen.component)}: {pieces}"
-        )
-    return lines
 
 
 def dims_row(dims: dict) -> str:
@@ -383,10 +371,18 @@ def _degeneration(
     hilbert = hilbert_check(family, tower, samples, max_degree)
     report["lifted"] = [relation_dict(rel) for rel in lifted]
     report["weight_vector"] = list(weight)
+    # one line per generator; its t^0 piece is its relation's rendered lead
+    lines = [
+        f"degree {rel['degree']} @ {rel['component']}: " + " + ".join(
+            f"t^{p}*({poly.to_text() if p else rel['lead']})"
+            for p, poly in sorted(gen.pieces.items())
+        )
+        for gen, rel in zip(family.generators, report["lifted"])
+    ]
     report["family"] = {
         "generators": len(family.generators),
         "exchange": 0,  # kept in the report format; the family has no exchange part
-        "lines": family_lines(family),
+        "lines": lines,
     }
     report["hilbert"] = {
         "passed": hilbert.passed,

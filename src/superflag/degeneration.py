@@ -142,7 +142,7 @@ class LevelTower:
         val = self._values.get(factors)
         if val is None:
             if len(factors) == 1:
-                val = {factors[0]: Rat(1)}
+                val = {factors[0]: 1}
             else:
                 table, last, val = self.table(len(factors) - 1, 1), factors[-1], {}
                 for u, c in self.value(factors[:-1]).items():
@@ -226,18 +226,21 @@ class SRing:
         self.n_mod = es1.n
         self.q_mod = es1.q
         self._gamma_cache: dict[MultiExponent, tuple[object, int]] = {}
+        self._factors: dict[MultiExponent, tuple[MultiExponent, ...]] = {}
         self._components: dict[int, dict[object, list[tuple[MultiExponent, int]]]] = {}
         self._shifts: dict[int, list[dict[int, tuple[int, int]]]] = {}
 
-    def factors(self, sexp: MultiExponent) -> list[MultiExponent]:
-        """Generator images in canonical written order (odds desc, evens asc)."""
-        out = [
-            self.odd_gens[s]
-            for s in range(self.qS - 1, -1, -1)
-            if sexp.odd[s]
-        ]
-        for t in range(self.nS):
-            out.extend([self.even_gens[t]] * sexp.even[t])
+    def factors(self, sexp: MultiExponent) -> tuple[MultiExponent, ...]:
+        """Generator images in canonical written order (odds desc, evens
+        asc).  Memoized per ring monomial."""
+        out = self._factors.get(sexp)
+        if out is None:
+            out = tuple(
+                self.odd_gens[s] for s in range(self.qS - 1, -1, -1) if sexp.odd[s]
+            ) + tuple(
+                g for g, m in zip(self.even_gens, sexp.even) for _ in range(m)
+            )
+            self._factors[sexp] = out
         return out
 
     def exponent_of_chain(self, chain: Sequence[MultiExponent]) -> MultiExponent:
@@ -331,7 +334,7 @@ class SRing:
         """
         (e0, s0), rest = items[0], items[1:]
         return [
-            SuperPolynomial(self.nS, self.qS, {e: Rat(1), e0: Rat(-s0 * s)})
+            SuperPolynomial(self.nS, self.qS, {e: 1, e0: Rat(-s0 * s)})
             for e, s in rest
         ]
 
@@ -404,7 +407,7 @@ def evaluate_in_tower(
     in the canonical written order, over level-h essential exponents."""
     out: dict[tuple[MultiExponent, int], Rat] = {}
     for sexp, coeff in poly.terms.items():
-        factors = tuple(ring.factors(sexp))
+        factors = ring.factors(sexp)
         if not factors:
             raise ValueError("cannot evaluate a constant term")
         for u, c in tower.value(factors).items():
@@ -521,7 +524,7 @@ def find_weight_vector(
             )
         for (u, _level), _poly in rel.corrections:
             diff = [Rat(b - a) for a, b in zip(lead_vec, u.as_vector())]
-            constraints.append(([-d for d in diff], Rat(-1)))
+            constraints.append(([-d for d in diff], -1))
     if not constraints:
         return (0,) * (nvars or 0)
     sol = fourier_motzkin_solve(constraints, nvars)

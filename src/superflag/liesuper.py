@@ -84,7 +84,7 @@ class SuperMatrix:
         """The dense rows, derived from the entries."""
         span = range(self.size)
         return tuple(
-            tuple(self.entries.get((i, j), Rat(0)) for j in span) for i in span
+            tuple(self.entries.get((i, j), 0) for j in span) for i in span
         )
 
     def parity(self) -> int | None:
@@ -123,8 +123,7 @@ class SuperMatrix:
 
     def supertrace(self) -> Rat:
         return sum(
-            (c if i < self.p else -c for (i, j), c in self.entries.items() if i == j),
-            Rat(0),
+            c if i < self.p else -c for (i, j), c in self.entries.items() if i == j
         )
 
     def flatten(self) -> SparseVector:
@@ -204,7 +203,7 @@ class LieSuperalgebra:
         coeffs = self._coords.express(x.flatten())
         if coeffs is None:
             raise ValueError("matrix does not lie in the algebra")
-        return coeffs + [Rat(0)] * (self.dim - len(coeffs))
+        return coeffs + [0] * (self.dim - len(coeffs))
 
     def bracket_coords(self, i: int, j: int) -> list[Rat]:
         """Structure constants of [basis_i, basis_j] over the basis."""
@@ -303,12 +302,15 @@ def _build_osp(m: int, n: int) -> LieSuperalgebra:
 
 
 class Root(NamedTuple):
-    """A root: its values on the Cartan basis, parity, vector, and label."""
+    """A root: its values on the Cartan basis, parity, vector, and label.
+    The vector is ``scale`` times algebra basis element ``generator``."""
 
     coords: tuple[Rat, ...]
     parity: int
     vector: SuperMatrix
     label: str
+    generator: int
+    scale: Rat
 
 
 class RootDatum(NamedTuple):
@@ -349,34 +351,36 @@ def _root_label(algebra: LieSuperalgebra, coords: tuple[Rat, ...],
 
 
 def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
-    """Root spaces of the diagonal Cartan, read off the basis.
+    """Root spaces of the diagonal Cartan, read off the basis entries.
 
-    Every basis element ``build_algebra`` makes is a weight vector of the
-    diagonal Cartan (a matrix unit, or two matrix units of equal weight), so
-    the weight of basis element j on h is coefficient j of [h, x_j].  Each
-    root vector is its basis element scaled to a first nonzero entry of 1.
+    For diagonal h, [h, E_rc] = (h_rr - h_cc) E_rc, so a basis element is a
+    weight vector exactly when all its entries (r, c) give one weight, and
+    every basis element ``build_algebra`` makes is one (a matrix unit, or
+    two matrix units of equal weight).  Each root vector is its basis
+    element scaled to a first nonzero entry of 1.
 
-    Raises RootDecompositionError when a basis element is not a weight
-    vector, when a root space (in ascending weight order) is not
-    one-dimensional (e.g. the odd spaces of osp(m|2n) with m >= 2), or when
-    the zero-weight space is larger than the Cartan (e.g. sl(1|1)).
+    Raises RootDecompositionError when a Cartan basis element is not
+    diagonal, when a basis element is not a weight vector, when a root
+    space (in ascending weight order) is not one-dimensional (e.g. the odd
+    spaces of osp(m|2n) with m >= 2), or when the zero-weight space is
+    larger than the Cartan (e.g. sl(1|1)).
     """
     cartan = algebra.cartan
+    if any(r != c for h in cartan for r, c in h.entries):
+        raise RootDecompositionError("the Cartan basis is not diagonal")
+    diagonals = [[h.entries.get((i, i), 0) for i in range(h.size)] for h in cartan]
     spaces: dict[tuple[Rat, ...], list[int]] = {}
     for j, x in enumerate(algebra.basis):
-        weight = []
-        for h in cartan:
-            coords = algebra.coordinates(superbracket(h, x))
-            if any(c for i, c in enumerate(coords) if i != j):
-                raise RootDecompositionError(
-                    f"basis element {j} is not a weight vector of the "
-                    f"diagonal Cartan for {algebra.family}{algebra.params}"
-                )
-            weight.append(coords[j])
-        spaces.setdefault(tuple(weight), []).append(j)
+        weights = {tuple(d[r] - d[c] for d in diagonals) for r, c in x.entries}
+        if len(weights) != 1:
+            raise RootDecompositionError(
+                f"basis element {j} is not a weight vector of the "
+                f"diagonal Cartan for {algebra.family}{algebra.params}"
+            )
+        spaces.setdefault(weights.pop(), []).append(j)
 
     roots: list[Root] = []
-    zero = tuple(Rat(0) for _ in cartan)
+    zero = (0,) * len(cartan)
     for weight in sorted(spaces):
         if weight == zero:
             continue
@@ -387,10 +391,10 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
             )
         [j] = spaces[weight]
         mat = algebra.basis[j]
-        mat = mat.scaled(div(1, mat.entries[min(mat.entries)]))
-        roots.append(
-            Root(weight, algebra.parities[j], mat, _root_label(algebra, weight, mat))
-        )
+        scale = div(1, mat.entries[min(mat.entries)])
+        mat = mat.scaled(scale)
+        label = _root_label(algebra, weight, mat)
+        roots.append(Root(weight, algebra.parities[j], mat, label, j, scale))
     zero_dim = len(spaces.get(zero, []))
     if zero_dim != len(cartan):
         raise RootDecompositionError(
@@ -426,7 +430,7 @@ def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoi
     positive: list[Root] = []
     negative: list[Root] = []
     for r in datum.roots:
-        val = sum((f * c for f, c in zip(func, r.coords)), Rat(0))
+        val = sum(f * c for f, c in zip(func, r.coords))
         if val == 0:
             raise ParameterError(
                 "functional", f"functional vanishes on root {r.label}"
@@ -452,7 +456,8 @@ class NegativeBasisElement(NamedTuple):
     coords: tuple[Rat, ...]  # coordinates of the (negative) root
     parity: int
     positive_label: str
-    algebra_coords: tuple[tuple[int, Rat], ...]  # over the algebra basis
+    generator: int  # the root vector is scale times this algebra basis element
+    scale: Rat
 
 
 class NegativeBasis:
@@ -523,7 +528,7 @@ def _simple_root_heights(borel: BorelChoice) -> dict[tuple[Rat, ...], Rat]:
             raise RootDecompositionError(
                 f"positive root {r.label} is not a combination of simple roots"
             )
-        heights[r.coords] = sum(coeffs, Rat(0))
+        heights[r.coords] = sum(coeffs)
     return heights
 
 
@@ -538,28 +543,24 @@ def negative_basis(
     new_elements[i] = default_elements[permutation[i]].
     """
     heights = _simple_root_heights(borel)
-    algebra = borel.datum.algebra
 
     def neg_sort_key(r: Root):
         pos_coords = tuple(-c for c in r.coords)
         return (heights[pos_coords], pos_coords)
 
     ordered = sorted(borel.negative_roots, key=neg_sort_key)
-    elements = []
-    for r in ordered:
-        pos_coords = tuple(-c for c in r.coords)
-        pos_label = borel.datum.root_by_coords(pos_coords).label
-        coords = algebra.coordinates(r.vector)
-        elements.append(
-            NegativeBasisElement(
-                coords=r.coords,
-                parity=r.parity,
-                positive_label=pos_label,
-                algebra_coords=tuple(
-                    (i, c) for i, c in enumerate(coords) if c != 0
-                ),
-            )
+    elements = [
+        NegativeBasisElement(
+            coords=r.coords,
+            parity=r.parity,
+            positive_label=borel.datum.root_by_coords(
+                tuple(-c for c in r.coords)
+            ).label,
+            generator=r.generator,
+            scale=r.scale,
         )
+        for r in ordered
+    ]
     basis = NegativeBasis(borel=borel, elements=elements)
     return basis if permutation is None else basis.permuted(permutation)
 

@@ -74,7 +74,7 @@ class SparseVector:
 
     @classmethod
     def unit(cls, index: int) -> "SparseVector":
-        return cls({index: Rat(1)})
+        return cls({index: 1})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -85,7 +85,7 @@ class SparseVector:
         return v
 
     def get(self, index: int) -> Rat:
-        return self.entries.get(index, Rat(0))
+        return self.entries.get(index, 0)
 
     def scaled(self, c: Rat) -> "SparseVector":
         if c == 0:
@@ -182,7 +182,7 @@ class SpanAccumulator:
         combo: Row = {}
         if _reduce(self.rows, dict(v.entries), self.combos, combo) is not None:
             return None
-        out = [Rat(0)] * self.rank
+        out = [0] * self.rank
         for j, t in combo.items():
             out[j] = Rat(t)
         return out
@@ -244,9 +244,9 @@ def nullspace(rows: list[SparseVector], dim: int) -> list[SparseVector]:
     for free in range(dim):
         if free in acc.rows:
             continue
-        v = {free: Rat(1)}
+        v = {free: 1}
         for p in pivots:
-            c = sum((x * v[i] for i, x in acc.rows[p].items() if i in v), Rat(0))
+            c = sum(x * v[i] for i, x in acc.rows[p].items() if i in v)
             if c:
                 v[p] = -c
         basis.append(SparseVector(v))
@@ -387,9 +387,7 @@ def fourier_motzkin_solve(
         feasible = True
         for coeffs, rhs in system:
             c = coeffs[back]
-            rest = sum(
-                (coeffs[k] * values[k] for k in range(back)), Rat(0)
-            )
+            rest = sum(coeffs[k] * values[k] for k in range(back))
             if c == 0:
                 if rest > rhs:
                     feasible = False
@@ -407,9 +405,9 @@ def fourier_motzkin_solve(
         elif lo is not None:
             values.append(lo)
         elif hi is not None:
-            values.append(min(hi, Rat(0)))
+            values.append(min(hi, 0))
         else:
-            values.append(Rat(0))
+            values.append(0)
     return values
 
 

@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .linalg import Rat, SparseVector, SpanAccumulator
+from .linalg import Rat, SparseVector, SpanAccumulator, div
 from .liesuper import AlgebraContext, LieSuperalgebra, NegativeBasis
 from .superpoly import MonomialOrder, MultiExponent, koszul_count, monomials_of_degree
 
@@ -79,7 +79,7 @@ class Representation:
     Cartan eigenvalues of basis vector j (the Cartan must act diagonally).
     """
 
-    __slots__ = ("algebra", "dim", "parities", "weights", "action", "_element_cache")
+    __slots__ = ("algebra", "dim", "parities", "weights", "action")
 
     def __init__(
         self,
@@ -94,25 +94,6 @@ class Representation:
         self.parities = parities
         self.weights = weights
         self.action = action
-        self._element_cache: dict = {}
-
-    def element_action(
-        self, coords: tuple[tuple[int, Rat], ...]
-    ) -> dict[int, dict[int, Rat]]:
-        """Sparse matrix of a general algebra element given by basis coords."""
-        cached = self._element_cache.get(coords)
-        if cached is not None:
-            return cached
-        out: dict[int, dict[int, Rat]] = {}
-        for g, c in coords:
-            for j, col in self.action[g].items():
-                dst = out.setdefault(j, {})
-                for i, a in col.items():
-                    dst[i] = dst.get(i, 0) + c * a
-        out = {j: {i: x for i, x in col.items() if x} for j, col in out.items()}
-        out = {j: col for j, col in out.items() if col}
-        self._element_cache[coords] = out
-        return out
 
     def apply(self, op: dict[int, dict[int, Rat]], v: SparseVector) -> SparseVector:
         out: dict[int, Rat] = {}
@@ -129,7 +110,12 @@ class Representation:
     def apply_element(
         self, coords: tuple[tuple[int, Rat], ...], v: SparseVector
     ) -> SparseVector:
-        return self.apply(self.element_action(coords), v)
+        """The algebra element with these (generator, coefficient) basis
+        coordinates applied to v, one generator at a time."""
+        out = SparseVector()
+        for g, c in coords:
+            out = out.add_scaled(self.apply(self.action[g], v), c)
+        return out
 
     def validate(self) -> None:
         """Check homogeneity, diagonal Cartan action, and the bracket axiom."""
@@ -177,7 +163,7 @@ def natural(algebra: LieSuperalgebra) -> Representation:
     dim = p + q
     parities = tuple(0 if i < p else 1 for i in range(dim))
     weights = tuple(
-        tuple(h.entries.get((j, j), Rat(0)) for h in algebra.cartan)
+        tuple(h.entries.get((j, j), 0) for h in algebra.cartan)
         for j in range(dim)
     )
     action = []
@@ -260,11 +246,11 @@ def tensor_representations(r1: Representation, r2: Representation) -> Representa
             for j2 in range(d2):
                 col: dict[int, Rat] = {}
                 for i1, c in a1.get(j1, {}).items():
-                    col[i1 * d2 + j2] = col.get(i1 * d2 + j2, Rat(0)) + c
+                    col[i1 * d2 + j2] = col.get(i1 * d2 + j2, 0) + c
                 sign = -1 if (pg and r1.parities[j1]) else 1
                 for i2, c in a2.get(j2, {}).items():
                     key = j1 * d2 + i2
-                    col[key] = col.get(key, Rat(0)) + sign * c
+                    col[key] = col.get(key, 0) + sign * c
                 col = {i: c for i, c in col.items() if c != 0}
                 if col:
                     cols[j1 * d2 + j2] = col
@@ -320,11 +306,7 @@ def _validate_highest_weight(
         raise ValueError("highest-weight vector must be even")
     v = real.hw_vector
     for root in context.borel.positive_roots:
-        coords = context.algebra.coordinates(root.vector)
-        out = rep.apply_element(
-            tuple((i, c) for i, c in enumerate(coords) if c != 0), v
-        )
-        if not out.is_zero():
+        if not rep.apply(rep.action[root.generator], v).is_zero():
             raise ValueError(
                 f"candidate vector is not annihilated by the raising "
                 f"operator of root {root.label}"
@@ -380,19 +362,22 @@ def pbw_act(
 
     The generator at the lowest position acts first; ``divided`` divides by
     the factorial of each even multiplicity (divided-power normalization).
+    A generator acts by its stored columns; the scales of the root vectors
+    multiply the result once at the end.
     """
     v = real.hw_vector
-    denom = 1
+    scale, denom = 1, 1
     for mult, element in basis.exponent_items(exp):
-        op = real.rep.element_action(element.algebra_coords)
+        op = real.rep.action[element.generator]
         for _ in range(mult):
             v = real.rep.apply(op, v)
             if v.is_zero():
                 return v
+        scale *= element.scale ** mult
         if divided:
             denom *= math.factorial(mult)
-    if denom != 1:
-        v = v.scaled(Rat(1, denom))
+    if scale != 1 or denom != 1:
+        v = v.scaled(Rat(scale, denom))
     return v
 
 
@@ -469,7 +454,7 @@ def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealizatio
     vecs = [vec for _, vec in mod.essentials]
     # the weight and parity of a weight vector are those of any entry
     entry = [next(iter(vec.entries)) for vec in vecs]
-    built = {g for el in mod.basis.elements for g, _ in el.algebra_coords}
+    built = {el.generator for el in mod.basis.elements}
     action: list[dict[int, dict[int, Rat]]] = []
     for g in range(rep.algebra.dim):
         if not (full or g in built):
@@ -520,7 +505,8 @@ def cyclic_span(
     Monomial vectors share prefixes.  The generator at the highest occupied
     position acts last, so a monomial's vector is that generator applied
     once to the vector of its parent, the exponent with one copy of it
-    fewer, which lies as many layers back as the generator weighs; an even
+    fewer, which lies as many layers back as the generator weighs.  The
+    generator acts by its stored columns times its scale, and an even
     generator of new multiplicity m also divides by m, since divided powers
     have f^(m) = f * f^(m-1) / m.  Each vector equals ``pbw_act`` of its
     exponent.  Only the nonzero vectors of the last max-weight layers are
@@ -556,10 +542,11 @@ def cyclic_span(
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]] = {}
     essentials: list[tuple[MultiExponent, SparseVector]] = []
     rep = real.rep
-    # (odd?, coordinate, weight, operator) per generator, top position first
+    # (odd?, coordinate, weight, stored operator, scale) per generator, top
+    # position first
     generators = [
         (odd, k, weights[k + n * odd],
-         rep.element_action(basis.elements[pos].algebra_coords))
+         rep.action[basis.elements[pos].generator], basis.elements[pos].scale)
         for pos, odd, k in sorted(
             [(pos, 1, s) for s, pos in enumerate(basis.odd_positions)]
             + [(pos, 0, t) for t, pos in enumerate(basis.even_positions)],
@@ -586,7 +573,7 @@ def cyclic_span(
         layer: dict[MultiExponent, SparseVector] = {}
         found = len(essentials)
         for exp in monomials_of_degree(order, v, n, q, weights):
-            for odd, k, w, op in generators:
+            for odd, k, w, op, scale in generators:
                 mult = (exp.odd if odd else exp.even)[k]
                 if mult:
                     break
@@ -604,8 +591,9 @@ def cyclic_span(
             vec = rep.apply(op, pvec)
             if vec.is_zero():
                 continue
-            if not odd and mult > 1:
-                vec = vec.scaled(Rat(1, mult))
+            factor = div(scale, mult)  # an odd generator has mult 1
+            if factor != 1:
+                vec = vec.scaled(factor)
             layer[exp] = vec
             insert(exp, vec)
         if target is None and len(essentials) == found:

@@ -48,13 +48,13 @@ class InequalitySystem(NamedTuple):
             (list(coeffs), rhs) for coeffs, rhs in self.rows
         ]
         for i in range(self.nvars):
-            row = [Rat(0)] * self.nvars
-            row[i] = Rat(-1)
-            out.append((row, Rat(0)))
+            row = [0] * self.nvars
+            row[i] = -1
+            out.append((row, 0))
             if self.odd[i]:
-                cap = [Rat(0)] * self.nvars
-                cap[i] = Rat(1)
-                out.append((cap, Rat(1)))
+                cap = [0] * self.nvars
+                cap[i] = 1
+                out.append((cap, 1))
         return out
 
 
@@ -157,7 +157,7 @@ def enumerate_lattice_points(system: InequalitySystem) -> LatticePointSet:
     for candidate in itertools.product(*boxes):
         ok = True
         for coeffs, rhs in rows:
-            if sum((c * x for c, x in zip(coeffs, candidate)), Rat(0)) > rhs:
+            if sum(c * x for c, x in zip(coeffs, candidate)) > rhs:
                 ok = False
                 break
         if ok:

@@ -232,7 +232,7 @@ def verify_derivation_closure(
             for exp, v in ks.points:
                 if exp.odd[j]:
                     continue
-                coeff = sum((a * b for a, b in zip(exp.even + (v,), c)), Rat(0))
+                coeff = sum(a * b for a, b in zip(exp.even + (v,), c))
                 if coeff and not member.member(_with_odd(exp, j, 1), v):
                     violations.append(
                         (j, j, (exp, v), "raising leaves the semigroup")

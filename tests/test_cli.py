@@ -565,16 +565,23 @@ class TestGoldenReports:
             (["polytope", "--dilate", "3"], 0, "osp14_w1_polytope_d3.txt"),
             (["polytope", "--dilate", "3", "--json"], 0,
              "osp14_w1_polytope_d3.json"),
+            # negated functional: osp negative root vectors carry scale -1
+            (["degenerate", "--degree-bound", "2",
+              "--config", str(GOLDEN / "osp14_neg_flip_flip.cfg")], 0,
+             "osp14_neg_flip_flip_degenerate_b2.txt"),
         ],
         ids=["verify-example", "sl3-b3-text", "sl3-b4-text", "sl3-b3-json",
-             "sl3-b3-m5-samples", "polytope-d3-text", "polytope-d3-json"],
+             "sl3-b3-m5-samples", "polytope-d3-text", "polytope-d3-json",
+             "osp-neg-flip-square-b2"],
     )
     def test_whole_reports(self, argv, want_code, golden, sl3_cfg, capsys):
         inputs = {
             "degenerate": ["--config", sl3_cfg],
             "polytope": ["--system", str(DATA / "osp14_w1_polytope.txt")],
         }
-        code, out, err = run(argv + inputs.get(argv[0], []), capsys)
+        if "--config" not in argv:
+            argv = argv + inputs.get(argv[0], [])
+        code, out, err = run(argv, capsys)
         assert (code, err) == (want_code, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
@@ -751,12 +758,14 @@ class TestErrorsAndConfig:
              "the raising operator of root e1-e2\n"),
             ("natural:0,", "flip-natural:0,",
              "[realization] blocks: highest-weight vector must be even\n"),
+            ("blocks = natural:0, dual-natural:2", "blocks =",
+             "[realization] blocks: must name at least one block\n"),
         ],
         ids=["m", "functional", "blocks", "weights", "priority",
              "unknown-key", "unknown-bounds-key", "unknown-section",
              "basis-perm-misfit", "functional-misfit", "order-kind",
              "family-unsupported", "m-negative", "hw-not-annihilated",
-             "hw-odd"],
+             "hw-odd", "blocks-empty"],
     )
     def test_malformed_setting_is_named(self, tmp_path, old, new, message, capsys):
         bad = tmp_path / "bad.cfg"
@@ -764,6 +773,16 @@ class TestErrorsAndConfig:
         code, out, err = run(["essential", "--config", str(bad)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+    def test_a_bare_block_name_means_index_zero(self, tmp_path, sl3_cfg, capsys):
+        bare = tmp_path / "bare.cfg"
+        bare.write_text(
+            SL3_CFG.replace("natural:0,", "natural,"), encoding="utf-8"
+        )
+        argv = ["degenerate", "--degree-bound", "3", "--config"]
+        want = run(argv + [sl3_cfg], capsys)
+        assert want[0] == 0
+        assert run(argv + [str(bare)], capsys) == want
 
     def test_algebra_warning_is_one_line_before_the_error(self, tmp_path, capsys):
         # sl(1|1) warns that its center is not quotiented out, then has no

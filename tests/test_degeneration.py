@@ -132,6 +132,33 @@ def left_to_right_value(tower, ring, sexp):
     return {(u, len(factors)): c for u, c in current.items()}
 
 
+def _job_text(family, m, n, functional, blocks):
+    """A graded-lex job config."""
+    return (
+        f"[algebra]\nfamily = {family}\nm = {m}\nn = {n}\n"
+        f"functional = {functional}\n[realization]\nblocks = {blocks}\n"
+    )
+
+
+def _job_tower(job):
+    """The tower of a job: config text, a file in ``tests/data``, or a
+    ``package:`` file among the bundled data."""
+    from importlib import resources
+    from pathlib import Path
+
+    from superflag.cli import load_job, load_job_from_text
+
+    if job.startswith("["):
+        job = load_job_from_text(job)
+    elif job.startswith("package:"):
+        name = job.removeprefix("package:")
+        job = load_job(str(resources.files("superflag") / "data" / name))
+    else:
+        job = load_job(str(Path(__file__).parent / "data" / job))
+    context = job.context()
+    return LevelTower(context.basis, job.realization(context), job.order)
+
+
 def max_degree(poly):
     return max((e.degree for e in poly.terms), default=0)
 
@@ -443,6 +470,49 @@ class TestPresentationRing:
         ring = SRing(osp_tower.essential(1))
         with pytest.raises(ProgramFault, match="odd generator repeated"):
             ring.exponent_of_chain(ring.odd_gens * 2)
+
+    @pytest.mark.parametrize("job", [
+        "package:osp14_w1.cfg",
+        "osp14_flip_flip.cfg",
+        _job_text("sl", 3, 0, "3 2", "natural:0, dual-natural:2"),
+        "sl3_adjoint_weighted.cfg",
+        "osp14_w1_weighted.cfg",
+        _job_text("gl", 2, 1, "5 3 1", "natural:0, natural:0"),
+        pytest.param(
+            "gl21_natural_flip_dual.cfg",
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 1: the collapse's odd signs disagree with the "
+                "tower on 4 of 19 degree-2 and 8 of 30 degree-3 monomials"
+            )),
+        ),
+        pytest.param(
+            _job_text("sl", 1, 2, "3 -1", "natural:0"),
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 1: the collapse's odd signs disagree with the "
+                "tower on 1 of 4 monomials at each of degrees 2 and 3"
+            )),
+        ),
+    ], ids=[
+        "bundled-osp", "flip-square", "sl3-adjoint", "sl3-weighted",
+        "osp-weighted", "gl21-natural-natural", "gl21-natural-flip-dual",
+        "sl12-natural",
+    ])
+    def test_collapse_signs_are_the_towers_leading_coefficients(self, job):
+        """The collapse sends a non-bottom ring monomial to its sign times its
+        component; the tower's value of the monomial has that same
+        coefficient at the component, at degrees 2 and 3."""
+        tower = _job_tower(job)
+        ring = SRing(tower.essential(1))
+        disagree = []
+        for h in (2, 3):
+            for sexp in ring.monomials_of_degree(h):
+                comp, sign = ring.gamma_and_sign(sexp)
+                if comp is BOTTOM:
+                    continue
+                lead = tower.value(tuple(ring.factors(sexp))).get(comp[0], 0)
+                if lead != sign:
+                    disagree.append((sexp, sign, lead))
+        assert disagree == []
 
 
 class TestGradedKernel:

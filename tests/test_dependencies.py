@@ -103,6 +103,28 @@ def test_no_true_division_outside_linalg_div():
     assert found == []
 
 
+def test_no_rat_of_an_int_literal():
+    """``Rat(n)`` of an int is that int, so a one-argument call on an int
+    literal is a no-op call; write the literal."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Rat"
+                and len(node.args) == 1
+                and not node.keywords
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub):
+                arg = arg.operand
+            if isinstance(arg, ast.Constant) and type(arg.value) is int:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 def test_tracer_targets_are_package_functions():
     """Every layer ``bench/tracer.py`` wraps is a plain function of the
     package, so a rename shows up here and not only in the benchmark."""

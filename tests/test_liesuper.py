@@ -10,6 +10,7 @@ import pytest
 
 from superflag.linalg import Rat, SparseVector
 from superflag.liesuper import (
+    LieSuperalgebra,
     ParameterError,
     RootDecompositionError,
     SuperMatrix,
@@ -350,6 +351,42 @@ class TestRootDecomposition:
             for k, h in enumerate(datum.cartan):
                 expected = r.vector.scaled(r.coords[k])
                 assert (superbracket(h, r.vector) + expected.scaled(-1)).is_zero()
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negated"])
+    @pytest.mark.parametrize("family, m, n, functional", [
+        ("sl", 3, 0, (3, 2)),
+        ("gl", 2, 1, (5, 3, 1)),
+        ("sl", 1, 2, (3, -1)),
+        ("osp", 1, 1, (1,)),
+        ("osp", 1, 2, (2, 1)),
+        ("osp", 1, 3, (3, 2, 1)),
+    ], ids=["sl3", "gl21", "sl12", "osp12", "osp14", "osp16"])
+    def test_root_vectors_are_scaled_basis_elements(
+        self, family, m, n, functional, sign
+    ):
+        """Each root vector, and each element of the negative basis, is its
+        ``scale`` times algebra basis element ``generator``."""
+        context = build_context(family, m, n, tuple(sign * f for f in functional))
+        basis = context.algebra.basis
+        for r in context.datum.roots:
+            assert basis[r.generator].scaled(r.scale) == r.vector
+        for el in context.basis.elements:
+            r = context.datum.root_by_coords(el.coords)
+            assert (el.generator, el.scale) == (r.generator, r.scale)
+            assert basis[el.generator].scaled(el.scale) == r.vector
+        scales = {el.scale for el in context.basis.elements}
+        assert scales == ({1, -1} if family == "osp" and sign < 0 else {1})
+
+    def test_a_non_diagonal_cartan_is_rejected(self):
+        # weights are read off the entries, which needs a diagonal Cartan
+        basis = [
+            SuperMatrix(2, 0, {(0, 0): 1, (0, 1): 1}),
+            SuperMatrix(2, 0, {(1, 1): 1}),
+            SuperMatrix(2, 0, {(1, 0): 1}),
+        ]
+        algebra = LieSuperalgebra("gl", (2, 0), (2, 0), basis, 2)
+        with pytest.raises(RootDecompositionError, match="not diagonal"):
+            root_decomposition(algebra)
 
     def test_roots_come_in_opposite_pairs(self):
         datum = root_decomposition(build_algebra("osp", 1, 2))

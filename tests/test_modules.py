@@ -194,9 +194,7 @@ class TestPbwAct:
         # an odd lowering applied twice kills every vector
         basis = gl11_context.basis
         e = MultiExponent((1,), ())
-        op = gl11_real.rep.element_action(
-            basis.elements[0].algebra_coords
-        )
+        op = gl11_real.rep.action[basis.elements[0].generator]
         v = pbw_act(gl11_real, basis, e)
         assert gl11_real.rep.apply(op, v).is_zero()
 
@@ -346,9 +344,7 @@ class TestModuleRealization:
         real = build_realization(context, blocks)
         tower = LevelTower(context.basis, real)
         full_tower = FullActionTower(context.basis, real)
-        support = {
-            g for el in context.basis.elements for g, _ in el.algebra_coords
-        }
+        support = {el.generator for el in context.basis.elements}
         assert len(support) < context.algebra.dim
         for k in range(1, top + 1):
             assert tower.essential(k).monomials == full_tower.essential(k).monomials
