@@ -30,7 +30,7 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .linalg import RankAccumulator, Rat, SparseVector, fourier_motzkin_solve
+from .linalg import RankAccumulator, Rat, fourier_motzkin_solve
 from .liesuper import NegativeBasis
 from .modules import (
     CyclicModule, HighestWeightRealization, ProgramFault, pbw_act, tensor
@@ -193,7 +193,7 @@ def structure_constants(tower: LevelTower, k1: int, k2: int) -> StructureTable:
         tuple[MultiExponent, MultiExponent], dict[MultiExponent, Rat]
     ] = {}
     for u, vec in vectors:
-        for i, c in vec.entries.items():
+        for i, c in vec.items():
             e1, e2 = ess1[i // d][0], ess2[i % d][0]
             sign = -1 if (e1.parity and e2.parity) else 1
             products.setdefault((e1, e2), {})[u] = sign * c
@@ -262,8 +262,9 @@ class SRing:
 
         Returns ((exponent, level), +-1) or (BOTTOM, 0) when odd module
         coordinates collide.  The factors are summed left to right, each
-        step flipping the sign on an odd Koszul count (as ``multiply`` does
-        for two monomials).
+        step flipping the sign on K(f, exp), the new factor's odd part first:
+        the tower's law (eta_e1 * eta_e2 leads with (-1)^K(e2, e1)), which
+        is ``multiply`` with each new factor on the left.
         """
         cached = self._gamma_cache.get(sexp)
         if cached is not None:
@@ -274,7 +275,7 @@ class SRing:
             if combined is None:
                 result = (BOTTOM, 0)
                 break
-            if koszul_count(exp.odd, f.odd) % 2:
+            if koszul_count(f.odd, exp.odd) % 2:
                 sign = -sign
             exp = combined
         else:
@@ -672,7 +673,7 @@ def hilbert_check(
             rows, acc, basis = itertools.chain(gens, shifted), RankAccumulator(), []
             # rows are made one at a time; only the basis is kept
             while acc.rank != ceiling and (row := next(rows, None)) is not None:
-                if acc.insert(SparseVector(row)):
+                if acc.insert(row):
                     basis.append(row)
             table[(a, h)] = len(index) - acc.rank
     return HilbertReport(

@@ -232,17 +232,17 @@ def search_order_catalog(
 
     Under every basis order and monomial order the essential set has
     exactly dim M elements, since ordered monomials in any order span the
-    same module, and ``exponent_as_labeled`` is injective.  So one default
+    same module, and ``exponent_as_labeled`` is injective.  So the first
     scan certifies the answer [] when ``target_labeled`` has another size.
     """
     default = negative_basis(context.borel)
-    if cyclic_span(real, default).dimension != len(target_labeled):
-        return []
     matches: list[CatalogMatch] = []
     for perm in itertools.permutations(range(len(default.elements))):
         basis_p = default.permuted(perm)
         for kind in ("graded-lex", "graded-revlex"):
             es, _ = essential_monomials(real, basis_p, MonomialOrder(kind))
+            if es.size != len(target_labeled):
+                return []
             labeled = {basis_p.exponent_as_labeled(e) for e in es.monomials}
             if labeled == target_labeled:
                 matches.append(

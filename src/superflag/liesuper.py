@@ -12,7 +12,7 @@ import warnings
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
-from .linalg import Rat, SparseVector, SpanAccumulator, div
+from .linalg import Rat, Row, SpanAccumulator, div
 
 __all__ = [
     "SuperMatrix",
@@ -126,11 +126,9 @@ class SuperMatrix:
             c if i < self.p else -c for (i, j), c in self.entries.items() if i == j
         )
 
-    def flatten(self) -> SparseVector:
+    def flatten(self) -> Row:
         size = self.size
-        return SparseVector(
-            {i * size + j: c for (i, j), c in sorted(self.entries.items())}
-        )
+        return {i * size + j: c for (i, j), c in sorted(self.entries.items())}
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -519,11 +517,10 @@ def _simple_root_heights(borel: BorelChoice) -> dict[tuple[Rat, ...], Rat]:
     dim = len(borel.datum.cartan)
     simples = borel.simple_roots
     for s in simples:
-        acc.insert(SparseVector({k: c for k, c in enumerate(s.coords) if c != 0}))
+        acc.insert({k: c for k, c in enumerate(s.coords) if c})
     heights: dict[tuple[Rat, ...], Rat] = {}
     for r in borel.positive_roots:
-        vec = SparseVector({k: c for k, c in enumerate(r.coords) if c != 0})
-        coeffs = acc.express(vec)
+        coeffs = acc.express({k: c for k, c in enumerate(r.coords) if c})
         if coeffs is None:
             raise RootDecompositionError(
                 f"positive root {r.label} is not a combination of simple roots"

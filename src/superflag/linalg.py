@@ -1,7 +1,9 @@
 """Exact rational sparse linear algebra.
 
-One reduction loop, ``_reduce``, serves every elimination: the expressing
-``SpanAccumulator``, the rank-only ``RankAccumulator`` and ``nullspace``.
+A vector is a ``Row``: a plain dict from index to nonzero exact scalar,
+never holding a zero.  One reduction loop, ``_reduce``, serves every
+elimination: the expressing ``SpanAccumulator``, the rank-only
+``RankAccumulator`` and ``nullspace``.
 Pivot rows are keyed by their smallest index and scaled to 1 there; a vector
 is reduced only against the rows whose pivots it meets, smallest index
 first, and rows are never back-eliminated.  Beside them sit integer Smith
@@ -16,13 +18,13 @@ is no floating point anywhere, so rank and membership decisions are exact.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 __all__ = [
     "Rat",
     "div",
-    "SparseVector",
+    "Row",
+    "add_scaled",
     "Independent",
     "SpanAccumulator",
     "RankAccumulator",
@@ -61,65 +63,26 @@ def div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-class SparseVector:
-    """A sparse vector over the rationals: index -> nonzero exact scalar."""
+Row = dict[int, Rat]  # a sparse vector: index -> nonzero exact scalar
 
-    __slots__ = ("entries",)
 
-    def __init__(self, entries: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
-        data = dict(entries.items()) if isinstance(entries, Mapping) else dict(entries)
-        self.entries: dict[int, Rat] = {
-            i: Rat(c) for i, c in data.items() if c != 0
-        }
-
-    @classmethod
-    def unit(cls, index: int) -> "SparseVector":
-        return cls({index: 1})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def copy(self) -> "SparseVector":
-        v = SparseVector.__new__(SparseVector)
-        v.entries = dict(self.entries)
-        return v
-
-    def get(self, index: int) -> Rat:
-        return self.entries.get(index, 0)
-
-    def scaled(self, c: Rat) -> "SparseVector":
-        if c == 0:
-            return SparseVector()
-        v = SparseVector.__new__(SparseVector)
-        v.entries = {i: Rat(c * x) for i, x in self.entries.items()}
-        return v
-
-    def add_scaled(self, other: "SparseVector", c: Rat) -> "SparseVector":
-        """Return self + c*other."""
-        if c == 0:
-            return self.copy()
-        out = dict(self.entries)
-        for i, x in other.entries.items():
-            out[i] = out.get(i, 0) + c * x
-        v = SparseVector.__new__(SparseVector)
-        v.entries = {i: x for i, x in out.items() if x}
-        return v
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SparseVector) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{i}: {c}" for i, c in sorted(self.entries.items()))
-        return f"SparseVector({{{inner}}})"
+def add_scaled(u: Row, v: Row, c: Rat) -> Row:
+    """The new vector u + c*v."""
+    out = dict(u)
+    if c:
+        for i, x in v.items():
+            val = out.get(i, 0) + c * x
+            if val:
+                out[i] = val
+            else:
+                del out[i]
+    return out
 
 
 class Independent:
     """Result of inserting a vector that enlarged the span."""
 
     __slots__ = ()
-
-
-Row = dict[int, Rat]
 
 
 def _reduce(
@@ -176,20 +139,20 @@ class SpanAccumulator:
     def rank(self) -> int:
         return len(self.rows)
 
-    def express(self, v: SparseVector) -> list[Rat] | None:
+    def express(self, v: Row) -> list[Rat] | None:
         """Expansion of v over the independent inserted vectors, or None if
-        v lies outside the current span.  Does not modify the accumulator."""
+        v lies outside the current span; v and the accumulator are unchanged."""
         combo: Row = {}
-        if _reduce(self.rows, dict(v.entries), self.combos, combo) is not None:
+        if _reduce(self.rows, dict(v), self.combos, combo) is not None:
             return None
         out = [0] * self.rank
         for j, t in combo.items():
             out[j] = Rat(t)
         return out
 
-    def insert(self, v: SparseVector) -> Independent | None:
-        """Insert v; returns Independent when the span grew, else None."""
-        w = dict(v.entries)
+    def insert(self, v: Row) -> Independent | None:
+        """Insert a copy of v; Independent when the span grew, else None."""
+        w = dict(v)
         combo: Row = {}
         p = _reduce(self.rows, w, self.combos, combo)
         if p is None:
@@ -216,9 +179,9 @@ class RankAccumulator:
     def rank(self) -> int:
         return len(self.rows)
 
-    def insert(self, v: SparseVector) -> bool:
-        """Insert v; True when the span grew."""
-        w = dict(v.entries)
+    def insert(self, v: Row) -> bool:
+        """Insert a copy of v; True when the span grew."""
+        w = dict(v)
         p = _reduce(self.rows, w)
         if p is None:
             return False
@@ -227,7 +190,7 @@ class RankAccumulator:
         return True
 
 
-def nullspace(rows: list[SparseVector], dim: int) -> list[SparseVector]:
+def nullspace(rows: list[Row], dim: int) -> list[Row]:
     """Basis of the right kernel of the matrix with the given rows.
 
     Each row is a functional on Q^dim; returns vectors v with <row, v> = 0
@@ -240,7 +203,7 @@ def nullspace(rows: list[SparseVector], dim: int) -> list[SparseVector]:
     for r in rows:
         acc.insert(r)
     pivots = sorted(acc.rows, reverse=True)
-    basis: list[SparseVector] = []
+    basis: list[Row] = []
     for free in range(dim):
         if free in acc.rows:
             continue
@@ -249,7 +212,7 @@ def nullspace(rows: list[SparseVector], dim: int) -> list[SparseVector]:
             c = sum(x * v[i] for i, x in acc.rows[p].items() if i in v)
             if c:
                 v[p] = -c
-        basis.append(SparseVector(v))
+        basis.append({i: Rat(x) for i, x in v.items()})
     return basis
 
 

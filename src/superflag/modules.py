@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .linalg import Rat, SparseVector, SpanAccumulator, div
+from .linalg import Rat, Row, SpanAccumulator, add_scaled, div
 from .liesuper import AlgebraContext, LieSuperalgebra, NegativeBasis
 from .superpoly import MonomialOrder, MultiExponent, koszul_count, monomials_of_degree
 
@@ -95,26 +95,22 @@ class Representation:
         self.weights = weights
         self.action = action
 
-    def apply(self, op: dict[int, dict[int, Rat]], v: SparseVector) -> SparseVector:
-        out: dict[int, Rat] = {}
-        for j, c in v.entries.items():
+    def apply(self, op: dict[int, dict[int, Rat]], v: Row) -> Row:
+        out: Row = {}
+        for j, c in v.items():
             col = op.get(j)
             if not col:
                 continue
             for i, a in col.items():
                 out[i] = out.get(i, 0) + c * a
-        w = SparseVector.__new__(SparseVector)
-        w.entries = {i: x for i, x in out.items() if x}
-        return w
+        return {i: x for i, x in out.items() if x}
 
-    def apply_element(
-        self, coords: tuple[tuple[int, Rat], ...], v: SparseVector
-    ) -> SparseVector:
+    def apply_element(self, coords: tuple[tuple[int, Rat], ...], v: Row) -> Row:
         """The algebra element with these (generator, coefficient) basis
         coordinates applied to v, one generator at a time."""
-        out = SparseVector()
+        out: Row = {}
         for g, c in coords:
-            out = out.add_scaled(self.apply(self.action[g], v), c)
+            out = add_scaled(out, self.apply(self.action[g], v), c)
         return out
 
     def validate(self) -> None:
@@ -147,9 +143,11 @@ class Representation:
                 sign = -1 if (alg.parities[gi] and alg.parities[gj]) else 1
                 a, b = self.action[gi], self.action[gj]
                 for j in range(self.dim):
-                    v = SparseVector.unit(j)
-                    rhs = self.apply(a, self.apply(b, v)).add_scaled(
-                        self.apply(b, self.apply(a, v)), -sign
+                    v = {j: 1}
+                    rhs = add_scaled(
+                        self.apply(a, self.apply(b, v)),
+                        self.apply(b, self.apply(a, v)),
+                        -sign,
                     )
                     if self.apply_element(bracket, v) != rhs:
                         raise ValueError(
@@ -276,8 +274,8 @@ class HighestWeightRealization(NamedTuple):
         return self.rep.weights[self.hw_index]
 
     @property
-    def hw_vector(self) -> SparseVector:
-        return SparseVector.unit(self.hw_index)
+    def hw_vector(self) -> Row:
+        return {self.hw_index: 1}
 
 
 def single_block_realization(
@@ -306,7 +304,7 @@ def _validate_highest_weight(
         raise ValueError("highest-weight vector must be even")
     v = real.hw_vector
     for root in context.borel.positive_roots:
-        if not rep.apply(rep.action[root.generator], v).is_zero():
+        if rep.apply(rep.action[root.generator], v):
             raise ValueError(
                 f"candidate vector is not annihilated by the raising "
                 f"operator of root {root.label}"
@@ -357,7 +355,7 @@ def pbw_act(
     basis: NegativeBasis,
     exp: MultiExponent,
     divided: bool = True,
-) -> SparseVector:
+) -> Row:
     """Apply the ordered monomial of negative generators to the hw vector.
 
     The generator at the lowest position acts first; ``divided`` divides by
@@ -371,13 +369,14 @@ def pbw_act(
         op = real.rep.action[element.generator]
         for _ in range(mult):
             v = real.rep.apply(op, v)
-            if v.is_zero():
+            if not v:
                 return v
         scale *= element.scale ** mult
         if divided:
             denom *= math.factorial(mult)
     if scale != 1 or denom != 1:
-        v = v.scaled(Rat(scale, denom))
+        f = Rat(scale, denom)
+        v = {i: Rat(f * x) for i, x in v.items()}
     return v
 
 
@@ -406,7 +405,7 @@ class CyclicModule:
         realization: HighestWeightRealization,
         basis: NegativeBasis,
         order: MonomialOrder,
-        essentials: list[tuple[MultiExponent, SparseVector]],
+        essentials: list[tuple[MultiExponent, Row]],
         blocks: dict[Weight, tuple[SpanAccumulator, list[int]]],
     ):
         self.realization = realization
@@ -435,7 +434,7 @@ class CyclicModule:
         ``on_essentials``, whose coordinates are essential indices.  The
         structure tables do not call it; they read the tower's vectors."""
         vec = pbw_act(self.on_essentials, self.basis, exp)
-        return {self.essentials[i][0]: c for i, c in vec.entries.items()}
+        return {self.essentials[i][0]: c for i, c in vec.items()}
 
 
 def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealization:
@@ -453,7 +452,7 @@ def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealizatio
     rep = real.rep
     vecs = [vec for _, vec in mod.essentials]
     # the weight and parity of a weight vector are those of any entry
-    entry = [next(iter(vec.entries)) for vec in vecs]
+    entry = [next(iter(vec)) for vec in vecs]
     built = {el.generator for el in mod.basis.elements}
     action: list[dict[int, dict[int, Rat]]] = []
     for g in range(rep.algebra.dim):
@@ -464,9 +463,9 @@ def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealizatio
         cols: dict[int, dict[int, Rat]] = {}
         for j, vec in enumerate(vecs):
             image = rep.apply(op, vec)
-            if image.is_zero():
+            if not image:
                 continue
-            block = mod.blocks.get(rep.weights[next(iter(image.entries))])
+            block = mod.blocks.get(rep.weights[next(iter(image))])
             coeffs = None if block is None else block[0].express(image)
             if coeffs is None:
                 raise ProgramFault(
@@ -540,7 +539,7 @@ def cyclic_span(
         target = None
         bound = real.rep.dim
     blocks: dict[Weight, tuple[SpanAccumulator, list[int]]] = {}
-    essentials: list[tuple[MultiExponent, SparseVector]] = []
+    essentials: list[tuple[MultiExponent, Row]] = []
     rep = real.rep
     # (odd?, coordinate, weight, stored operator, scale) per generator, top
     # position first
@@ -554,9 +553,9 @@ def cyclic_span(
         )
     ]
 
-    def insert(exp: MultiExponent, vec: SparseVector) -> None:
+    def insert(exp: MultiExponent, vec: Row) -> None:
         # a weight vector's weight is that of any of its entries
-        w = rep.weights[next(iter(vec.entries))]
+        w = rep.weights[next(iter(vec))]
         acc, idxs = blocks.setdefault(w, (SpanAccumulator(), []))
         if acc.insert(vec) is not None:
             idxs.append(len(essentials))
@@ -570,7 +569,7 @@ def cyclic_span(
         v += 1
         if v > bound:
             raise ProgramFault(f"cyclic span scan ran past layer {bound}")
-        layer: dict[MultiExponent, SparseVector] = {}
+        layer: dict[MultiExponent, Row] = {}
         found = len(essentials)
         for exp in monomials_of_degree(order, v, n, q, weights):
             for odd, k, w, op, scale in generators:
@@ -589,11 +588,11 @@ def cyclic_span(
             if pvec is None:
                 continue
             vec = rep.apply(op, pvec)
-            if vec.is_zero():
+            if not vec:
                 continue
             factor = div(scale, mult)  # an odd generator has mult 1
             if factor != 1:
-                vec = vec.scaled(factor)
+                vec = {i: Rat(factor * x) for i, x in vec.items()}
             layer[exp] = vec
             insert(exp, vec)
         if target is None and len(essentials) == found:
@@ -630,20 +629,16 @@ def act_via_expansion(
     basis: NegativeBasis,
     exp: MultiExponent,
     divided: bool = False,
-) -> SparseVector:
+) -> Row:
     """Tensor-action of a monomial computed factorwise via cartan_expand."""
     d2 = real2.rep.dim
-    total = SparseVector()
+    total: Row = {}
     for (a, b), coeff in cartan_expand(exp, divided=divided):
         u1 = pbw_act(real1, basis, a, divided=divided)
-        if u1.is_zero():
+        if not u1:
             continue
         u2 = pbw_act(real2, basis, b, divided=divided)
-        if u2.is_zero():
-            continue
-        for i1, c1 in u1.entries.items():
-            for i2, c2 in u2.entries.items():
-                total = total.add_scaled(
-                    SparseVector.unit(i1 * d2 + i2), coeff * c1 * c2
-                )
+        for i1, c1 in u1.items():
+            for i2, c2 in u2.items():
+                total = add_scaled(total, {i1 * d2 + i2: 1}, coeff * c1 * c2)
     return total

@@ -136,6 +136,8 @@ class MonomialOrder:
             raise ValueError(f"unknown order kind: {kind}")
         if kind == "weighted" and weights is None:
             raise ValueError("weighted order needs a weight vector")
+        if kind != "weighted" and weights is not None:
+            raise ValueError(f"{kind} order takes no weight vector")
         self.kind = kind
         # tuples keep the order hashable (layers are memoized per order)
         self.weights = None if weights is None else tuple(weights)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .linalg import Rat, SparseVector, nullspace, smith_normal_form
+from .linalg import Rat, nullspace, smith_normal_form
 from .superpoly import ExponentFile, MultiExponent
 
 __all__ = [
@@ -183,14 +183,12 @@ def solve_action(ks: ExponentFile) -> ActionSolution:
     dim = ks.n + 1
     for j in range(ks.q):
         rows = [
-            SparseVector(enumerate(exp.even + (v,)))
+            {k: c for k, c in enumerate(exp.even + (v,)) if c}
             for exp, v in ks.points
             if not exp.odd[j] and not member.member(_with_odd(exp, j, 1), v)
         ]
         kern = nullspace(rows, dim)
-        spaces[j] = [
-            tuple(vec.get(k) for k in range(dim)) for vec in kern
-        ]
+        spaces[j] = [tuple(vec.get(k, 0) for k in range(dim)) for vec in kern]
     return ActionSolution(spaces)
 
 

@@ -311,6 +311,23 @@ class TestDegenerateCommand:
             "exponent for a weight vector to grade them"
         )
 
+    def test_odd_product_that_survives_is_an_ungradable_bottom_relation(
+        self, capsys
+    ):
+        # two odd factors on one odd coordinate collapse to BOTTOM, but their
+        # product in the tower is not zero
+        cfg = str(GOLDEN / "gl21_natural_flip_dual.cfg")
+        argv = ["degenerate", "--config", cfg, "--degree-bound", "2"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "level-1 essential monomials: 8",
+            "presentation ring: 4 even, 4 odd variables",
+            "graded kernel generators (degree <= 2): 20",
+            "bottom-component relation xi3*xi1 has corrections but no lead "
+            "exponent for a weight vector to grade them",
+        ]
+
 
 class TestToricCommand:
     def test_good_fixture(self, capsys):
@@ -750,6 +767,8 @@ class TestErrorsAndConfig:
              "Cartan rank 2\n"),
             ("kind = graded-lex", "kind = lexx",
              "[order] kind: unknown order kind: lexx\n"),
+            ("kind = graded-lex", "weights = 1 2 1",
+             "[order] kind: graded-lex order takes no weight vector\n"),
             ("family = sl", "family = sp",
              "[algebra] family: family 'sp' has no bundled matrix realization"),
             ("m = 3", "m = -1", "[algebra] m: need m, n >= 0 with m + n > 0\n"),
@@ -764,6 +783,7 @@ class TestErrorsAndConfig:
         ids=["m", "functional", "blocks", "weights", "priority",
              "unknown-key", "unknown-bounds-key", "unknown-section",
              "basis-perm-misfit", "functional-misfit", "order-kind",
+             "weights-without-weighted-kind",
              "family-unsupported", "m-negative", "hw-not-annihilated",
              "hw-odd", "blocks-empty"],
     )

@@ -25,7 +25,7 @@ from superflag.degeneration import (
     structure_constants,
 )
 from superflag.essential import EssentialSet
-from superflag.linalg import RankAccumulator, Rat, SparseVector, nullspace
+from superflag.linalg import RankAccumulator, Rat, nullspace
 from superflag.modules import CyclicModule, ProgramFault, cartan_expand, tensor_power
 from superflag.superpoly import (
     MonomialOrder,
@@ -90,10 +90,10 @@ def every_exponent_ring():
 def eliminated_kernel(ring, items):
     """Kernel polynomials of one component's signed collapse row, found by
     elimination; the reference for the closed form."""
-    row = SparseVector({i: Rat(s) for i, (_, s) in enumerate(items)})
+    row = {i: Rat(s) for i, (_, s) in enumerate(items)}
     return [
         SuperPolynomial(
-            ring.nS, ring.qS, {items[i][0]: c for i, c in kvec.entries.items()}
+            ring.nS, ring.qS, {items[i][0]: c for i, c in kvec.items()}
         )
         for kvec in nullspace([row], len(items))
     ]
@@ -101,11 +101,12 @@ def eliminated_kernel(ring, items):
 
 def product_gamma_and_sign(ring, sexp):
     """(component, sign) by multiplying the generator images as
-    polynomials; the reference for the closed form in SRing.gamma_and_sign."""
+    polynomials, each new factor on the left (the tower's sign law); the
+    reference for the closed form in SRing.gamma_and_sign."""
     n, q = ring.n_mod, ring.q_mod
     poly = SuperPolynomial.monomial(n, q, MultiExponent.zero(n, q))
     for f in ring.factors(sexp):
-        poly = multiply(poly, SuperPolynomial.monomial(n, q, f))
+        poly = multiply(SuperPolynomial.monomial(n, q, f), poly)
         if poly.is_zero():
             break
     if poly.is_zero():
@@ -159,6 +160,52 @@ def _job_tower(job):
     return LevelTower(context.basis, job.realization(context), job.order)
 
 
+# (family, m, n, functional) of the small algebras the sign-law sweep covers
+SWEEP_ALGEBRAS = [
+    ("gl", 2, 1, "5 3 1"), ("gl", 1, 2, "5 3 1"), ("sl", 1, 2, "3 -1"),
+    ("sl", 2, 1, "3 -1"), ("sl", 3, 0, "3 2"), ("osp", 1, 1, "1"),
+    ("osp", 1, 2, "2 1"),
+]
+
+
+def _sweep_jobs():
+    """(id, job text) of every sweep job: one block, or an unordered pair of
+    blocks, from ``BLOCK_BUILDERS`` at indices that give a highest-weight
+    realization of representation dimension at most 12."""
+    from superflag.liesuper import build_context
+    from superflag.modules import BLOCK_BUILDERS, build_realization
+
+    jobs = []
+    for family, m, n, functional in SWEEP_ALGEBRAS:
+        context = build_context(family, m, n, [Rat(x) for x in functional.split()])
+
+        def realization(blocks):
+            try:
+                return build_realization(context, blocks)
+            except ValueError:  # not a highest-weight vector
+                return None
+
+        singles = [
+            [(name, i)]
+            for name, build in BLOCK_BUILDERS.items()
+            for i in range(build(context.algebra).dim)
+            if realization([(name, i)])
+        ]
+        pairs = [a + b for a, b in itertools.combinations_with_replacement(singles, 2)]
+        for blocks in singles + pairs:
+            real = realization(blocks)
+            if real and real.rep.dim <= 12:
+                text = ", ".join(f"{name}:{i}" for name, i in blocks)
+                jobs.append((
+                    f"sweep-{family}{m}{n}-{text.replace(', ', '+')}",
+                    _job_text(family, m, n, functional, text),
+                ))
+    return jobs
+
+
+SWEEP_JOBS = _sweep_jobs()
+
+
 def max_degree(poly):
     return max((e.degree for e in poly.terms), default=0)
 
@@ -182,9 +229,7 @@ def all_multiples_table(family, samples, top):
                     shifted = multiply(
                         SuperPolynomial.monomial(ring.nS, ring.qS, m), g
                     )
-                    acc.insert(SparseVector(
-                        {index[e]: c for e, c in shifted.terms.items()}
-                    ))
+                    acc.insert({index[e]: c for e, c in shifted.terms.items()})
             table[(a, h)] = len(index) - acc.rank
     return table
 
@@ -478,29 +523,20 @@ class TestPresentationRing:
         "sl3_adjoint_weighted.cfg",
         "osp14_w1_weighted.cfg",
         _job_text("gl", 2, 1, "5 3 1", "natural:0, natural:0"),
-        pytest.param(
-            "gl21_natural_flip_dual.cfg",
-            marks=pytest.mark.xfail(strict=True, reason=(
-                "ROADMAP item 1: the collapse's odd signs disagree with the "
-                "tower on 4 of 19 degree-2 and 8 of 30 degree-3 monomials"
-            )),
-        ),
-        pytest.param(
-            _job_text("sl", 1, 2, "3 -1", "natural:0"),
-            marks=pytest.mark.xfail(strict=True, reason=(
-                "ROADMAP item 1: the collapse's odd signs disagree with the "
-                "tower on 1 of 4 monomials at each of degrees 2 and 3"
-            )),
-        ),
+        "gl21_natural_flip_dual.cfg",
+        _job_text("sl", 1, 2, "3 -1", "natural:0"),
+        *(text for _, text in SWEEP_JOBS),
     ], ids=[
         "bundled-osp", "flip-square", "sl3-adjoint", "sl3-weighted",
         "osp-weighted", "gl21-natural-natural", "gl21-natural-flip-dual",
-        "sl12-natural",
+        "sl12-natural", *(name for name, _ in SWEEP_JOBS),
     ])
     def test_collapse_signs_are_the_towers_leading_coefficients(self, job):
         """The collapse sends a non-bottom ring monomial to its sign times its
         component; the tower's value of the monomial has that same
-        coefficient at the component, at degrees 2 and 3."""
+        coefficient at the component, at degrees 2 and 3.  The sweep jobs
+        cover every small block choice: with the other sign law, 64 of
+        their 1,064 such monomials, in 10 jobs, disagree."""
         tower = _job_tower(job)
         ring = SRing(tower.essential(1))
         disagree = []
@@ -849,7 +885,7 @@ def uncapped_table(family, samples, top):
                     for b in basis for shift in ring.shifts(h - 1)
                 ]
             acc = RankAccumulator()
-            basis = [row for row in rows if acc.insert(SparseVector(row))]
+            basis = [row for row in rows if acc.insert(row)]
             table[(a, h)] = len(index) - acc.rank
     return table
 

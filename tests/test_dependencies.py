@@ -125,6 +125,27 @@ def test_no_rat_of_an_int_literal():
     assert found == []
 
 
+def test_no_constructor_bypass():
+    """``Name.__new__(Name)`` builds an instance without running its
+    ``__init__``, so the class's own invariants go unchecked; build it
+    through the constructor or use a plain value.  ``super().__new__(cls)``
+    inside ``__new__`` (a singleton) is not a bypass."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+                and isinstance(node.func.value, ast.Name)
+                and node.args
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == node.func.value.id
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 def test_tracer_targets_are_package_functions():
     """Every layer ``bench/tracer.py`` wraps is a plain function of the
     package, so a rename shows up here and not only in the benchmark."""

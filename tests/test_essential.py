@@ -227,7 +227,8 @@ class TestOrderCatalog:
         # the bundled module has dimension 5; a 6-point target cannot match
         target = {frozenset({("x", k)}) for k in range(6)}
         assert search_order_catalog(osp_context, osp_real, target) == []
-        assert calls == [{}]
+        # the first catalog scan: identity permutation, graded-lex
+        assert calls == [{"order": MonomialOrder("graded-lex")}]
 
     @pytest.mark.parametrize(
         "context_name, real_name, expected",

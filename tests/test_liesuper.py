@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from superflag.linalg import Rat, SparseVector
+from superflag.linalg import Rat
 from superflag.liesuper import (
     LieSuperalgebra,
     ParameterError,
@@ -99,14 +99,12 @@ class DenseSuperMatrix:
 
     def flatten(self):
         size = self.size
-        return SparseVector(
-            {
-                i * size + j: c
-                for i, row in enumerate(self.rows)
-                for j, c in enumerate(row)
-                if c != 0
-            }
-        )
+        return {
+            i * size + j: c
+            for i, row in enumerate(self.rows)
+            for j, c in enumerate(row)
+            if c != 0
+        }
 
     def is_zero(self):
         return all(c == 0 for row in self.rows for c in row)
@@ -160,9 +158,7 @@ def assert_agrees_with_dense(x, y, c):
         assert got.supertrace() == want.supertrace()
         assert got.is_zero() == want.is_zero()
         # same entries in the same (row-major) order
-        assert list(got.flatten().entries.items()) == list(
-            want.flatten().entries.items()
-        )
+        assert list(got.flatten().items()) == list(want.flatten().items())
     assert x + y == y + x and hash(x + y) == hash(y + x)
 
 
@@ -293,7 +289,7 @@ class TestAlgebraConstruction:
                 lhs = superbracket(x, y)
                 rhs = superbracket(y, x).scaled(-1 if px * py == 0 else 1)
                 assert (lhs + rhs.scaled(-1)).is_zero() or (
-                    lhs.flatten().entries == rhs.flatten().entries
+                    lhs.flatten() == rhs.flatten()
                 )
 
     def test_super_jacobi(self):

@@ -13,8 +13,8 @@ from superflag.linalg import (
     Independent,
     RankAccumulator,
     Rat,
-    SparseVector,
     SpanAccumulator,
+    add_scaled,
     div,
     fourier_motzkin_bounds,
     fourier_motzkin_solve,
@@ -23,8 +23,13 @@ from superflag.linalg import (
 )
 
 
+def vector(entries):
+    """A vector: the nonzero entries of an index -> scalar map or pairs."""
+    return {i: Rat(c) for i, c in dict(entries).items() if c}
+
+
 def dense(*values):
-    return SparseVector(enumerate(values))
+    return vector(enumerate(values))
 
 
 # ints and Fractions, integral Fractions such as 4/2 included
@@ -79,14 +84,11 @@ class TestScalars:
             assert not isinstance(got, float) and got == want
 
 
-class TestSparseVector:
-    def test_zero_entries_are_dropped(self):
-        v = SparseVector({0: Rat(0), 3: Rat(2)})
-        assert v.entries == {3: Rat(2)}
-
+class TestAddScaled:
     def test_add_scaled_cancels(self):
-        v = dense(1, 2).add_scaled(dense(1, 2), Rat(-1))
-        assert v.is_zero()
+        u = dense(1, 2)
+        assert add_scaled(u, dense(1, 2), Rat(-1)) == {}
+        assert u == dense(1, 2)  # a new vector; the inputs are untouched
 
 
 class TestSpanAccumulator:
@@ -100,8 +102,8 @@ class TestSpanAccumulator:
     def test_zero_vector_is_dependent_with_zero_expansion(self):
         acc = SpanAccumulator()
         acc.insert(dense(1, 1))
-        assert acc.express(SparseVector()) == [Rat(0)]
-        assert acc.insert(SparseVector()) is None
+        assert acc.express({}) == [Rat(0)]
+        assert acc.insert({}) is None
 
     def test_reinsertion_is_identity_expansion(self):
         acc = SpanAccumulator()
@@ -112,11 +114,14 @@ class TestSpanAccumulator:
 
     def test_express_without_mutation(self):
         acc = SpanAccumulator()
-        acc.insert(dense(1, 2))
+        v = dense(1, 2)
+        acc.insert(v)
         acc.insert(dense(0, 1))
+        w = dense(3, 7)
         assert acc.express(dense(3, 6)) == [Rat(3), Rat(0)]
-        assert acc.express(dense(3, 7)) == [Rat(3), Rat(1)]
+        assert acc.express(w) == [Rat(3), Rat(1)]
         assert acc.rank == 2
+        assert (v, w) == (dense(1, 2), dense(3, 7))  # inputs are copied
 
     def test_express_outside_span_is_none(self):
         acc = SpanAccumulator()
@@ -133,7 +138,7 @@ class TestSpanAccumulator:
             ]
             acc = SpanAccumulator()
             for row in mat:
-                acc.insert(SparseVector(enumerate(row)))
+                acc.insert(dense(*row))
             assert acc.rank == sympy.Matrix(mat).rank()
 
     def test_random_dependent_expansions_reconstruct_the_vector(self):
@@ -143,16 +148,14 @@ class TestSpanAccumulator:
             acc = SpanAccumulator()
             vecs = []
             for _ in range(rng.randint(2, 7)):
-                v = SparseVector(
-                    enumerate(rng.randint(-4, 4) for _ in range(cols))
-                )
+                v = dense(*(rng.randint(-4, 4) for _ in range(cols)))
                 coefficients = acc.express(v)
                 if isinstance(acc.insert(v), Independent):
                     vecs.append(v)
                 else:
-                    recon = SparseVector()
+                    recon = {}
                     for c, w in zip(coefficients, vecs):
-                        recon = recon.add_scaled(w, c)
+                        recon = add_scaled(recon, w, c)
                     assert recon == v
 
     def test_expansions_match_sympy_solutions(self):
@@ -164,14 +167,14 @@ class TestSpanAccumulator:
             for _ in range(rng.randint(1, 9)):
                 if independent and rng.random() < 0.5:
                     # a rational combination of the independent vectors so far
-                    v = SparseVector()
+                    v = {}
                     k = rng.randint(1, len(independent))
                     for w in rng.sample(independent, k):
                         c = Rat(rng.randint(-4, 4), rng.randint(1, 3))
-                        v = v.add_scaled(w, c)
+                        v = add_scaled(v, w, c)
                 else:
-                    v = SparseVector(
-                        enumerate(
+                    v = dense(
+                        *(
                             Rat(rng.randint(-3, 3), rng.randint(1, 2))
                             for _ in range(cols)
                         )
@@ -184,12 +187,12 @@ class TestSpanAccumulator:
                     continue
                 basis = sympy.Matrix(
                     [
-                        [sympy.Rational(w.get(i)) for w in independent]
+                        [sympy.Rational(w.get(i, 0)) for w in independent]
                         for i in range(cols)
                     ]
                 )
                 target = sympy.Matrix(
-                    [sympy.Rational(v.get(i)) for i in range(cols)]
+                    [sympy.Rational(v.get(i, 0)) for i in range(cols)]
                 )
                 solution, params = basis.gauss_jordan_solve(target)
                 assert params.shape[0] == 0
@@ -204,7 +207,7 @@ class TestRankAccumulator:
         assert acc.insert(dense(0, 2, 4))
         assert acc.insert(dense(1, 1, 0))
         assert not acc.insert(dense(2, 3, 2))
-        assert not acc.insert(SparseVector())
+        assert not acc.insert({})
         assert acc.rank == 2
 
     def test_rank_matches_span_accumulator_and_sympy(self):
@@ -212,7 +215,7 @@ class TestRankAccumulator:
         for _ in range(30):
             cols = rng.randint(1, 12)
             basis_rows = [
-                SparseVector(
+                vector(
                     {
                         i: Rat(rng.randint(-5, 5), rng.randint(1, 4))
                         for i in rng.sample(range(cols), rng.randint(1, 3))
@@ -223,10 +226,10 @@ class TestRankAccumulator:
             rows = list(basis_rows)
             # planted dependent rows: sparse combinations of earlier rows
             for _ in range(rng.randint(1, 6)):
-                combo = SparseVector()
+                combo = {}
                 for r in rng.sample(rows, min(len(rows), 2)):
-                    combo = combo.add_scaled(
-                        r, Rat(rng.randint(-3, 3), rng.randint(1, 3))
+                    combo = add_scaled(
+                        combo, r, Rat(rng.randint(-3, 3), rng.randint(1, 3))
                     )
                 rows.insert(rng.randint(0, len(rows)), combo)
             rank_only, span = RankAccumulator(), SpanAccumulator()
@@ -234,7 +237,7 @@ class TestRankAccumulator:
                 rank_only.insert(r)
                 span.insert(r)
             mat = sympy.Matrix(
-                [[sympy.Rational(r.get(i)) for i in range(cols)] for r in rows]
+                [[sympy.Rational(r.get(i, 0)) for i in range(cols)] for r in rows]
             )
             assert rank_only.rank == span.rank == mat.rank()
             assert rank_only.rank < len(rows)
@@ -250,11 +253,11 @@ class TestNullspace:
                 [rng.randint(-3, 3) for _ in range(cols)]
                 for _ in range(rows_n)
             ]
-            rows = [SparseVector(enumerate(r)) for r in mat]
+            rows = [dense(*r) for r in mat]
             basis = nullspace(rows, cols)
             for v in basis:
                 for r in rows:
-                    assert sum(c * v.get(i) for i, c in r.entries.items()) == 0
+                    assert sum(c * v.get(i, 0) for i, c in r.items()) == 0
             assert len(basis) == cols - sympy.Matrix(mat).rank()
 
     def test_vectors_equal_sympy_nullspace(self):
@@ -278,8 +281,8 @@ class TestNullspace:
                 c = Rat(rng.randint(-2, 2), rng.randint(1, 2))
                 row = [x + c * y for x, y in zip(a, b)]
                 mat.insert(rng.randint(0, len(mat)), row)
-            rows = [SparseVector(enumerate(r)) for r in mat]
-            got = [[v.get(i) for i in range(cols)] for v in nullspace(rows, cols)]
+            rows = [dense(*r) for r in mat]
+            got = [[v.get(i, 0) for i in range(cols)] for v in nullspace(rows, cols)]
             want = [
                 [Fraction(int(x.p), int(x.q)) for x in vec]
                 for vec in sympy.Matrix(

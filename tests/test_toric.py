@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import superflag.toric as toric
-from superflag.linalg import Rat, SparseVector
+from superflag.linalg import Rat
 from superflag.superpoly import ExponentFile, MultiExponent
 from superflag.toric import (
     _Membership,
@@ -278,7 +278,7 @@ class TestAction:
 
         def wrong(rows, dim):
             handed.extend(rows)
-            return [SparseVector({k: Rat(1) for k in range(dim)})]
+            return [{k: Rat(1) for k in range(dim)}]
 
         monkeypatch.setattr(toric, "nullspace", wrong)
         cert = certify(ten_points)
