@@ -57,7 +57,7 @@ from .polytopes import (
     enumerate_lattice_points,
     parse_system,
 )
-from .superpoly import MonomialOrder
+from .superpoly import MonomialOrder, OrderMisfit
 from .toric import certify, parse_exponent_set
 
 __all__ = ["main"]
@@ -291,9 +291,14 @@ def _require_positive(*flags: tuple[str, int | None]) -> None:
 
 
 def _tower(job: Job) -> tuple[AlgebraContext, LevelTower]:
+    """The job's level tower; an order that does not fit the basis (its
+    level-1 scan checks) is an error that names the setting."""
     context = job.context()
     real = job.realization(context)
-    return context, LevelTower(context.basis, real, job.order)
+    try:
+        return context, LevelTower(context.basis, real, job.order)
+    except OrderMisfit as exc:
+        raise ValueError(f"[order] {exc.setting}: {exc}") from None
 
 
 def cmd_essential(args) -> int:

@@ -429,14 +429,16 @@ def lift_relations(
     essential-chain decomposition of that component and adds that
     monomial's value to the residual.  The final polynomial evaluates to
     exactly zero.  The essential sets do not change during the call, so all
-    relations share one chain memo.
+    relations share one chain memo and one level map, grown as they need.
     """
     key = tower.order.key
     chains: dict = {}
+    es_by_level: dict[int, EssentialSet] = {}
     lifted: list[GradedRelation] = []
     for rel in relations:
         h = rel.degree
-        es_by_level = {k: tower.essential(k) for k in range(1, h + 1)}
+        for k in range(len(es_by_level) + 1, h + 1):
+            es_by_level[k] = tower.essential(k)
         residual = evaluate_in_tower(tower, ring, rel.lead)
         corrections: dict[tuple[MultiExponent, int], SuperPolynomial] = {}
         max_steps = len(tower.essential(h).monomials) + 1

@@ -71,10 +71,6 @@ class SuperMatrix:
     def zero(cls, p: int, q: int) -> "SuperMatrix":
         return cls(p, q, {})
 
-    @classmethod
-    def unit(cls, p: int, q: int, i: int, j: int, c: Rat | int = 1) -> "SuperMatrix":
-        return cls(p, q, {(i, j): c})
-
     @property
     def size(self) -> int:
         return self.p + self.q
@@ -196,14 +192,15 @@ class LieSuperalgebra:
     def cartan(self) -> list[SuperMatrix]:
         return [self.basis[i] for i in self.cartan_indices]
 
-    def coordinates(self, x: SuperMatrix) -> list[Rat]:
-        """Exact expansion of x over the algebra basis; error if outside."""
+    def coordinates(self, x: SuperMatrix) -> Row:
+        """Exact sparse expansion {basis index: coefficient} of x over the
+        algebra basis; error if outside."""
         coeffs = self._coords.express(x.flatten())
         if coeffs is None:
             raise ValueError("matrix does not lie in the algebra")
-        return coeffs + [0] * (self.dim - len(coeffs))
+        return coeffs
 
-    def bracket_coords(self, i: int, j: int) -> list[Rat]:
+    def bracket_coords(self, i: int, j: int) -> Row:
         """Structure constants of [basis_i, basis_j] over the basis."""
         return self.coordinates(superbracket(self.basis[i], self.basis[j]))
 
@@ -514,9 +511,7 @@ class NegativeBasis:
 
 def _simple_root_heights(borel: BorelChoice) -> dict[tuple[Rat, ...], Rat]:
     acc = SpanAccumulator()
-    dim = len(borel.datum.cartan)
-    simples = borel.simple_roots
-    for s in simples:
+    for s in borel.simple_roots:
         acc.insert({k: c for k, c in enumerate(s.coords) if c})
     heights: dict[tuple[Rat, ...], Rat] = {}
     for r in borel.positive_roots:
@@ -525,7 +520,7 @@ def _simple_root_heights(borel: BorelChoice) -> dict[tuple[Rat, ...], Rat]:
             raise RootDecompositionError(
                 f"positive root {r.label} is not a combination of simple roots"
             )
-        heights[r.coords] = sum(coeffs)
+        heights[r.coords] = sum(coeffs.values())
     return heights
 
 

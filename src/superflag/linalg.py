@@ -139,16 +139,14 @@ class SpanAccumulator:
     def rank(self) -> int:
         return len(self.rows)
 
-    def express(self, v: Row) -> list[Rat] | None:
-        """Expansion of v over the independent inserted vectors, or None if
-        v lies outside the current span; v and the accumulator are unchanged."""
+    def express(self, v: Row) -> Row | None:
+        """Sparse expansion {insertion index: coefficient} of v over the
+        independent inserted vectors, or None if v lies outside the current
+        span; v and the accumulator are unchanged."""
         combo: Row = {}
         if _reduce(self.rows, dict(v), self.combos, combo) is not None:
             return None
-        out = [0] * self.rank
-        for j, t in combo.items():
-            out[j] = Rat(t)
-        return out
+        return {j: Rat(t) for j, t in combo.items()}
 
     def insert(self, v: Row) -> Independent | None:
         """Insert a copy of v; Independent when the span grew, else None."""

@@ -4,12 +4,12 @@ Representations act on graded coordinate spaces with a diagonal Cartan
 action.  Cyclic modules are generated from an even highest-weight vector by
 ordered products of divided powers of negative-root generators; the scan
 simultaneously produces the module dimension, the stabilization degree, and
-the set of leading (scan-independent) exponents together with
-per-weight-block span accumulators.  The scan runs by degree (graded
+the set of leading (scan-independent) exponents together with the span
+accumulator of the scanned vectors.  The scan runs by degree (graded
 orders) or weighted value (weighted orders) and shares prefixes: each
 monomial vector is one operator application to the vector of its parent
 monomial from an earlier layer.  ``module_realization`` is the one place
-that expresses vectors over a weight block: it writes a scanned module as a
+that expresses vectors over that span: it writes a scanned module as a
 representation on its essential vectors.  The level tower uses it to keep
 each level's representation small, and a monomial's expansion over the
 essential vectors is its action in that representation.
@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from .linalg import Rat, Row, SpanAccumulator, add_scaled, div
 from .liesuper import AlgebraContext, LieSuperalgebra, NegativeBasis
-from .superpoly import MonomialOrder, MultiExponent, koszul_count, monomials_of_degree
+from .superpoly import MonomialOrder, MultiExponent, OrderMisfit, koszul_count
+from .superpoly import monomials_of_degree
 
 __all__ = [
     "Representation",
@@ -137,9 +138,7 @@ class Representation:
         # time: [gi, gj] v = gi (gj v) - (-1)^{|gi||gj|} gj (gi v)
         for gi in range(alg.dim):
             for gj in range(alg.dim):
-                bracket = tuple(
-                    (k, c) for k, c in enumerate(alg.bracket_coords(gi, gj)) if c
-                )
+                bracket = tuple(alg.bracket_coords(gi, gj).items())
                 sign = -1 if (alg.parities[gi] and alg.parities[gj]) else 1
                 a, b = self.action[gi], self.action[gj]
                 for j in range(self.dim):
@@ -392,12 +391,12 @@ def exponent_weight(
 
 class CyclicModule:
     """Result of scanning ordered monomials against a cyclic hw module:
-    the scan-independent ``essentials`` with their vectors, and per weight
-    the span of the scanned vectors with their ``essentials`` indices."""
+    the scan-independent ``essentials`` with their vectors, and the ``span``
+    of the scanned vectors, whose insertion indices are essential indices."""
 
     __slots__ = (
         "realization", "basis", "order", "essentials", "dimension",
-        "stabilization_degree", "blocks", "_on_essentials",
+        "stabilization_degree", "span", "_on_essentials",
     )
 
     def __init__(
@@ -406,7 +405,7 @@ class CyclicModule:
         basis: NegativeBasis,
         order: MonomialOrder,
         essentials: list[tuple[MultiExponent, Row]],
-        blocks: dict[Weight, tuple[SpanAccumulator, list[int]]],
+        span: SpanAccumulator,
     ):
         self.realization = realization
         self.basis = basis
@@ -414,7 +413,7 @@ class CyclicModule:
         self.essentials = essentials
         self.dimension = len(essentials)
         self.stabilization_degree = max(e.degree for e, _ in essentials)
-        self.blocks = blocks
+        self.span = span
         self._on_essentials: HighestWeightRealization | None = None
 
     def essential_exponents(self) -> list[MultiExponent]:
@@ -443,7 +442,7 @@ def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealizatio
     Basis vector j is the j-th essential vector, so index 0 (the zero
     exponent) is the highest-weight vector.  The column of generator g at j
     is g applied once to essential vector j, expanded over the essential
-    vectors of the weight block it lands in.  The module U(n-)v = U(g)v is a
+    vectors by ``mod.span``.  The module U(n-)v = U(g)v is a
     g-submodule, so the expansion exists; a failure is an internal
     inconsistency and raises ProgramFault.  Unless ``full``, generators
     outside the support of ``mod.basis`` (never applied) are ``Unbuilt``.
@@ -465,15 +464,13 @@ def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealizatio
             image = rep.apply(op, vec)
             if not image:
                 continue
-            block = mod.blocks.get(rep.weights[next(iter(image))])
-            coeffs = None if block is None else block[0].express(image)
-            if coeffs is None:
+            col = mod.span.express(image)
+            if col is None:
                 raise ProgramFault(
                     f"generator {g} maps essential vector "
                     f"{mod.essentials[j][0]} outside the recorded cyclic span"
                 )
-            idxs = block[1]
-            cols[j] = {idxs[p]: c for p, c in enumerate(coeffs) if c != 0}
+            cols[j] = col
         action.append(cols)
     return HighestWeightRealization(
         rep=Representation(
@@ -527,9 +524,9 @@ def cyclic_span(
     if order.kind == "weighted":
         weights = order.weights
         if any((not isinstance(w, int)) or w < 1 for w in weights):
-            raise ValueError(
-                "weighted scans require positive integer weights; otherwise "
-                "ascending-value truncation is unsound"
+            raise OrderMisfit(
+                "weights", "weighted scans require positive integer weights; otherwise "
+                "ascending-value truncation is unsound",
             )
         graded = cyclic_span(real, basis)
         target = graded.dimension
@@ -538,8 +535,10 @@ def cyclic_span(
         weights = (1,) * (n + q)
         target = None
         bound = real.rep.dim
-    blocks: dict[Weight, tuple[SpanAccumulator, list[int]]] = {}
-    essentials: list[tuple[MultiExponent, Row]] = []
+    zero = MultiExponent.zero(n, q)
+    span = SpanAccumulator()
+    span.insert(real.hw_vector)
+    essentials: list[tuple[MultiExponent, Row]] = [(zero, real.hw_vector)]
     rep = real.rep
     # (odd?, coordinate, weight, stored operator, scale) per generator, top
     # position first
@@ -552,17 +551,6 @@ def cyclic_span(
             reverse=True,
         )
     ]
-
-    def insert(exp: MultiExponent, vec: Row) -> None:
-        # a weight vector's weight is that of any of its entries
-        w = rep.weights[next(iter(vec))]
-        acc, idxs = blocks.setdefault(w, (SpanAccumulator(), []))
-        if acc.insert(vec) is not None:
-            idxs.append(len(essentials))
-            essentials.append((exp, vec))
-
-    zero = MultiExponent.zero(n, q)
-    insert(zero, real.hw_vector)
     kept = {0: {zero: real.hw_vector}}
     v = 0
     while target is None or len(essentials) < target:
@@ -594,12 +582,13 @@ def cyclic_span(
             if factor != 1:
                 vec = {i: Rat(factor * x) for i, x in vec.items()}
             layer[exp] = vec
-            insert(exp, vec)
+            if span.insert(vec) is not None:
+                essentials.append((exp, vec))
         if target is None and len(essentials) == found:
             break
         kept[v] = layer
         kept.pop(v - max(weights), None)
-    return CyclicModule(real, basis, order, essentials, blocks)
+    return CyclicModule(real, basis, order, essentials, span)
 
 
 def cartan_expand(

@@ -21,6 +21,7 @@ from .linalg import Rat
 __all__ = [
     "MultiExponent",
     "MonomialOrder",
+    "OrderMisfit",
     "ExponentFile",
     "SuperPolynomial",
     "koszul_count",
@@ -112,6 +113,15 @@ def koszul_count(first: Iterable[int], second: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+class OrderMisfit(ValueError):
+    """Raised when an order does not fit its variables or its scan;
+    ``setting`` names the field at fault, "weights" or "priority"."""
+
+    def __init__(self, setting: str, message: str):
+        super().__init__(message)
+        self.setting = setting
+
+
 class MonomialOrder:
     """A monomial order on N^{n+q} restricted to {0,1}^q x N^n.
 
@@ -162,17 +172,17 @@ class MonomialOrder:
         )
 
     def check(self, nvars: int) -> None:
-        """Raise ValueError unless the order fits ``nvars`` variables: one
+        """Raise OrderMisfit unless the order fits ``nvars`` variables: one
         weight per variable, and a priority that permutes them.  ``key``
         trusts both, so a scan checks its order once."""
         if self.kind == "weighted" and len(self.weights) != nvars:
-            raise ValueError("weighted order needs one weight per variable")
+            raise OrderMisfit("weights", "weighted order needs one weight per variable")
         perm = self.priority
         if perm is not None and (
             len(perm) != nvars or sorted(perm) != list(range(nvars))
         ):
-            raise ValueError(
-                f"order priority must be a permutation of 0..{nvars - 1}, "
+            raise OrderMisfit(
+                "priority", f"order priority must be a permutation of 0..{nvars - 1}, "
                 f"got {' '.join(str(p) for p in perm)}"
             )
 

@@ -173,8 +173,8 @@ class TestEssentialCommand:
         code, out, err = run(["essential", "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
         assert err == (
-            "error: order priority must be a permutation of 0..5, "
-            f"got {priority}\n"
+            "error: [order] priority: order priority must be a permutation "
+            f"of 0..5, got {priority}\n"
         )
 
 
@@ -779,13 +779,23 @@ class TestErrorsAndConfig:
              "[realization] blocks: highest-weight vector must be even\n"),
             ("blocks = natural:0, dual-natural:2", "blocks =",
              "[realization] blocks: must name at least one block\n"),
+            # orders that parse but do not fit the job's 3 variables
+            ("kind = graded-lex", "kind = weighted\nweights = 1 2",
+             "[order] weights: weighted order needs one weight per variable\n"),
+            ("kind = graded-lex", "kind = weighted\nweights = 0 1 3",
+             "[order] weights: weighted scans require positive integer "
+             "weights; otherwise ascending-value truncation is unsound\n"),
+            ("kind = graded-lex", "priority = 0 1",
+             "[order] priority: order priority must be a permutation of "
+             "0..2, got 0 1\n"),
         ],
         ids=["m", "functional", "blocks", "weights", "priority",
              "unknown-key", "unknown-bounds-key", "unknown-section",
              "basis-perm-misfit", "functional-misfit", "order-kind",
              "weights-without-weighted-kind",
              "family-unsupported", "m-negative", "hw-not-annihilated",
-             "hw-odd", "blocks-empty"],
+             "hw-odd", "blocks-empty", "weights-misfit", "weights-not-positive",
+             "priority-misfit"],
     )
     def test_malformed_setting_is_named(self, tmp_path, old, new, message, capsys):
         bad = tmp_path / "bad.cfg"
@@ -884,7 +894,7 @@ class TestErrorsAndConfig:
         import superflag.modules as modules
 
         class Blind(modules.SpanAccumulator):
-            """Span blocks whose scanned vectors express nothing."""
+            """A scan span whose scanned vectors express nothing."""
 
             def express(self, v):
                 return None

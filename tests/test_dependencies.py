@@ -202,8 +202,11 @@ def _references(tree):
             for alias in node.names:
                 yield alias.name, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if all(part.isidentifier() for part in node.value.split(".")):
-                for part in node.value.split("."):
+            # a dotted name only: a bare word such as the JSON key "unit"
+            # names nothing
+            parts = node.value.split(".")
+            if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                for part in parts:
                     yield part, node.lineno
 
 

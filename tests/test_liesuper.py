@@ -169,19 +169,19 @@ BASIS_GOLDEN = ["gl 1 1", "sl 2 1", "sl 3 0", "osp 1 2"]
 
 class TestSuperMatrix:
     def test_unit_and_parity(self):
-        e = SuperMatrix.unit(1, 2, 0, 2)
+        e = SuperMatrix(1, 2, {(0, 2): 1})
         assert e.parity() == 1  # crosses the block boundary
-        assert SuperMatrix.unit(1, 2, 1, 2).parity() == 0
+        assert SuperMatrix(1, 2, {(1, 2): 1}).parity() == 0
 
     def test_supertrace_sign(self):
-        top = SuperMatrix.unit(1, 1, 0, 0)
-        bottom = SuperMatrix.unit(1, 1, 1, 1)
+        top = SuperMatrix(1, 1, {(0, 0): 1})
+        bottom = SuperMatrix(1, 1, {(1, 1): 1})
         assert top.supertrace() == 1
         assert bottom.supertrace() == -1
 
     def test_matmul(self):
-        a = SuperMatrix.unit(1, 1, 0, 1)
-        b = SuperMatrix.unit(1, 1, 1, 0)
+        a = SuperMatrix(1, 1, {(0, 1): 1})
+        b = SuperMatrix(1, 1, {(1, 0): 1})
         assert (a @ b).rows[0][0] == 1
         assert (b @ a).rows[1][1] == 1
 
@@ -213,7 +213,7 @@ class TestSuperMatrix:
     def test_zero_entries_are_dropped(self):
         m = SuperMatrix(1, 1, {(0, 0): 0, (0, 1): Fraction(1, 2)})
         assert m.entries == {(0, 1): Fraction(1, 2)}
-        assert m == SuperMatrix.unit(1, 1, 0, 1, Fraction(1, 2))
+        assert m == SuperMatrix(1, 1, {(0, 1): Fraction(1, 2)})
         assert SuperMatrix(2, 1, {(1, 1): 0}) == SuperMatrix.zero(2, 1)
 
 

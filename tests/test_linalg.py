@@ -96,20 +96,20 @@ class TestSpanAccumulator:
         acc = SpanAccumulator()
         assert isinstance(acc.insert(dense(1, 0, 1)), Independent)
         assert isinstance(acc.insert(dense(0, 1, 1)), Independent)
-        assert acc.express(dense(2, 1, 3)) == [Rat(2), Rat(1)]
+        assert acc.express(dense(2, 1, 3)) == {0: Rat(2), 1: Rat(1)}
         assert acc.insert(dense(2, 1, 3)) is None
 
     def test_zero_vector_is_dependent_with_zero_expansion(self):
         acc = SpanAccumulator()
         acc.insert(dense(1, 1))
-        assert acc.express({}) == [Rat(0)]
+        assert acc.express({}) == {}
         assert acc.insert({}) is None
 
     def test_reinsertion_is_identity_expansion(self):
         acc = SpanAccumulator()
         v = dense(3, -2, 7)
         acc.insert(v)
-        assert acc.express(v) == [Rat(1)]
+        assert acc.express(v) == {0: Rat(1)}
         assert acc.insert(v) is None
 
     def test_express_without_mutation(self):
@@ -118,8 +118,8 @@ class TestSpanAccumulator:
         acc.insert(v)
         acc.insert(dense(0, 1))
         w = dense(3, 7)
-        assert acc.express(dense(3, 6)) == [Rat(3), Rat(0)]
-        assert acc.express(w) == [Rat(3), Rat(1)]
+        assert acc.express(dense(3, 6)) == {0: Rat(3)}
+        assert acc.express(w) == {0: Rat(3), 1: Rat(1)}
         assert acc.rank == 2
         assert (v, w) == (dense(1, 2), dense(3, 7))  # inputs are copied
 
@@ -154,8 +154,8 @@ class TestSpanAccumulator:
                     vecs.append(v)
                 else:
                     recon = {}
-                    for c, w in zip(coefficients, vecs):
-                        recon = add_scaled(recon, w, c)
+                    for j, c in coefficients.items():
+                        recon = add_scaled(recon, vecs[j], c)
                     assert recon == v
 
     def test_expansions_match_sympy_solutions(self):
@@ -196,7 +196,11 @@ class TestSpanAccumulator:
                 )
                 solution, params = basis.gauss_jordan_solve(target)
                 assert params.shape[0] == 0
-                want = [Fraction(int(x.p), int(x.q)) for x in solution]
+                want = {
+                    j: Fraction(int(x.p), int(x.q))
+                    for j, x in enumerate(solution)
+                    if x
+                }
                 assert res is None
                 assert expressed == want
 

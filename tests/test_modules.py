@@ -1,8 +1,10 @@
 """Representations, highest-weight realizations, cyclic spans, expansions."""
 
+from pathlib import Path
+
 import pytest
 
-from superflag.linalg import Rat, add_scaled
+from superflag.linalg import Rat, SpanAccumulator, add_scaled
 from superflag.liesuper import negative_basis
 from superflag.degeneration import LevelTower
 from superflag.modules import (
@@ -357,6 +359,29 @@ class TestModuleRealization:
                 else:
                     assert isinstance(restricted.action[g], Unbuilt), (k, g)
 
+    @pytest.mark.parametrize(
+        "job",
+        ["sl3-adjoint", "osp-graded-lex", "osp-flip-square",
+         "osp14_w1_weighted.cfg", "gl21_natural_flip_dual.cfg"],
+    )
+    def test_columns_rebuild_the_ambient_action(self, request, job):
+        """Column j of a built generator g, summed over the essential
+        vectors, is g applied to essential vector j in the scan's own
+        realization (the n- restricted one at levels >= 2)."""
+        tower = _job_tower(request, job)
+        support = {el.generator for el in tower.basis.elements}
+        for k in (1, 2, 3):
+            module = tower.module(k)
+            rep = module.realization.rep
+            action = module.on_essentials.rep.action
+            vecs = [vec for _, vec in module.essentials]
+            for g in support:
+                for j, vec in enumerate(vecs):
+                    rebuilt = {}
+                    for i, c in action[g].get(j, {}).items():
+                        rebuilt = add_scaled(rebuilt, vecs[i], c)
+                    assert rebuilt == rep.apply(rep.action[g], vec), (k, g, j)
+
     def test_an_unbuilt_generator_raises(self, sl3_context, sl3_adjoint):
         module = cyclic_span(sl3_adjoint, sl3_context.basis)
         rep = module_realization(module).rep
@@ -390,11 +415,13 @@ class TestModuleRealization:
         self, osp_context, osp_real
     ):
         module = cyclic_span(osp_real, osp_context.basis)
-        # keep only the highest-weight block: every lowering leaves it
-        hw_block = {osp_real.weight: module.blocks[osp_real.weight]}
+        # a span holding only the highest-weight vector: every lowering
+        # leaves it
+        hw_span = SpanAccumulator()
+        hw_span.insert(osp_real.hw_vector)
         broken = CyclicModule(
             module.realization, module.basis, module.order, module.essentials,
-            hw_block,
+            hw_span,
         )
         with pytest.raises(
             ProgramFault,
@@ -406,15 +433,11 @@ class TestModuleRealization:
 
 def _expand_by_weight_block(module, exp):
     """Reference expansion: the monomial's vector in the scan's own
-    realization, expressed over the essential vectors of its weight block."""
+    realization, expressed over the essential vectors by the scan's span."""
     vec = pbw_act(module.realization, module.basis, exp)
-    if not vec:
-        return {}
-    rep = module.realization.rep
-    acc, idxs = module.blocks[rep.weights[next(iter(vec))]]
-    coeffs = acc.express(vec)
+    coeffs = module.span.express(vec)
     assert coeffs is not None, f"{exp} is outside the recorded cyclic span"
-    return {module.essentials[idxs[p]][0]: c for p, c in enumerate(coeffs) if c}
+    return {module.essentials[p][0]: c for p, c in coeffs.items()}
 
 
 # (context, blocks, order weights or None for graded-lex) per tower job
@@ -428,19 +451,29 @@ EXPANSION_JOBS = {
 }
 
 
+def _job_tower(request, job):
+    """The level tower of an ``EXPANSION_JOBS`` entry or of a config file
+    in tests/data."""
+    if job.endswith(".cfg"):
+        from superflag.cli import load_job
+
+        config = load_job(str(Path(__file__).parent / "data" / job))
+        context = config.context()
+        return LevelTower(context.basis, config.realization(context), config.order)
+    context_name, blocks, weights = EXPANSION_JOBS[job]
+    context = request.getfixturevalue(context_name)
+    order = MonomialOrder("weighted", weights=weights) if weights else None
+    return LevelTower(context.basis, build_realization(context, blocks), order)
+
+
 class TestExpandOnEssentials:
     """``CyclicModule.expand`` is the monomial's action in the module's
     representation on its essential vectors."""
 
     @pytest.mark.parametrize("job", list(EXPANSION_JOBS))
     def test_expand_matches_the_weight_block_expression(self, request, job):
-        context_name, blocks, weights = EXPANSION_JOBS[job]
-        context = request.getfixturevalue(context_name)
-        order = MonomialOrder("weighted", weights=weights) if weights else None
-        tower = LevelTower(
-            context.basis, build_realization(context, blocks), order
-        )
-        n, q = context.basis.n, context.basis.q
+        tower = _job_tower(request, job)
+        n, q = tower.basis.n, tower.basis.q
         graded = MonomialOrder("graded-lex")
         for k in (1, 2, 3):
             module = tower.module(k)
