@@ -264,22 +264,32 @@ class SRing:
         coordinates collide.  The factors are summed left to right, each
         step flipping the sign on K(f, exp), the new factor's odd part first:
         the tower's law (eta_e1 * eta_e2 leads with (-1)^K(e2, e1)), which
-        is ``multiply`` with each new factor on the left.
+        is ``multiply`` with each new factor on the left.  Memoized, and
+        built from the memoized result of the monomial without its last
+        factor f (the last even variable, else the lowest odd one) by one
+        such step.
         """
         cached = self._gamma_cache.get(sexp)
         if cached is not None:
             return cached
-        exp, sign = MultiExponent.zero(self.n_mod, self.q_mod), 1
-        for f in self.factors(sexp):
-            combined = exp.combine(f)
-            if combined is None:
-                result = (BOTTOM, 0)
-                break
-            if koszul_count(f.odd, exp.odd) % 2:
-                sign = -sign
-            exp = combined
+        odd, even = sexp
+        t = next((t for t in range(self.nS - 1, -1, -1) if even[t]), None)
+        if t is not None:
+            f = self.even_gens[t]
+            prefix = (odd, even[:t] + (even[t] - 1,) + even[t + 1:])
+        elif 1 in odd:
+            s = odd.index(1)
+            f = self.odd_gens[s]
+            prefix = (odd[:s] + (0,) + odd[s + 1:], even)
         else:
-            result = ((exp, sexp.degree), sign)
+            return (MultiExponent.zero(self.n_mod, self.q_mod), 0), 1
+        comp, sign = self.gamma_and_sign(MultiExponent(*prefix))
+        exp = None if comp is BOTTOM else comp[0].combine(f)
+        if exp is None:
+            result = (BOTTOM, 0)
+        else:
+            flip = koszul_count(f.odd, comp[0].odd) % 2
+            result = ((exp, comp[1] + 1), -sign if flip else sign)
         self._gamma_cache[sexp] = result
         return result
 

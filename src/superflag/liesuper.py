@@ -297,12 +297,11 @@ def _build_osp(m: int, n: int) -> LieSuperalgebra:
 
 
 class Root(NamedTuple):
-    """A root: its values on the Cartan basis, parity, vector, and label.
-    The vector is ``scale`` times algebra basis element ``generator``."""
+    """A root: its values on the Cartan basis, parity, and label.  Its root
+    vector is ``scale`` times algebra basis element ``generator``."""
 
     coords: tuple[Rat, ...]
     parity: int
-    vector: SuperMatrix
     label: str
     generator: int
     scale: Rat
@@ -310,7 +309,6 @@ class Root(NamedTuple):
 
 class RootDatum(NamedTuple):
     algebra: LieSuperalgebra
-    cartan: list[SuperMatrix]
     roots: list[Root]
 
     def root_by_coords(self, coords: tuple[Rat, ...]) -> Root:
@@ -335,12 +333,12 @@ def _format_delta_label(coords: tuple[Rat, ...], symbol: str = "d") -> str:
 
 
 def _root_label(algebra: LieSuperalgebra, coords: tuple[Rat, ...],
-                vector: SuperMatrix) -> str:
+                element: SuperMatrix) -> str:
     if algebra.family == "osp":
         return _format_delta_label(coords)
     # gl/sl root vectors are single matrix units E_ij: label e{i+1}-e{j+1}
-    if len(vector.entries) == 1:
-        [(i, j)] = vector.entries
+    if len(element.entries) == 1:
+        [(i, j)] = element.entries
         return f"e{i + 1}-e{j + 1}"
     return _format_delta_label(coords, symbol="h")  # fallback: Cartan coords
 
@@ -387,9 +385,8 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
         [j] = spaces[weight]
         mat = algebra.basis[j]
         scale = div(1, mat.entries[min(mat.entries)])
-        mat = mat.scaled(scale)
         label = _root_label(algebra, weight, mat)
-        roots.append(Root(weight, algebra.parities[j], mat, label, j, scale))
+        roots.append(Root(weight, algebra.parities[j], label, j, scale))
     zero_dim = len(spaces.get(zero, []))
     if zero_dim != len(cartan):
         raise RootDecompositionError(
@@ -397,7 +394,7 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
             f"({zero_dim} > {len(cartan)}); it is not a Cartan subalgebra "
             "in this realization"
         )
-    return RootDatum(algebra=algebra, cartan=cartan, roots=roots)
+    return RootDatum(algebra=algebra, roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +404,6 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
 
 class BorelChoice(NamedTuple):
     datum: RootDatum
-    functional: tuple[Rat, ...]
     positive_roots: list[Root]
     negative_roots: list[Root]
     simple_roots: list[Root]
@@ -416,11 +412,11 @@ class BorelChoice(NamedTuple):
 def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoice:
     """Positive system {roots with <functional, root> > 0} and its simples."""
     func = tuple(Rat(f) for f in functional)
-    if len(func) != len(datum.cartan):
+    rank = len(datum.algebra.cartan_indices)
+    if len(func) != rank:
         raise ParameterError(
             "functional",
-            f"functional length {len(func)} must equal the Cartan rank "
-            f"{len(datum.cartan)}"
+            f"functional length {len(func)} must equal the Cartan rank {rank}"
         )
     positive: list[Root] = []
     negative: list[Root] = []
@@ -442,7 +438,7 @@ def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoi
         if not decomposable:
             simple.append(r)
     return BorelChoice(
-        datum=datum, functional=func,
+        datum=datum,
         positive_roots=positive, negative_roots=negative, simple_roots=simple,
     )
 

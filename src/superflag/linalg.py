@@ -374,11 +374,11 @@ def fourier_motzkin_solve(
 
 def fourier_motzkin_bounds(
     ineqs: list[tuple[list[Rat], Rat]], nvars: int, var: int
-) -> tuple[Rat | None, Rat | None]:
-    """Exact (min, max) of x_var over {x : coeffs . x <= rhs}.
-
-    Returns None in a slot when that side is unbounded.  Assumes the system
-    is feasible.
+) -> tuple[Rat | None, Rat | None] | None:
+    """Exact (min, max) of x_var over {x : coeffs . x <= rhs}, with None in
+    a slot when that side is unbounded; None when the system has no point.
+    Elimination keeps (in)feasibility, so emptiness shows in the one-variable
+    system left: a row 0 <= rhs < 0, or min > max.
     """
     system: list[_Ineq] = [
         (tuple(Rat(c) for c in coeffs), Rat(rhs)) for coeffs, rhs in ineqs
@@ -400,4 +400,8 @@ def fourier_motzkin_bounds(
         elif c < 0:
             b = div(rhs, c)
             lo = b if lo is None or b > lo else lo
+        elif rhs < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
     return lo, hi

@@ -76,25 +76,30 @@ class Representation:
     """Exact matrix representation with diagonal Cartan and graded basis.
 
     ``action[g]`` maps a column index to a sparse column {row: coeff} for the
-    g-th algebra basis element, or is ``Unbuilt``.  ``weights[j]`` lists the
-    Cartan eigenvalues of basis vector j (the Cartan must act diagonally).
+    g-th algebra basis element, or is ``Unbuilt``.  The Cartan must act
+    diagonally, so its action holds the weights.
     """
 
-    __slots__ = ("algebra", "dim", "parities", "weights", "action")
+    __slots__ = ("algebra", "dim", "parities", "action")
 
     def __init__(
         self,
         algebra: LieSuperalgebra,
         dim: int,
         parities: tuple[int, ...],
-        weights: tuple[Weight, ...],
         action: list[dict[int, dict[int, Rat]]],
     ):
         self.algebra = algebra
         self.dim = dim
         self.parities = parities
-        self.weights = weights
         self.action = action
+
+    def weight(self, j: int) -> Weight:
+        """The Cartan eigenvalues of basis vector j, read off the diagonal of
+        the Cartan action (an unbuilt Cartan raises ProgramFault)."""
+        return tuple(
+            self.action[h].get(j, {}).get(j, 0) for h in self.algebra.cartan_indices
+        )
 
     def apply(self, op: dict[int, dict[int, Rat]], v: Row) -> Row:
         out: Row = {}
@@ -127,13 +132,9 @@ class Representation:
                             f"action of generator {g} is not parity-homogeneous"
                         )
         # diagonal Cartan
-        for rank_pos, h_idx in enumerate(alg.cartan_indices):
-            for j, col in self.action[h_idx].items():
-                for i, c in col.items():
-                    if i != j:
-                        raise ValueError("Cartan does not act diagonally")
-                    if c != self.weights[j][rank_pos]:
-                        raise ValueError("stored weights disagree with the action")
+        for h_idx in alg.cartan_indices:
+            if any(col.keys() - {j} for j, col in self.action[h_idx].items()):
+                raise ValueError("Cartan does not act diagonally")
         # bracket axiom on all pairs of basis elements, one basis vector at a
         # time: [gi, gj] v = gi (gj v) - (-1)^{|gi||gj|} gj (gi v)
         for gi in range(alg.dim):
@@ -157,12 +158,6 @@ class Representation:
 def natural(algebra: LieSuperalgebra) -> Representation:
     """The defining column representation of the matrix realization."""
     p, q = algebra.space
-    dim = p + q
-    parities = tuple(0 if i < p else 1 for i in range(dim))
-    weights = tuple(
-        tuple(h.entries.get((j, j), 0) for h in algebra.cartan)
-        for j in range(dim)
-    )
     action = []
     for mat in algebra.basis:
         cols: dict[int, dict[int, Rat]] = {}
@@ -170,7 +165,7 @@ def natural(algebra: LieSuperalgebra) -> Representation:
             cols.setdefault(j, {})[i] = c
         action.append(cols)
     return Representation(
-        algebra=algebra, dim=dim, parities=parities, weights=weights, action=action
+        algebra=algebra, dim=p + q, parities=(0,) * p + (1,) * q, action=action
     )
 
 
@@ -178,31 +173,28 @@ def dual_natural(algebra: LieSuperalgebra) -> Representation:
     """Graded dual of the natural representation.
 
     rho*(x)_{ij} = -(-1)^{|x||e_j|} rho(x)_{ji}, with unchanged basis parities
-    and negated weights.
+    (so negated weights).
     """
-    base = natural(algebra)
+    p, q = algebra.space
     action = []
     for g, mat in enumerate(algebra.basis):
         pg = algebra.parities[g]
         cols: dict[int, dict[int, Rat]] = {}
-        # rho(x)_{ji} indexed (jj, ii)
+        # rho(x)_{ji} indexed (jj, ii); e_jj is odd from index p on
         for (jj, ii), c in sorted(mat.entries.items()):
-            sign = -1 if (pg and base.parities[jj]) else 1
+            sign = -1 if (pg and jj >= p) else 1
             cols.setdefault(jj, {})[ii] = -sign * c
         action.append(cols)
-    weights = tuple(tuple(-w for w in ws) for ws in base.weights)
     return Representation(
-        algebra=algebra, dim=base.dim, parities=base.parities,
-        weights=weights, action=action,
+        algebra=algebra, dim=p + q, parities=(0,) * p + (1,) * q, action=action
     )
 
 
 def flip_parities(rep: Representation) -> Representation:
-    """Parity shift: identical action and weights, all basis parities flipped."""
+    """Parity shift: identical action (so weights), all basis parities flipped."""
     return Representation(
         algebra=rep.algebra, dim=rep.dim,
-        parities=tuple(1 - p for p in rep.parities),
-        weights=rep.weights, action=rep.action,
+        parities=tuple(1 - p for p in rep.parities), action=rep.action,
     )
 
 
@@ -220,17 +212,7 @@ def tensor_representations(r1: Representation, r2: Representation) -> Representa
     if r1.algebra is not r2.algebra:
         raise ValueError("tensor factors must share the algebra object")
     d1, d2 = r1.dim, r2.dim
-    dim = d1 * d2
-    parities = tuple(
-        (r1.parities[i1] + r2.parities[i2]) % 2
-        for i1 in range(d1)
-        for i2 in range(d2)
-    )
-    weights = tuple(
-        tuple(a + b for a, b in zip(r1.weights[i1], r2.weights[i2]))
-        for i1 in range(d1)
-        for i2 in range(d2)
-    )
+    parities = tuple((p1 + p2) % 2 for p1 in r1.parities for p2 in r2.parities)
     action = []
     for g in range(r1.algebra.dim):
         pg = r1.algebra.parities[g]
@@ -253,7 +235,7 @@ def tensor_representations(r1: Representation, r2: Representation) -> Representa
                     cols[j1 * d2 + j2] = col
         action.append(cols)
     return Representation(
-        algebra=r1.algebra, dim=dim, parities=parities, weights=weights, action=action
+        algebra=r1.algebra, dim=d1 * d2, parities=parities, action=action
     )
 
 
@@ -270,7 +252,9 @@ class HighestWeightRealization(NamedTuple):
 
     @property
     def weight(self) -> Weight:
-        return self.rep.weights[self.hw_index]
+        """Read off the Cartan action, so an n- only realization (Cartan
+        ``Unbuilt``) raises ProgramFault."""
+        return self.rep.weight(self.hw_index)
 
     @property
     def hw_vector(self) -> Row:
@@ -450,8 +434,6 @@ def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealizatio
     real = mod.realization
     rep = real.rep
     vecs = [vec for _, vec in mod.essentials]
-    # the weight and parity of a weight vector are those of any entry
-    entry = [next(iter(vec)) for vec in vecs]
     built = {el.generator for el in mod.basis.elements}
     action: list[dict[int, dict[int, Rat]]] = []
     for g in range(rep.algebra.dim):
@@ -476,8 +458,8 @@ def module_realization(mod: CyclicModule, full=False) -> HighestWeightRealizatio
         rep=Representation(
             algebra=rep.algebra,
             dim=len(vecs),
-            parities=tuple(rep.parities[i] for i in entry),
-            weights=tuple(rep.weights[i] for i in entry),
+            # the parity of a homogeneous vector is that of any entry
+            parities=tuple(rep.parities[next(iter(vec))] for vec in vecs),
             action=action,
         ),
         hw_index=0,

@@ -137,16 +137,18 @@ def enumerate_lattice_points(system: InequalitySystem) -> LatticePointSet:
     """All integer points of the region, exactly.
 
     Exact per-variable bounds come from Fourier-Motzkin projection; an
-    unbounded direction raises UnboundedRegionError.  Candidate boxes are
-    filtered against every inequality.
+    empty region has no points, and an unbounded direction of a nonempty
+    one raises UnboundedRegionError.  Candidate boxes are filtered against
+    every inequality.
     """
     nvars = system.nvars
-    if nvars == 0:
-        return LatticePointSet(labels=[], odd=[], points=[()])
     ineqs = system.all_inequalities()
     boxes: list[range] = []
     for i in range(nvars):
-        lo, hi = fourier_motzkin_bounds(ineqs, nvars, i)
+        bounds = fourier_motzkin_bounds(ineqs, nvars, i)
+        if bounds is None:  # an empty region
+            return LatticePointSet(list(system.labels), list(system.odd), [])
+        lo, hi = bounds
         if lo is None or hi is None:
             raise UnboundedRegionError(
                 f"variable {system.labels[i]} is unbounded on the region"

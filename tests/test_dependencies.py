@@ -160,9 +160,10 @@ def test_tracer_targets_are_package_functions():
 
 
 # Public names that nothing in the package, the benchmark or the acceptance
-# criteria calls, kept on purpose.
+# criteria calls, and stored fields (``Class.field``) that none of them reads,
+# kept on purpose.
 KEPT = {
-    "validate": "reference oracle: the Cartan action against the stored weights",
+    "validate": "reference oracle: homogeneity, a diagonal Cartan and the bracket",
     "tensor_power": "reference oracle: tensor powers against the tower's levels",
     "exponent_weight": "reference oracle: the weight of a scanned monomial",
     "supertrace": "reference check: the sl and osp bases are supertraceless",
@@ -210,14 +211,19 @@ def _references(tree):
                     yield part, node.lineno
 
 
+def _callers():
+    """The files whose uses keep a name alive: the package, the benchmark
+    and the acceptance criteria."""
+    callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return callers + [ROOT / "tests" / "test_acceptance.py"]
+
+
 def test_every_public_name_has_a_caller():
     """A public function or method that no package code, benchmark file or
     acceptance criterion calls is surface every refactor must carry; delete
     it or say in ``KEPT`` why it stays."""
-    callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    callers.append(ROOT / "tests" / "test_acceptance.py")
     refs: dict[str, list[tuple[Path, int]]] = {}
-    for path in callers:
+    for path in _callers():
         for name, line in _references(ast.parse(path.read_text(encoding="utf-8"))):
             refs.setdefault(name, []).append((path, line))
     dead = []
@@ -233,3 +239,41 @@ def test_every_public_name_has_a_caller():
     assert not dead, "public names without a caller: " + ", ".join(dead)
     stale = [name for name in KEPT if name in refs]
     assert not stale, "KEPT names that now have a caller: " + ", ".join(stale)
+
+
+def _stored_fields(tree):
+    """(class, field, line) of each ``NamedTuple`` field and each
+    ``__slots__`` entry of a module-level class."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        named = any(ast.unparse(base) == "NamedTuple" for base in cls.bases)
+        for node in cls.body:
+            if named and isinstance(node, ast.AnnAssign):
+                yield cls.name, node.target.id, node.lineno
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                for entry in node.value.elts:
+                    yield cls.name, entry.value, entry.lineno
+
+
+def test_every_stored_field_is_read():
+    """A stored field that no package code, benchmark file or acceptance
+    criterion reads as an attribute is state every constructor must build
+    and carry; derive it where it is needed, or say in ``KEPT`` why it
+    stays."""
+    loaded = set()
+    for path in _callers():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls, name, line in _stored_fields(tree):
+            if name not in loaded and f"{cls}.{name}" not in KEPT:
+                unread.append(f"{path.name}:{line}: {cls}.{name}")
+    assert not unread, "stored fields nothing reads: " + ", ".join(unread)
+    stale = [key for key in KEPT if "." in key and key.split(".")[1] in loaded]
+    assert not stale, "KEPT fields that are now read: " + ", ".join(stale)

@@ -394,6 +394,13 @@ class TestFourierMotzkin:
         lo, hi = fourier_motzkin_bounds(ineqs, 2, 0)
         assert lo is None and hi is None
 
+    def test_bounds_detect_an_empty_system(self):
+        # x <= 1 and x >= 2: y is unbounded on the rows, but the system has
+        # no point, read off as 0 <= -1 (for y) or 2 > 1 (for x)
+        ineqs = [([Rat(1), Rat(0)], Rat(1)), ([Rat(-1), Rat(0)], Rat(-2))]
+        assert fourier_motzkin_bounds(ineqs, 2, 0) is None
+        assert fourier_motzkin_bounds(ineqs, 2, 1) is None
+
     def test_bounds_on_projected_simplex(self):
         # x + y + z <= 1, all >= 0; each variable ranges over [0, 1]
         ineqs = [

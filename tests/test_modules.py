@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from superflag.linalg import Rat, SpanAccumulator, add_scaled
-from superflag.liesuper import negative_basis
+from superflag.liesuper import build_context, negative_basis
 from superflag.degeneration import LevelTower
 from superflag.modules import (
+    BLOCK_BUILDERS,
     CyclicModule,
     ProgramFault,
     Representation,
@@ -49,6 +50,11 @@ def exp_of(basis, **labeled):
     return MultiExponent(tuple(odd), tuple(even))
 
 
+def weights(rep):
+    """The weight of every basis vector, read off the Cartan action."""
+    return tuple(rep.weight(j) for j in range(rep.dim))
+
+
 class TestRepresentations:
     @pytest.mark.parametrize("maker", [natural, dual_natural])
     def test_axioms(self, maker, gl11_context, sl12_context, osp_context):
@@ -60,14 +66,14 @@ class TestRepresentations:
         rep = natural(osp_context.algebra)
         flipped = flip_parities(rep)
         flipped.validate()
-        assert flipped.weights == rep.weights
+        assert weights(flipped) == weights(rep)
         assert tuple(flipped.parities) == tuple(1 - p for p in rep.parities)
 
     def test_dual_weights_are_negated(self, sl12_context):
         rep = natural(sl12_context.algebra)
         dual = dual_natural(sl12_context.algebra)
-        assert sorted(dual.weights) == sorted(
-            tuple(-c for c in w) for w in rep.weights
+        assert sorted(weights(dual)) == sorted(
+            tuple(-c for c in w) for w in weights(rep)
         )
 
     def test_tensor_axioms_and_weight_additivity(self, gl11_context):
@@ -77,9 +83,9 @@ class TestRepresentations:
         d = rep.dim
         for i1 in range(d):
             for i2 in range(d):
-                w = square.weights[i1 * d + i2]
+                w = square.weight(i1 * d + i2)
                 assert w == tuple(
-                    a + b for a, b in zip(rep.weights[i1], rep.weights[i2])
+                    a + b for a, b in zip(rep.weight(i1), rep.weight(i2))
                 )
                 assert square.parities[i1 * d + i2] == (
                     rep.parities[i1] + rep.parities[i2]
@@ -90,7 +96,6 @@ def _broken(rep, defect):
     """A copy of ``rep`` with one defect that ``validate`` must reject."""
     alg = rep.algebra
     action = [{j: dict(col) for j, col in cols.items()} for cols in rep.action]
-    weights = list(rep.weights)
     h = alg.cartan_indices[0]
     if defect == "parity":
         i, j = (next(k for k in range(rep.dim) if rep.parities[k] == p) for p in (0, 1))
@@ -98,17 +103,13 @@ def _broken(rep, defect):
     elif defect == "off-diagonal-cartan":
         i, j = [k for k in range(rep.dim) if rep.parities[k] == 1][:2]
         action[h].setdefault(j, {})[i] = 1
-    elif defect == "weight":
-        j = next(iter(action[h]))
-        weights[j] = (weights[j][0] + 1,) + weights[j][1:]
     elif defect == "doubled-root-vector":
         g = next(g for g in range(alg.dim) if g not in alg.cartan_indices)
         action[g] = {
             j: {i: 2 * c for i, c in col.items()} for j, col in action[g].items()
         }
     return Representation(
-        algebra=alg, dim=rep.dim, parities=rep.parities,
-        weights=tuple(weights), action=action,
+        algebra=alg, dim=rep.dim, parities=rep.parities, action=action
     )
 
 
@@ -118,7 +119,6 @@ class TestValidate:
     @pytest.mark.parametrize("defect, message", [
         ("parity", "action of generator 0 is not parity-homogeneous"),
         ("off-diagonal-cartan", "Cartan does not act diagonally"),
-        ("weight", "stored weights disagree with the action"),
         ("doubled-root-vector", r"bracket axiom fails on generator pair \(\d+, \d+\)"),
     ])
     def test_broken_action_rejected(self, osp_context, defect, message):
@@ -159,6 +159,61 @@ class TestRealizations:
         assert sl3_adjoint.weight == (1, 1)
 
 
+# (family, m, n, functional) of the small algebras whose blocks the weight
+# tests read
+WEIGHT_ALGEBRAS = [
+    ("gl", 2, 1, (5, 3, 1)), ("gl", 1, 2, (5, 3, 1)), ("sl", 1, 2, (3, -1)),
+    ("sl", 2, 1, (3, -1)), ("sl", 3, 0, (3, 2)), ("osp", 1, 1, (1,)),
+    ("osp", 1, 2, (2, 1)),
+]
+
+
+class TestDerivedWeights:
+    """Weights are read off the Cartan action: they add on tensor products,
+    and a realization without its Cartan has none rather than zeros."""
+
+    def test_an_n_minus_only_level_has_no_weight(self, sl3_context, sl3_adjoint):
+        tower = LevelTower(sl3_context.basis, sl3_adjoint)
+        h = sl3_context.algebra.cartan_indices[0]
+        for real in (tower.module(1).on_essentials, tower.module(2).realization):
+            assert isinstance(real.rep.action[h], Unbuilt)
+            with pytest.raises(ProgramFault, match=f"generator {h} is not built"):
+                real.weight
+
+    @pytest.mark.parametrize(
+        "family, m, n, functional", WEIGHT_ALGEBRAS,
+        ids=[f"{f}{m}{n}" for f, m, n, _ in WEIGHT_ALGEBRAS],
+    )
+    def test_weights_add_on_tensor_squares(self, family, m, n, functional):
+        """On the tensor square of every block, and on the square's cyclic
+        module at each highest-weight vector written on its essential
+        vectors, the weight of a basis vector is the sum of its factors'
+        weights, and an essential's weight is the one its exponent gives."""
+        context = build_context(family, m, n, functional)
+        for name, build in BLOCK_BUILDERS.items():
+            rep = build(context.algebra)
+            d = rep.dim
+
+            def added(i):
+                w1, w2 = rep.weight(i // d), rep.weight(i % d)
+                return tuple(a + b for a, b in zip(w1, w2))
+
+            square = tensor_representations(rep, rep)
+            assert weights(square) == tuple(added(i) for i in range(d * d)), name
+            for hw in range(d):
+                try:
+                    single = single_block_realization(context, name, hw)
+                except ValueError:  # not a highest-weight vector
+                    continue
+                real = tensor(single, single)
+                module = cyclic_span(real, context.basis)
+                sub = module_realization(module, full=True).rep
+                for j, (e, vec) in enumerate(module.essentials):
+                    w = sub.weight(j)
+                    assert w == exponent_weight(context.basis, real.weight, e)
+                    assert all(w == added(i) for i in vec), (name, hw, e)
+
+
 class TestPbwAct:
     def test_zero_exponent_returns_highest_weight_vector(
         self, osp_context, osp_real
@@ -190,7 +245,7 @@ class TestPbwAct:
             v = pbw_act(osp_real, basis, e)
             target = exponent_weight(basis, osp_real.weight, e)
             for idx in v:
-                assert osp_real.rep.weights[idx] == target
+                assert osp_real.rep.weight(idx) == target
 
     def test_odd_square_is_zero(self, gl11_context, gl11_real):
         # an odd lowering applied twice kills every vector
@@ -322,7 +377,7 @@ class TestModuleRealization:
         )
         for j, (_, vec) in enumerate(module.essentials):
             i = next(iter(vec))
-            assert sub.rep.weights[j] == module.realization.rep.weights[i]
+            assert sub.rep.weight(j) == module.realization.rep.weight(i)
             assert sub.rep.parities[j] == module.realization.rep.parities[i]
 
     @pytest.mark.parametrize(
@@ -350,8 +405,8 @@ class TestModuleRealization:
             assert tower.essential(k).monomials == full_tower.essential(k).monomials
             restricted = tower.module(k).on_essentials.rep
             full = module_realization(full_tower.module(k), full=True).rep
-            assert (restricted.dim, restricted.weights, restricted.parities) == (
-                full.dim, full.weights, full.parities
+            assert (restricted.dim, restricted.parities) == (
+                full.dim, full.parities
             )
             for g in range(context.algebra.dim):
                 if g in support:

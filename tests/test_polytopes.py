@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from superflag.cli import main
 from superflag.polytopes import (
     InequalitySystem,
     LatticePointSet,
@@ -130,10 +131,27 @@ class TestEnumeration:
         system = parse_system("vars\n")
         points = enumerate_lattice_points(system)
         assert points.points == [()]
+        # unless a row reads 0 <= rhs < 0
+        empty = parse_system("vars\n <= 0\n <= -1\n")
+        assert enumerate_lattice_points(empty).points == []
 
     def test_unbounded_region_rejected(self):
         with pytest.raises(UnboundedRegionError):
             enumerate_lattice_points(parse_system("vars a b\n1 -1 <= 0\n"))
+
+    @pytest.mark.parametrize("rows", [
+        "1 0 <= 1\n-1 0 <= -2\n",  # b has no upper bound
+        "1 1 <= 1\n-1 -1 <= -2\n",  # every variable is bounded
+    ], ids=["unbounded-variable", "bounded-variables"])
+    def test_empty_region_has_no_points(self, tmp_path, capsys, rows):
+        """An empty region is not unbounded: it has no points, whether or
+        not some variable lacks an upper bound on the rows alone."""
+        text = "vars a b\n" + rows
+        assert enumerate_lattice_points(parse_system(text)).points == []
+        path = tmp_path / "region.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["polytope", "--system", str(path)]) == 0
+        assert capsys.readouterr() == ("# vars a b\n# points 0\n", "")
 
     def test_odd_variables_never_exceed_one(self):
         system = parse_system("vars a b\nodd b\n1 1 <= 5\n")
