@@ -64,7 +64,9 @@ __all__ = [
 
 
 class LiftError(RuntimeError):
-    """A relation could not be rewritten as an exact identity."""
+    """A verdict on the input, not a fault: a residual component has no
+    essential-chain decomposition, or a bottom relation has corrections
+    that no weight vector can grade."""
 
 
 def _add(dst: dict, key, c: Rat) -> None:
@@ -359,8 +361,10 @@ class GradedRelation(NamedTuple):
     """A presentation-ring relation attached to a semigroup component.
 
     ``lead`` is the component's kernel combination (the t^0 part);
-    ``corrections`` list (component, polynomial) pairs on strictly larger
-    components, filled in by lifting (empty for purely graded relations).
+    ``corrections`` list (component, monomial) pairs filled in by lifting
+    (empty for purely graded relations): each monomial's tower value leads
+    at its component with only strictly larger terms, so the components
+    strictly ascend, all above the lead's.
     """
 
     degree: int
@@ -432,14 +436,18 @@ def lift_relations(
     ring: SRing,
 ) -> list[GradedRelation]:
     """Rewrite graded kernel generators as exact relations of the dual
-    algebra by absorbing strictly larger components.
+    algebra, absorbing strictly larger components in one ascending pass.
 
-    Keeps the residual (the value of the running polynomial), locates its
-    smallest component, subtracts the signed ring monomial given by an
-    essential-chain decomposition of that component and adds that
-    monomial's value to the residual.  The final polynomial evaluates to
-    exactly zero.  The essential sets do not change during the call, so all
-    relations share one chain memo and one level map, grown as they need.
+    While the residual (the value of the running polynomial) is nonzero,
+    take its smallest component, subtract the signed ring monomial of an
+    essential-chain decomposition of that component and add that monomial's
+    value to the residual.  The tower's law makes this triangular: the value
+    leads at its component with only later terms, so the smallest component
+    strictly climbs from the floor (the lead's component, none for a bottom
+    relation, then each step's own); one that fails to climb is a
+    ProgramFault.  So the corrections ascend, one monomial per component,
+    at most |es(h)| of them.  All relations share one chain memo and one
+    level map, grown as they need.
     """
     key = tower.order.key
     chains: dict = {}
@@ -450,18 +458,14 @@ def lift_relations(
         for k in range(len(es_by_level) + 1, h + 1):
             es_by_level[k] = tower.essential(k)
         residual = evaluate_in_tower(tower, ring, rel.lead)
-        corrections: dict[tuple[MultiExponent, int], SuperPolynomial] = {}
-        max_steps = len(tower.essential(h).monomials) + 1
-        for _ in range(max_steps):
-            if not residual:
-                break
+        floor = None if rel.component is BOTTOM else rel.component[0]
+        corrections: list[tuple[tuple[MultiExponent, int], SuperPolynomial]] = []
+        while residual:
             u_min = min((u for (u, _) in residual), key=key)
-            if rel.component is not BOTTOM and not (
-                key(rel.component[0]) < key(u_min)
-            ):
-                raise LiftError(
-                    f"residual component {u_min} does not exceed the lead "
-                    f"component {rel.component[0]}"
+            if floor is not None and not key(floor) < key(u_min):
+                raise ProgramFault(
+                    f"residual component {u_min} does not climb above "
+                    f"component {floor}"
                 )
             chain = decompose_to_chain(u_min, h, es_by_level, chains)
             if chain is None:
@@ -481,26 +485,9 @@ def lift_relations(
             mono = SuperPolynomial.monomial(ring.nS, ring.qS, sexp, -c)
             for k, v in evaluate_in_tower(tower, ring, mono).items():
                 _add(residual, k, v)
-            prev = corrections.get((u_min, h), SuperPolynomial.zero(ring.nS, ring.qS))
-            corrections[(u_min, h)] = prev + mono
-        else:
-            raise LiftError(
-                f"lifting did not terminate within {max_steps} steps"
-            )
-        lifted.append(
-            GradedRelation(
-                degree=h,
-                component=rel.component,
-                lead=rel.lead,
-                corrections=[
-                    (comp, poly)
-                    for comp, poly in sorted(
-                        corrections.items(), key=lambda kv: key(kv[0][0])
-                    )
-                    if not poly.is_zero()
-                ],
-            )
-        )
+            corrections.append(((u_min, h), mono))
+            floor = u_min
+        lifted.append(rel._replace(corrections=corrections))
     return lifted
 
 

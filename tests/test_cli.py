@@ -874,6 +874,28 @@ class TestErrorsAndConfig:
         assert err.startswith("internal error: ProgramFault: chain decomposition ")
         assert "hit the wrong component\n" in err
 
+    def test_sign_law_bug_exits_three(self, monkeypatch, sl3_cfg, capsys):
+        # a wrong collapse sign doubles the residual at its component instead
+        # of clearing it, so the lift's smallest component fails to climb
+        from superflag.degeneration import SRing
+
+        real = SRing.gamma_and_sign
+
+        def skewed(self, sexp):
+            # the memo builds each sign from its prefix's through this method,
+            # and x8 is peeled first: negating x8^2 negates every higher power
+            comp, sign = real(self, sexp)
+            return comp, (-sign if sexp.even[-1] == 2 else sign)
+
+        monkeypatch.setattr(SRing, "gamma_and_sign", skewed)
+        code, out, err = run(
+            ["degenerate", "--config", sl3_cfg, "--degree-bound", "3"], capsys
+        )
+        assert (code, out) == (3, "")
+        first = err.splitlines()[0]
+        assert first.startswith("internal error: ProgramFault: ")
+        assert "I=- m=(2,2,0)" in first
+
     def test_family_fault_exits_three(self, monkeypatch, sl3_cfg, capsys):
         # a weight vector that fails to separate the corrections is a bug:
         # find_weight_vector only returns separating ones

@@ -534,21 +534,30 @@ class TestPresentationRing:
     def test_collapse_signs_are_the_towers_leading_coefficients(self, job):
         """The collapse sends a non-bottom ring monomial to its sign times its
         component; the tower's value of the monomial has that same
-        coefficient at the component, at degrees 2 and 3.  The sweep jobs
+        coefficient at the component, and every other term strictly after
+        it under the tower's order, at degrees 2 and 3.  That triangularity
+        is what makes ``lift_relations`` one ascending pass.  The sweep jobs
         cover every small block choice: with the other sign law, 64 of
         their 1,064 such monomials, in 10 jobs, disagree."""
         tower = _job_tower(job)
+        key = tower.order.key
         ring = SRing(tower.essential(1))
-        disagree = []
+        disagree, earlier = [], []
         for h in (2, 3):
             for sexp in ring.monomials_of_degree(h):
                 comp, sign = ring.gamma_and_sign(sexp)
                 if comp is BOTTOM:
                     continue
-                lead = tower.value(tuple(ring.factors(sexp))).get(comp[0], 0)
+                value = tower.value(tuple(ring.factors(sexp)))
+                lead = value.get(comp[0], 0)
                 if lead != sign:
                     disagree.append((sexp, sign, lead))
+                earlier += [
+                    (sexp, u) for u in value
+                    if u != comp[0] and not key(comp[0]) < key(u)
+                ]
         assert disagree == []
+        assert earlier == []
 
 
 class TestGradedKernel:
@@ -651,6 +660,29 @@ class TestLifting:
                 assert sort_key_component(comp) > sort_key_component(
                     rel.component
                 )
+
+    def test_sweep_job_verdicts(self):
+        """Every sweep job at bound 3 reaches a verdict without a fault: a
+        lift whose smallest component failed to climb would raise."""
+        from superflag.cli import _degeneration
+
+        ungradable = (
+            "bottom-component relation xi3*xi1 has corrections but no lead "
+            "exponent for a weight vector to grade them"
+        )
+        verdicts = {}
+        for name, text in SWEEP_JOBS:
+            report, _, _ = _degeneration(_job_tower(text), 3, [Rat(0), Rat(1)], 3)
+            verdicts[name] = (
+                report["hilbert"]["passed"] if "hilbert" in report
+                else report.get("lift_failure") or report["weight_failure"]
+            )
+        failed = {name: v for name, v in verdicts.items() if v is not True}
+        assert failed == {
+            "sweep-gl21-natural:0+flip-dual-natural:2": ungradable,
+            "sweep-sl12-natural:0+flip-dual-natural:2": ungradable,
+        }
+        assert len(verdicts) == 32
 
 
 class TestWeightVector:
