@@ -114,7 +114,7 @@ class LevelTower:
 
     def _level(self, k: int) -> tuple[EssentialSet, CyclicModule]:
         if k < 1:
-            raise ValueError(f"tower level must be >= 1, got {k}")
+            raise ProgramFault(f"tower level must be >= 1, got {k}")
         while len(self.levels) < k:
             real = self._level_realization(len(self.levels) + 1)
             self.levels.append(essential_monomials(real, self.basis, self.order))
@@ -424,7 +424,7 @@ def evaluate_in_tower(
     for sexp, coeff in poly.terms.items():
         factors = ring.factors(sexp)
         if not factors:
-            raise ValueError("cannot evaluate a constant term")
+            raise ProgramFault("cannot evaluate a constant term")
         for u, c in tower.value(factors).items():
             _add(out, (u, len(factors)), coeff * c)
     return out
@@ -542,8 +542,6 @@ def find_weight_vector(
 class FamilyGenerator(NamedTuple):
     """One family relation: pieces[p] enters with coefficient t^p."""
 
-    degree: int
-    component: object
     pieces: dict[int, SuperPolynomial]
 
     def specialize(self, a: Rat) -> SuperPolynomial:
@@ -591,9 +589,7 @@ def family_ideal(
                 )
             prev = pieces.get(power, SuperPolynomial.zero(ring.nS, ring.qS))
             pieces[power] = prev + poly
-        generators.append(
-            FamilyGenerator(degree=rel.degree, component=rel.component, pieces=pieces)
-        )
+        generators.append(FamilyGenerator(pieces=pieces))
     return DegenerationFamily(ring=ring, generators=generators)
 
 

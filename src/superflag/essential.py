@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .liesuper import AlgebraContext, NegativeBasis, negative_basis
-from .modules import CyclicModule, HighestWeightRealization, cyclic_span
+from .modules import CyclicModule, HighestWeightRealization, ProgramFault, cyclic_span
 from .superpoly import ExponentFile, MonomialOrder, MultiExponent
 
 __all__ = [
@@ -144,7 +144,7 @@ def check_semigroup_property(
                 continue
             exp, level = s
             if level != es_sum.level:
-                raise ValueError("level bookkeeping mismatch in semigroup check")
+                raise ProgramFault("level bookkeeping mismatch in semigroup check")
             if exp not in es_sum:
                 violations.append((a, b))
     return SemigroupReport(checked=checked, violations=violations)
@@ -199,7 +199,7 @@ def is_favourable(es_levels: Sequence[EssentialSet]) -> FavourabilityReport:
     es_by_level = {es.level: es for es in es_levels}
     max_level = max(es_by_level)
     if set(es_by_level) != set(range(1, max_level + 1)):
-        raise ValueError("need essential sets for every level 1..K")
+        raise ProgramFault("need essential sets for every level 1..K")
     memo: dict = {}
     failures = [
         (k, exp)

@@ -67,10 +67,6 @@ class SuperMatrix:
             ij: Rat(c) for ij, c in entries.items() if c != 0
         }
 
-    @classmethod
-    def zero(cls, p: int, q: int) -> "SuperMatrix":
-        return cls(p, q, {})
-
     @property
     def size(self) -> int:
         return self.p + self.q
@@ -102,11 +98,6 @@ class SuperMatrix:
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
         return self._plus(other, -1)
 
-    def scaled(self, c: Rat | int) -> "SuperMatrix":
-        c = Rat(c)
-        entries = {ij: c * x for ij, x in self.entries.items()}
-        return SuperMatrix(self.p, self.q, entries)
-
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         by_row: dict[int, list[tuple[int, Rat]]] = {}
         for (k, j), b in other.entries.items():
@@ -125,9 +116,6 @@ class SuperMatrix:
     def flatten(self) -> Row:
         size = self.size
         return {i * size + j: c for (i, j), c in sorted(self.entries.items())}
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -311,12 +299,6 @@ class RootDatum(NamedTuple):
     algebra: LieSuperalgebra
     roots: list[Root]
 
-    def root_by_coords(self, coords: tuple[Rat, ...]) -> Root:
-        for r in self.roots:
-            if r.coords == coords:
-                return r
-        raise KeyError(f"no root with coordinates {coords}")
-
 
 def _format_delta_label(coords: tuple[Rat, ...], symbol: str = "d") -> str:
     pieces: list[str] = []
@@ -403,7 +385,6 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
 
 
 class BorelChoice(NamedTuple):
-    datum: RootDatum
     positive_roots: list[Root]
     negative_roots: list[Root]
     simple_roots: list[Root]
@@ -438,8 +419,7 @@ def choose_borel(datum: RootDatum, functional: Sequence[Rat | int]) -> BorelChoi
         if not decomposable:
             simple.append(r)
     return BorelChoice(
-        datum=datum,
-        positive_roots=positive, negative_roots=negative, simple_roots=simple,
+        positive_roots=positive, negative_roots=negative, simple_roots=simple
     )
 
 
@@ -460,10 +440,9 @@ class NegativeBasis:
     the odd/even coordinates of a MultiExponent.
     """
 
-    __slots__ = ("borel", "elements", "odd_positions", "even_positions")
+    __slots__ = ("elements", "odd_positions", "even_positions")
 
-    def __init__(self, borel: BorelChoice, elements: list[NegativeBasisElement]):
-        self.borel = borel
+    def __init__(self, elements: list[NegativeBasisElement]):
         self.elements = elements
         self.odd_positions = [i for i, e in enumerate(elements) if e.parity == 1]
         self.even_positions = [i for i, e in enumerate(elements) if e.parity == 0]
@@ -474,9 +453,7 @@ class NegativeBasis:
             raise ParameterError(
                 "permutation", "permutation must reorder all positions"
             )
-        return NegativeBasis(
-            borel=self.borel, elements=[self.elements[p] for p in permutation]
-        )
+        return NegativeBasis([self.elements[p] for p in permutation])
 
     @property
     def q(self) -> int:
@@ -537,19 +514,18 @@ def negative_basis(
         return (heights[pos_coords], pos_coords)
 
     ordered = sorted(borel.negative_roots, key=neg_sort_key)
+    labels = {r.coords: r.label for r in borel.positive_roots}
     elements = [
         NegativeBasisElement(
             coords=r.coords,
             parity=r.parity,
-            positive_label=borel.datum.root_by_coords(
-                tuple(-c for c in r.coords)
-            ).label,
+            positive_label=labels[tuple(-c for c in r.coords)],
             generator=r.generator,
             scale=r.scale,
         )
         for r in ordered
     ]
-    basis = NegativeBasis(borel=borel, elements=elements)
+    basis = NegativeBasis(elements)
     return basis if permutation is None else basis.permuted(permutation)
 
 
@@ -559,10 +535,9 @@ def negative_basis(
 
 
 class AlgebraContext(NamedTuple):
-    """Algebra + root decomposition + Borel + ordered negative basis."""
+    """Algebra + Borel + ordered negative basis."""
 
     algebra: LieSuperalgebra
-    datum: RootDatum
     borel: BorelChoice
     basis: NegativeBasis
 
@@ -573,7 +548,6 @@ def build_context(
     permutation: Sequence[int] | None = None,
 ) -> AlgebraContext:
     algebra = build_algebra(family, m, n)
-    datum = root_decomposition(algebra)
-    borel = choose_borel(datum, functional)
+    borel = choose_borel(root_decomposition(algebra), functional)
     basis = negative_basis(borel, permutation)
-    return AlgebraContext(algebra=algebra, datum=datum, borel=borel, basis=basis)
+    return AlgebraContext(algebra=algebra, borel=borel, basis=basis)

@@ -210,7 +210,7 @@ def tensor_representations(r1: Representation, r2: Representation) -> Representa
     """Graded tensor product; flat index (i1, i2) -> i1 * dim2 + i2.  A
     generator unbuilt on either factor stays unbuilt."""
     if r1.algebra is not r2.algebra:
-        raise ValueError("tensor factors must share the algebra object")
+        raise ProgramFault("tensor factors must share the algebra object")
     d1, d2 = r1.dim, r2.dim
     parities = tuple((p1 + p2) % 2 for p1 in r1.parities for p2 in r2.parities)
     action = []
@@ -249,12 +249,6 @@ class HighestWeightRealization(NamedTuple):
     rep: Representation
     hw_index: int
     level: int = 1
-
-    @property
-    def weight(self) -> Weight:
-        """Read off the Cartan action, so an n- only realization (Cartan
-        ``Unbuilt``) raises ProgramFault."""
-        return self.rep.weight(self.hw_index)
 
     @property
     def hw_vector(self) -> Row:

@@ -50,19 +50,12 @@ class MultiExponent(NamedTuple):
         return len(self.odd)
 
     @property
-    def n(self) -> int:
-        return len(self.even)
-
-    @property
     def degree(self) -> int:
         return sum(self.odd) + sum(self.even)
 
     @property
     def parity(self) -> int:
         return sum(self.odd) % 2
-
-    def is_zero(self) -> bool:
-        return not any(self.odd) and not any(self.even)
 
     def combine(self, other: "MultiExponent") -> "MultiExponent | None":
         """Componentwise sum, or None when an odd coordinate would exceed 1."""

@@ -931,6 +931,31 @@ class TestErrorsAndConfig:
         assert first.endswith("outside the recorded cyclic span")
         assert "Traceback" in err
 
+    def test_semigroup_level_mismatch_exits_three(
+        self, monkeypatch, bundled_cfg, capsys
+    ):
+        # a sum landing at the wrong level is a bookkeeping bug, not an
+        # input error
+        import superflag.essential as essential
+
+        real = essential.semigroup_add
+
+        def off_by_one(a, b):
+            s = real(a, b)
+            return s if s is essential.BOTTOM else (s[0], s[1] + 1)
+
+        monkeypatch.setattr(essential, "semigroup_add", off_by_one)
+        code, out, err = run(
+            ["essential", "--config", bundled_cfg, "--level", "2",
+             "--favourable-k", "2"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "internal error: ProgramFault: level bookkeeping mismatch in "
+            "semigroup check\n"
+        )
+
     def test_readme_config_example_lists_every_setting(self):
         # the INI example under "Job configuration", commented keys included
         readme = (Path(__file__).parent.parent / "README.md").read_text(

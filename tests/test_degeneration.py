@@ -210,6 +210,12 @@ def max_degree(poly):
     return max((e.degree for e in poly.terms), default=0)
 
 
+def lead_degree(gen):
+    """A family generator's degree: that of its t^0 piece, its relation's
+    homogeneous lead."""
+    return max_degree(gen.pieces[0])
+
+
 def all_multiples_table(family, samples, top):
     """The Hilbert table from every monomial multiple of every specialized
     generator, each fiber ranked from scratch: the reference for the
@@ -254,10 +260,7 @@ def perturbed_family(ring, bound, seed):
             m: Rat(rng.randint(-3, 3), rng.randint(1, 4))
             for m in rng.sample(monomials, min(3, len(monomials)))
         })
-        generators.append(FamilyGenerator(
-            degree=rel.degree, component=rel.component,
-            pieces={0: rel.lead, 1: noise},
-        ))
+        generators.append(FamilyGenerator(pieces={0: rel.lead, 1: noise}))
     return DegenerationFamily(ring=ring, generators=generators)
 
 
@@ -325,7 +328,7 @@ def tower_pair(request):
 class TestLevelTower:
     @pytest.mark.parametrize("k", [0, -1])
     def test_levels_below_one_rejected(self, osp_tower, k):
-        with pytest.raises(ValueError, match="tower level must be >= 1"):
+        with pytest.raises(ProgramFault, match="tower level must be >= 1"):
             osp_tower.essential(k)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -685,6 +688,35 @@ class TestLifting:
         assert len(verdicts) == 32
 
 
+def _atlas_line(name, text):
+    """One atlas line: the job, |es(1..3)|, favourability through level 3
+    and the ``degenerate`` bound-3 verdict (PASS, FAIL or the first failure
+    reason)."""
+    from superflag.cli import _degeneration
+    from superflag.essential import is_favourable
+
+    tower = _job_tower(text)
+    levels = [tower.essential(k) for k in (1, 2, 3)]
+    favourable = "yes" if is_favourable(levels).favourable else "no"
+    report, _, _ = _degeneration(tower, 3, [Rat(0), Rat(1)], 3)
+    if "hilbert" in report:
+        verdict = "PASS" if report["hilbert"]["passed"] else "FAIL"
+    else:
+        verdict = report.get("lift_failure") or report["weight_failure"]
+    sizes = "/".join(str(es.size) for es in levels)
+    return f"{name}: es {sizes}; favourable {favourable}; degenerate-b3 {verdict}"
+
+
+def test_atlas_matches_its_golden():
+    """A byte oracle over the 32 sweep jobs, built in process: every line
+    of ``tests/data/atlas.txt`` is one job's ``_atlas_line``."""
+    from pathlib import Path
+
+    lines = [_atlas_line(name, text) for name, text in SWEEP_JOBS]
+    golden = Path(__file__).parent / "data" / "atlas.txt"
+    assert "\n".join(lines) + "\n" == golden.read_text(encoding="utf-8")
+
+
 class TestWeightVector:
     def test_rank_three_frozen_vector(self, sl3_tower):
         ring = SRing(sl3_tower.essential(1))
@@ -850,8 +882,7 @@ class TestDegreeByDegreeHilbert:
         mixed = SuperPolynomial.parse("x1*x3 - x2", ring.nS, ring.qS)
         family = DegenerationFamily(
             ring=ring,
-            generators=[FamilyGenerator(degree=2, component=None,
-                                        pieces={0: mixed})],
+            generators=[FamilyGenerator(pieces={0: mixed})],
         )
         with pytest.raises(ProgramFault, match="not homogeneous"):
             hilbert_check(family, sl2_tower, [0], 2)
@@ -938,7 +969,7 @@ def sl3_weighted_tower():
 
 
 def _drop_first_of_degree(family, degree):
-    i = next(i for i, g in enumerate(family.generators) if g.degree == degree)
+    i = next(i for i, g in enumerate(family.generators) if lead_degree(g) == degree)
     return DegenerationFamily(
         ring=family.ring,
         generators=family.generators[:i] + family.generators[i + 1:],
@@ -954,7 +985,7 @@ def _with_noise(family, seed, power=1):
     for g in family.generators:
         noise = SuperPolynomial(ring.nS, ring.qS, {
             m: Rat(rng.randint(1, 3))
-            for m in rng.sample(ring.monomials_of_degree(g.degree), 2)
+            for m in rng.sample(ring.monomials_of_degree(lead_degree(g)), 2)
         })
         pieces = dict(g.pieces)
         pieces[power] = pieces[power] + noise if power in pieces else noise
@@ -1070,6 +1101,15 @@ class TestMemoizedEvaluation:
         assert checked == sum(
             len(ring.monomials_of_degree(h)) for h in range(1, top + 1)
         )
+
+    def test_a_constant_term_is_a_fault(self, sl3_tower):
+        # the graded kernel and its lifts have no degree-0 terms
+        ring = SRing(sl3_tower.essential(1))
+        one = SuperPolynomial.monomial(
+            ring.nS, ring.qS, MultiExponent.zero(ring.nS, ring.qS)
+        )
+        with pytest.raises(ProgramFault, match="constant term"):
+            evaluate_in_tower(sl3_tower, ring, one)
 
     def test_one_table_product_per_ring_monomial(
         self, sl3_context, sl3_adjoint

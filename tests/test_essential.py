@@ -20,6 +20,7 @@ from superflag.essential import (
     serialize_essential_set,
 )
 from superflag.liesuper import negative_basis
+from superflag.modules import ProgramFault
 from superflag.superpoly import MonomialOrder, MultiExponent
 from superflag.toric import parse_exponent_set
 
@@ -174,7 +175,7 @@ class TestFavourability:
         assert partial == target
 
     def test_missing_level_rejected(self, osp_tower):
-        with pytest.raises(ValueError):
+        with pytest.raises(ProgramFault, match="every level 1..K"):
             is_favourable([osp_tower.essential(1), osp_tower.essential(3)])
 
     def test_unfavourable_mock_reports_failures(self):

@@ -55,6 +55,11 @@ def weights(rep):
     return tuple(rep.weight(j) for j in range(rep.dim))
 
 
+def hw_weight(real):
+    """The weight of a realization's highest-weight vector."""
+    return real.rep.weight(real.hw_index)
+
+
 class TestRepresentations:
     @pytest.mark.parametrize("maker", [natural, dual_natural])
     def test_axioms(self, maker, gl11_context, sl12_context, osp_context):
@@ -75,6 +80,13 @@ class TestRepresentations:
         assert sorted(weights(dual)) == sorted(
             tuple(-c for c in w) for w in weights(rep)
         )
+
+    def test_factors_of_two_algebras_are_a_fault(self, gl11_context, sl12_context):
+        # every tensor the program builds multiplies one algebra's modules
+        with pytest.raises(ProgramFault, match="share the algebra object"):
+            tensor_representations(
+                natural(gl11_context.algebra), natural(sl12_context.algebra)
+            )
 
     def test_tensor_axioms_and_weight_additivity(self, gl11_context):
         rep = natural(gl11_context.algebra)
@@ -132,7 +144,7 @@ class TestRealizations:
     def test_flip_natural_highest_weight(self, osp_context, osp_real):
         assert osp_real.level == 1
         assert osp_real.rep.parities[osp_real.hw_index] == 0
-        assert osp_real.weight == (1, 0)
+        assert hw_weight(osp_real) == (1, 0)
 
     def test_odd_candidate_rejected(self, osp_context):
         # the natural (unflipped) block has odd vectors at the sp indices
@@ -145,18 +157,18 @@ class TestRealizations:
 
     def test_tensor_adds_weights_and_levels(self, osp_real):
         square = tensor(osp_real, osp_real)
-        assert square.weight == (2, 0)
+        assert hw_weight(square) == (2, 0)
         assert square.level == 2
         assert square.hw_index == osp_real.hw_index * osp_real.rep.dim + (
             osp_real.hw_index
         )
         cube = tensor_power(osp_real, 3)
-        assert cube.weight == (3, 0)
+        assert hw_weight(cube) == (3, 0)
         assert cube.level == 3
 
     def test_composite_base_realization_stays_level_one(self, sl3_adjoint):
         assert sl3_adjoint.level == 1
-        assert sl3_adjoint.weight == (1, 1)
+        assert hw_weight(sl3_adjoint) == (1, 1)
 
 
 # (family, m, n, functional) of the small algebras whose blocks the weight
@@ -178,7 +190,7 @@ class TestDerivedWeights:
         for real in (tower.module(1).on_essentials, tower.module(2).realization):
             assert isinstance(real.rep.action[h], Unbuilt)
             with pytest.raises(ProgramFault, match=f"generator {h} is not built"):
-                real.weight
+                hw_weight(real)
 
     @pytest.mark.parametrize(
         "family, m, n, functional", WEIGHT_ALGEBRAS,
@@ -210,7 +222,7 @@ class TestDerivedWeights:
                 sub = module_realization(module, full=True).rep
                 for j, (e, vec) in enumerate(module.essentials):
                     w = sub.weight(j)
-                    assert w == exponent_weight(context.basis, real.weight, e)
+                    assert w == exponent_weight(context.basis, hw_weight(real), e)
                     assert all(w == added(i) for i in vec), (name, hw, e)
 
 
@@ -243,7 +255,7 @@ class TestPbwAct:
             exp_of(basis, **{"2d1": 1, "d1": 1}),
         ):
             v = pbw_act(osp_real, basis, e)
-            target = exponent_weight(basis, osp_real.weight, e)
+            target = exponent_weight(basis, hw_weight(osp_real), e)
             for idx in v:
                 assert osp_real.rep.weight(idx) == target
 
@@ -372,8 +384,8 @@ class TestModuleRealization:
         sub = module_realization(module, full=True)
         sub.rep.validate()
         assert sub.rep.dim == module.dimension
-        assert (sub.hw_index, sub.weight, sub.level) == (
-            0, module.realization.weight, k
+        assert (sub.hw_index, hw_weight(sub), sub.level) == (
+            0, hw_weight(module.realization), k
         )
         for j, (_, vec) in enumerate(module.essentials):
             i = next(iter(vec))

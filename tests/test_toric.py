@@ -99,7 +99,7 @@ class ReferenceMembership:
         """The answer for a state, or None while it is undecided."""
         idx, exp, v = state
         if v == 0:
-            return exp.is_zero()
+            return not any(exp.odd + exp.even)
         if idx >= len(self.points):
             return False
         return self._memo.get(state)
