@@ -380,9 +380,9 @@ def _degeneration(
     lines = [
         f"degree {rel['degree']} @ {rel['component']}: " + " + ".join(
             f"t^{p}*({poly.to_text() if p else rel['lead']})"
-            for p, poly in sorted(gen.pieces.items())
+            for p, poly in sorted(pieces.items())
         )
-        for gen, rel in zip(family.generators, report["lifted"])
+        for pieces, rel in zip(family.generators, report["lifted"])
     ]
     report["family"] = {
         "generators": len(family.generators),
@@ -432,7 +432,10 @@ def degenerate_text(report: dict, bound: int) -> str:
 def cmd_degenerate(args) -> int:
     bound = args.degree_bound
     _require_positive(("--degree-bound", bound), ("--max-degree", args.max_degree))
-    samples = [Rat(tok) for tok in args.samples.split()]
+    try:
+        samples = _rats(args.samples)
+    except ValueError as exc:
+        raise ValueError(f"--samples: {exc}") from None
     if not samples:
         raise ValueError("--samples is empty; give at least one fiber parameter")
     max_degree = args.max_degree if args.max_degree is not None else bound

@@ -54,7 +54,6 @@ __all__ = [
     "evaluate_in_tower",
     "lift_relations",
     "find_weight_vector",
-    "FamilyGenerator",
     "DegenerationFamily",
     "family_ideal",
     "HilbertReport",
@@ -503,7 +502,7 @@ def find_weight_vector(
     That is a property of the input, not a fault: the leading-coefficient
     law only says such a product has no term at the exponent sum.
     """
-    constraints: list[tuple[list[Rat], Rat]] = []
+    diffs: set[tuple[int, ...]] = set()  # distinct u - lead: w . diff >= 1 each
     nvars = None
     for rel in relations:
         if rel.component is BOTTOM:
@@ -522,12 +521,13 @@ def find_weight_vector(
                 "relations mix module exponent dimensions "
                 f"{nvars} and {len(lead_vec)}"
             )
-        for (u, _level), _poly in rel.corrections:
-            diff = [Rat(b - a) for a, b in zip(lead_vec, u.as_vector())]
-            constraints.append(([-d for d in diff], -1))
-    if not constraints:
+        diffs.update(
+            tuple(b - a for a, b in zip(lead_vec, u.as_vector()))
+            for (u, _level), _poly in rel.corrections
+        )
+    if not diffs:
         return (0,) * (nvars or 0)
-    sol = fourier_motzkin_solve(constraints, nvars)
+    sol = fourier_motzkin_solve([([-d for d in diff], -1) for diff in diffs], nvars)
     if sol is None:
         return None
     denom = math.lcm(*(c.denominator for c in sol))
@@ -539,26 +539,23 @@ def find_weight_vector(
 # ---------------------------------------------------------------------------
 
 
-class FamilyGenerator(NamedTuple):
-    """One family relation: pieces[p] enters with coefficient t^p."""
-
-    pieces: dict[int, SuperPolynomial]
-
-    def specialize(self, a: Rat) -> SuperPolynomial:
-        first = next(iter(self.pieces.values()))
-        return SuperPolynomial(first.n, first.q, (
-            (e, scale * c)
-            for p, poly in sorted(self.pieces.items()) if (scale := Rat(a) ** p)
-            for e, c in poly.terms.items()
-        ))
-
-
 class DegenerationFamily(NamedTuple):
+    """The t-family: in each generator, pieces[p] enters with coefficient t^p."""
+
     ring: SRing
-    generators: list[FamilyGenerator]
+    generators: list[dict[int, SuperPolynomial]]
 
     def all_specialized(self, a: Rat) -> list[SuperPolynomial]:
-        out = (g.specialize(a) for g in self.generators)
+        """The nonzero fiber generators at t = a."""
+        a, ring = Rat(a), self.ring
+        out = (
+            SuperPolynomial(ring.nS, ring.qS, (
+                (e, scale * c)
+                for p, poly in sorted(pieces.items()) if (scale := a ** p)
+                for e, c in poly.terms.items()
+            ))
+            for pieces in self.generators
+        )
         return [p for p in out if not p.is_zero()]
 
 
@@ -569,7 +566,7 @@ def family_ideal(
 ) -> DegenerationFamily:
     """Assemble the t-family of the lifted relations: each correction enters
     at t^{w.(u - lead)}, a power >= 1 for ``find_weight_vector``'s w."""
-    generators: list[FamilyGenerator] = []
+    generators: list[dict[int, SuperPolynomial]] = []
     for rel in lifted:
         pieces: dict[int, SuperPolynomial] = {0: rel.lead}
         if rel.component is BOTTOM and rel.corrections:
@@ -589,7 +586,7 @@ def family_ideal(
                 )
             prev = pieces.get(power, SuperPolynomial.zero(ring.nS, ring.qS))
             pieces[power] = prev + poly
-        generators.append(FamilyGenerator(pieces=pieces))
+        generators.append(pieces)
     return DegenerationFamily(ring=ring, generators=generators)
 
 

@@ -324,51 +324,29 @@ def fourier_motzkin_solve(
 ) -> list[Rat] | None:
     """Exact rational solution of the system coeffs . x <= rhs, or None.
 
-    Eliminates variables from the last to the first, then back-substitutes,
-    choosing each coordinate inside its admissible interval (midpoint when
-    bounded on both sides, otherwise the finite bound or 0).
+    Chooses the coordinates first to last, each inside the exact interval
+    ``fourier_motzkin_bounds`` reads for it once the earlier ones are
+    substituted: the midpoint when both ends are finite, else the finite
+    lower end, else min(hi, 0), else 0.  Elimination projects exactly, so
+    only the first interval can be empty.
     """
-    systems: list[list[_Ineq]] = [
-        [(tuple(Rat(c) for c in coeffs), Rat(rhs)) for coeffs, rhs in ineqs]
-    ]
-    for j in range(nvars - 1, 0, -1):
-        systems.append(_eliminate(systems[-1], j))
-    # systems[k] has nvars-k variables; systems[-1] has exactly one.
-    final = systems[-1]
-    for coeffs, rhs in final:
-        if all(c == 0 for c in coeffs) and rhs < 0:
-            return None
+    system = [([Rat(c) for c in coeffs], Rat(rhs)) for coeffs, rhs in ineqs]
+    if nvars == 0:  # every row reads 0 <= rhs
+        return None if any(rhs < 0 for _, rhs in system) else []
     values: list[Rat] = []
-    for back in range(nvars):
-        j = back  # variable index within the current system
-        system = systems[nvars - 1 - back]
-        # variables 0..back are live in this system; 0..back-1 already chosen
-        lo: Rat | None = None
-        hi: Rat | None = None
-        feasible = True
-        for coeffs, rhs in system:
-            c = coeffs[back]
-            rest = sum(coeffs[k] * values[k] for k in range(back))
-            if c == 0:
-                if rest > rhs:
-                    feasible = False
-                    break
-                continue
-            bound = div(rhs - rest, c)
-            if c > 0:
-                hi = bound if hi is None or bound < hi else hi
-            else:
-                lo = bound if lo is None or bound > lo else lo
-        if not feasible or (lo is not None and hi is not None and lo > hi):
+    for remaining in range(nvars, 0, -1):
+        bounds = fourier_motzkin_bounds(system, remaining, 0)
+        if bounds is None:
             return None
+        lo, hi = bounds
         if lo is not None and hi is not None:
-            values.append(div(lo + hi, 2))
+            x = div(lo + hi, 2)
         elif lo is not None:
-            values.append(lo)
-        elif hi is not None:
-            values.append(min(hi, 0))
+            x = lo
         else:
-            values.append(0)
+            x = 0 if hi is None else min(hi, 0)
+        values.append(x)
+        system = [(coeffs[1:], rhs - coeffs[0] * x) for coeffs, rhs in system]
     return values
 
 

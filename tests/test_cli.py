@@ -214,6 +214,12 @@ class TestDegenerateCommand:
             "t=5",
         }
 
+    def test_samples_take_commas_like_config_lists(self, sl3_cfg, capsys):
+        argv = ["degenerate", "--config", sl3_cfg, "--samples"]
+        spaced = run(argv + ["0 1 5/3"], capsys)
+        assert run(argv + ["0,1, 5/3"], capsys) == spaced
+        assert spaced[0] == 0 and "fiber t=5/3:" in spaced[1]
+
     LIFT_FAILURE = (
         "residual component I=00 m=(0,0,0,1) at level 2 admits no "
         "essential-chain decomposition; the essential sets are not "
@@ -716,7 +722,7 @@ class TestErrorsAndConfig:
             (
                 ["degenerate", "--config", "CFG", "--samples", "0 1/0"],
                 SL3_CFG,
-                "zero denominator in '1/0'",
+                "--samples: zero denominator in '1/0'",
             ),
             (
                 ["degenerate", "--config", "CFG"],

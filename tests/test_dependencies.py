@@ -710,21 +710,62 @@ def test_every_stored_field_is_read():
     assert not unread, "stored fields nothing reads: " + ", ".join(unread)
 
 
+def _package_returns_and_methods() -> tuple[dict[str, set[str]], set[str]]:
+    """Class name -> the package functions whose return annotation names
+    it, and the ``Class.name`` of every method (called, not read)."""
+    returning: dict[str, set[str]] = {}
+    methods = set()
+    for tree in _parsed(sorted(PACKAGE.glob("*.py"))).values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods |= {
+                    f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in item.decorator_list
+                    )
+                }
+            elif isinstance(node, ast.FunctionDef) and node.returns:
+                for sub in ast.walk(_annotation(node.returns)):
+                    if isinstance(sub, ast.Name):
+                        returning.setdefault(sub.id, set()).add(node.name)
+    return returning, methods
+
+
 def test_every_kept_name_has_a_test():
     """A ``KEPT`` name stays only while a test uses it: an oracle whose last
-    test is gone is dead surface."""
-    used = set()
+    test is gone is dead surface.  A member ``Class.name`` counts only in a
+    file that calls ``.name`` (a method) or reads it uncalled (a field or
+    property) and also names ``Class`` or calls a package function whose
+    return annotation names it."""
+    returning, methods = _package_returns_and_methods()
+    untested = set(KEPT)
     for path in sorted((ROOT / "tests").glob("*.py")):
         if path.name == Path(__file__).name:
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callees = {node.func for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        names, called, read = set(), set(), set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                names.add(node.attr)
+                (called if node in callees else read).add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                used |= {alias.name for alias in node.names}
-    untested = [name for name in KEPT if name.split(".")[-1] not in used]
+                names |= {alias.name for alias in node.names}
+        calls = {getattr(f, "id", getattr(f, "attr", None)) for f in callees}
+        for kept in list(untested):
+            cls, _, member = kept.rpartition(".")
+            if not cls:
+                used = member in names
+            else:
+                used = member in (called if kept in methods else read) and (
+                    cls in names or bool(calls & returning.get(cls, set()))
+                )
+            if used:
+                untested.discard(kept)
+    untested = [name for name in KEPT if name in untested]
     assert not untested, "KEPT names no test uses: " + ", ".join(untested)
 
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: span tracking, kernels, Smith form, elimination."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -419,3 +420,25 @@ class TestFourierMotzkin:
         ]
         sol = fourier_motzkin_solve(ineqs, 1)
         assert sol is not None and Fraction(1, 2) <= sol[0] <= Fraction(3, 2)
+
+    def test_solve_chooses_the_same_points(self):
+        # Pins the choice, not only feasibility: the midpoint of each
+        # coordinate's interval when both ends are finite, else the lower
+        # end, else min(hi, 0), else 0, first coordinate to last.  The digest
+        # was recorded with a last-to-first back-substitution solver, so it
+        # checks this one against an independent implementation.
+        rng = random.Random(0)
+        sols = []
+        for _ in range(2000):
+            n = rng.randint(1, 4)
+            m = rng.randint(0, 8)
+            ineqs = [
+                ([rng.randint(-3, 3) for _ in range(n)], rng.randint(-4, 4))
+                for _ in range(m)
+            ]
+            sols.append(fourier_motzkin_solve(ineqs, n))
+        assert sum(s is None for s in sols) == 580
+        digest = hashlib.sha256("\n".join(map(repr, sols)).encode())
+        assert digest.hexdigest() == (
+            "ea4bfd0b53c7ca596e854fedd31a2180ca6a724dce07a7fdeba18049410c9a90"
+        )
