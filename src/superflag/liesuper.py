@@ -9,13 +9,15 @@ systems selected by a linear functional, and ordered negative-root bases
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
-from .linalg import Rat, Row, SpanAccumulator, div
+from .linalg import ProgramFault, Rat, Row, SpanAccumulator, div
 
 __all__ = [
-    "SuperMatrix",
+    "EntryMap",
+    "parity",
+    "superbracket",
     "LieSuperalgebra",
     "Root",
     "RootDatum",
@@ -48,106 +50,37 @@ class RootDecompositionError(RuntimeError):
     """Raised when the diagonal Cartan admits no rational root decomposition."""
 
 
-class SuperMatrix:
-    """Rational matrix on a p|q-graded space (indices < p are even), stored
-    as its nonzero entries ``(row, column) -> value``."""
-
-    __slots__ = ("p", "q", "entries")
-
-    def __init__(
-        self, p: int, q: int, entries: Mapping[tuple[int, int], Rat | int]
-    ):
-        self.p = p
-        self.q = q
-        size = p + q
-        for i, j in entries:
-            if not (0 <= i < size and 0 <= j < size):
-                raise ValueError(f"entry ({i}, {j}) lies outside size p+q={size}")
-        self.entries: dict[tuple[int, int], Rat] = {
-            ij: Rat(c) for ij, c in entries.items() if c != 0
-        }
-
-    @property
-    def size(self) -> int:
-        return self.p + self.q
-
-    @property
-    def rows(self) -> tuple[tuple[Rat, ...], ...]:
-        """The dense rows, derived from the entries."""
-        span = range(self.size)
-        return tuple(
-            tuple(self.entries.get((i, j), 0) for j in span) for i in span
-        )
-
-    def parity(self) -> int | None:
-        """0/1 if homogeneous, None if mixed or zero-ambiguous (zero -> 0)."""
-        seen = {(i < self.p) != (j < self.p) for i, j in self.entries}
-        if len(seen) > 1:
-            return None
-        return int(seen.pop()) if seen else 0
-
-    def _plus(self, other: "SuperMatrix", sign: int) -> "SuperMatrix":
-        out = dict(self.entries)
-        for ij, c in other.entries.items():
-            out[ij] = out.get(ij, 0) + sign * c
-        return SuperMatrix(self.p, self.q, out)
-
-    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self._plus(other, -1)
-
-    def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        by_row: dict[int, list[tuple[int, Rat]]] = {}
-        for (k, j), b in other.entries.items():
-            by_row.setdefault(k, []).append((j, b))
-        out: dict[tuple[int, int], Rat] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                out[i, j] = out.get((i, j), 0) + a * b
-        return SuperMatrix(self.p, self.q, out)
-
-    def supertrace(self) -> Rat:
-        return sum(
-            c if i < self.p else -c for (i, j), c in self.entries.items() if i == j
-        )
-
-    def flatten(self) -> Row:
-        size = self.size
-        return {i * size + j: c for (i, j), c in sorted(self.entries.items())}
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SuperMatrix)
-            and (self.p, self.q) == (other.p, other.q)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q, frozenset(self.entries.items())))
-
-    def __repr__(self) -> str:
-        return (
-            f"SuperMatrix(p={self.p}, q={self.q}, "
-            f"entries={dict(sorted(self.entries.items()))})"
-        )
+EntryMap = dict[tuple[int, int], Rat]  # a matrix as its nonzero entries
 
 
-def superbracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
-    """[x, y] = xy - (-1)^{|x||y|} yx for homogeneous x, y."""
-    px, py = x.parity(), y.parity()
+def parity(entries: EntryMap, p: int) -> int | None:
+    """0/1 if the matrix on a p|q-graded space (indices < p are even) is
+    homogeneous, None if mixed; the zero matrix is even."""
+    seen = {(i < p) != (j < p) for i, j in entries}
+    if len(seen) > 1:
+        return None
+    return int(seen.pop()) if seen else 0
+
+
+def superbracket(x: EntryMap, y: EntryMap, p: int) -> EntryMap:
+    """[x, y] = xy - (-1)^{|x||y|} yx for homogeneous x, y on a p|q space."""
+    px, py = parity(x, p), parity(y, p)
     if px is None or py is None:
         raise ValueError("superbracket requires homogeneous arguments")
-    if px and py:
-        return (x @ y) + (y @ x)
-    return (x @ y) - (y @ x)
+    out: dict[tuple[int, int], Rat] = {}
+    for a, b, sign in ((x, y, 1), (y, x, 1 if px and py else -1)):
+        for (i, k), c in a.items():
+            for (l, j), d in b.items():
+                if k == l:
+                    out[i, j] = out.get((i, j), 0) + sign * c * d
+    return {ij: c for ij, c in out.items() if c}
 
 
 class LieSuperalgebra:
     """A basic-family matrix realization with exact structure constants:
-    ``space`` gives the ambient p|q block sizes and the first ``rank``
-    basis elements span the Cartan subalgebra."""
+    ``space`` gives the ambient p|q block sizes, each basis element is an
+    entry map and the first ``rank`` basis elements span the Cartan
+    subalgebra."""
 
     __slots__ = (
         "family", "params", "space", "basis", "parities", "cartan_indices", "_coords"
@@ -158,45 +91,50 @@ class LieSuperalgebra:
         family: str,
         params: tuple[int, int],
         space: tuple[int, int],
-        basis: list[SuperMatrix],
+        basis: list[EntryMap],
         rank: int,
     ):
         self.family = family
         self.params = params
         self.space = space
         self.basis = basis
-        self.parities = [b.parity() for b in basis]
+        self.parities = [parity(b, space[0]) for b in basis]
         self.cartan_indices = list(range(rank))
         self._coords = SpanAccumulator()
         for b in basis:
-            if self._coords.insert(b.flatten()) is None:
-                raise ValueError("algebra basis is linearly dependent")
+            if self._coords.insert(self._flatten(b)) is None:
+                raise ProgramFault("algebra basis is linearly dependent")
+
+    def _flatten(self, x: EntryMap) -> Row:
+        """x as a row-major vector; an entry outside the p+q square would
+        alias another position, so it is refused."""
+        size = sum(self.space)
+        for i, j in x:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ProgramFault(f"entry ({i}, {j}) lies outside size p+q={size}")
+        return {i * size + j: c for (i, j), c in sorted(x.items())}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     @property
-    def cartan(self) -> list[SuperMatrix]:
+    def cartan(self) -> list[EntryMap]:
         return [self.basis[i] for i in self.cartan_indices]
 
-    def coordinates(self, x: SuperMatrix) -> Row:
+    def coordinates(self, x: EntryMap) -> Row:
         """Exact sparse expansion {basis index: coefficient} of x over the
         algebra basis; error if outside."""
-        coeffs = self._coords.express(x.flatten())
+        coeffs = self._coords.express(self._flatten(x))
         if coeffs is None:
             raise ValueError("matrix does not lie in the algebra")
         return coeffs
 
     def bracket_coords(self, i: int, j: int) -> Row:
         """Structure constants of [basis_i, basis_j] over the basis."""
-        return self.coordinates(superbracket(self.basis[i], self.basis[j]))
-
-
-def _finish(family, params, space, entry_maps, rank) -> LieSuperalgebra:
-    """The algebra spanned by the entry maps; the first ``rank`` are Cartan."""
-    basis = [SuperMatrix(*space, entries) for entries in entry_maps]
-    return LieSuperalgebra(family, params, space, basis, rank)
+        return self.coordinates(
+            superbracket(self.basis[i], self.basis[j], self.space[0])
+        )
 
 
 def build_algebra(family: str, m: int, n: int) -> LieSuperalgebra:
@@ -243,7 +181,8 @@ def _build_gl(m: int, n: int, special: bool) -> LieSuperalgebra:
         maps = [{(k, k): 1} for k in range(size)]
     rank = len(maps)
     maps += [{(i, j): 1} for i in range(size) for j in range(size) if i != j]
-    return _finish("sl" if special else "gl", (m, n), (m, n), maps, rank)
+    family = "sl" if special else "gl"
+    return LieSuperalgebra(family, (m, n), (m, n), maps, rank)
 
 
 def _build_osp(m: int, n: int) -> LieSuperalgebra:
@@ -276,7 +215,7 @@ def _build_osp(m: int, n: int) -> LieSuperalgebra:
     # odd part: C free (2n x m), B = -C^T J
     maps += [{(s + k, a): 1, (a, t + k): -1} for k in range(n) for a in range(m)]
     maps += [{(t + k, a): 1, (a, s + k): 1} for k in range(n) for a in range(m)]
-    return _finish("osp", (m, n), (m, 2 * n), maps, n)
+    return LieSuperalgebra("osp", (m, n), (m, 2 * n), maps, n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +254,12 @@ def _format_delta_label(coords: tuple[Rat, ...], symbol: str = "d") -> str:
 
 
 def _root_label(algebra: LieSuperalgebra, coords: tuple[Rat, ...],
-                element: SuperMatrix) -> str:
+                element: EntryMap) -> str:
     if algebra.family == "osp":
         return _format_delta_label(coords)
     # gl/sl root vectors are single matrix units E_ij: label e{i+1}-e{j+1}
-    if len(element.entries) == 1:
-        [(i, j)] = element.entries
+    if len(element) == 1:
+        [(i, j)] = element
         return f"e{i + 1}-e{j + 1}"
     return _format_delta_label(coords, symbol="h")  # fallback: Cartan coords
 
@@ -341,12 +280,13 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
     larger than the Cartan (e.g. sl(1|1)).
     """
     cartan = algebra.cartan
-    if any(r != c for h in cartan for r, c in h.entries):
+    if any(r != c for h in cartan for r, c in h):
         raise RootDecompositionError("the Cartan basis is not diagonal")
-    diagonals = [[h.entries.get((i, i), 0) for i in range(h.size)] for h in cartan]
+    size = sum(algebra.space)
+    diagonals = [[h.get((i, i), 0) for i in range(size)] for h in cartan]
     spaces: dict[tuple[Rat, ...], list[int]] = {}
     for j, x in enumerate(algebra.basis):
-        weights = {tuple(d[r] - d[c] for d in diagonals) for r, c in x.entries}
+        weights = {tuple(d[r] - d[c] for d in diagonals) for r, c in x}
         if len(weights) != 1:
             raise RootDecompositionError(
                 f"basis element {j} is not a weight vector of the "
@@ -365,9 +305,9 @@ def root_decomposition(algebra: LieSuperalgebra) -> RootDatum:
                 f"dimension {len(spaces[weight])} != 1"
             )
         [j] = spaces[weight]
-        mat = algebra.basis[j]
-        scale = div(1, mat.entries[min(mat.entries)])
-        label = _root_label(algebra, weight, mat)
+        entries = algebra.basis[j]
+        scale = div(1, entries[min(entries)])
+        label = _root_label(algebra, weight, entries)
         roots.append(Root(weight, algebra.parities[j], label, j, scale))
     zero_dim = len(spaces.get(zero, []))
     if zero_dim != len(cartan):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
+    "ProgramFault",
     "Rat",
     "div",
     "Row",
@@ -33,6 +34,11 @@ __all__ = [
     "fourier_motzkin_solve",
     "fourier_motzkin_bounds",
 ]
+
+
+class ProgramFault(Exception):
+    """An invariant of the computation failed: a bug, never an input error
+    or a negative verdict."""
 
 
 def Rat(value: int | Fraction | str, den: int = 1) -> int | Fraction:

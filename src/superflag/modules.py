@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .linalg import Rat, Row, SpanAccumulator, add_scaled, div
+from .linalg import ProgramFault, Rat, Row, SpanAccumulator, add_scaled, div
 from .liesuper import AlgebraContext, LieSuperalgebra, NegativeBasis
 from .superpoly import MonomialOrder, MultiExponent, OrderMisfit, koszul_count
 from .superpoly import monomials_of_degree
@@ -50,11 +50,6 @@ __all__ = [
 ]
 
 Weight = tuple[Rat, ...]
-
-
-class ProgramFault(Exception):
-    """An invariant of the computation failed: a bug, never an input error
-    or a negative verdict."""
 
 
 class Unbuilt(dict):
@@ -159,9 +154,9 @@ def natural(algebra: LieSuperalgebra) -> Representation:
     """The defining column representation of the matrix realization."""
     p, q = algebra.space
     action = []
-    for mat in algebra.basis:
+    for entries in algebra.basis:
         cols: dict[int, dict[int, Rat]] = {}
-        for (i, j), c in sorted(mat.entries.items()):
+        for (i, j), c in sorted(entries.items()):
             cols.setdefault(j, {})[i] = c
         action.append(cols)
     return Representation(
@@ -177,11 +172,11 @@ def dual_natural(algebra: LieSuperalgebra) -> Representation:
     """
     p, q = algebra.space
     action = []
-    for g, mat in enumerate(algebra.basis):
+    for g, entries in enumerate(algebra.basis):
         pg = algebra.parities[g]
         cols: dict[int, dict[int, Rat]] = {}
         # rho(x)_{ji} indexed (jj, ii); e_jj is odd from index p on
-        for (jj, ii), c in sorted(mat.entries.items()):
+        for (jj, ii), c in sorted(entries.items()):
             sign = -1 if (pg and jj >= p) else 1
             cols.setdefault(jj, {})[ii] = -sign * c
         action.append(cols)

@@ -218,10 +218,15 @@ class MonomialOrder:
 
 
 def _key_values(tokens: list[str]) -> dict[str, str]:
+    out: dict[str, str] = {}
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"field {tok!r} is not key=value")
-    return dict(tok.split("=", 1) for tok in tokens)
+        key, value = tok.split("=", 1)
+        if key in out:
+            raise ValueError(f"repeated key {key}=")
+        out[key] = value
+    return out
 
 
 class ExponentFile(NamedTuple):
@@ -249,17 +254,22 @@ class ExponentFile(NamedTuple):
     def parse(cls, text: str) -> "ExponentFile":
         """Inverse of ``__str__``, ignoring other comment lines.  The one
         check of outside exponent data: a malformed field, header or order,
-        a missing I, m or k, a non-integer, an odd bit other than 0 or 1, a
+        a key repeated on a line, a repeated header, a missing I, m or k, a non-integer, an odd bit other than 0 or 1, a
         negative even exponent, k < 1, and lengths that disagree with the
         ambient header (or the first point) raise ValueError ending with the
         offending line."""
         n = q = order = order_line = None
         labels: dict[str, str] = {}
         points: list[tuple[MultiExponent, int]] = []
+        headers: set[str] = set()
         for line in filter(None, map(str.strip, text.splitlines())):
             try:
                 if line.startswith("#"):
                     word, *rest = line[1:].split() or [""]
+                    if word in headers:
+                        raise ValueError(f"repeated {word} header")
+                    if word in ("ambient", "labels", "order"):
+                        headers.add(word)
                     if word == "ambient":
                         parts = _key_values(rest)
                         if "n" not in parts or "q" not in parts:

@@ -389,9 +389,16 @@ class TestToricCommand:
              "invalid literal for int() with base 10: 'x': I=0 m=(0) k=x"),
             ("I=0 m=(-1) k=1\n",
              "even exponents must be >= 0: (-1,): I=0 m=(-1) k=1"),
+            # a repeated key or header would silently override the first
+            ("I=1 m=(0) k=1 k=2\n", "repeated key k=: I=1 m=(0) k=1 k=2"),
+            ("# ambient n=1 q=1 n=2\nI=0 m=(0) k=1\n",
+             "repeated key n=: # ambient n=1 q=1 n=2"),
+            ("# ambient n=1 q=0\n# ambient n=2 q=0\nI=- m=(0,0) k=1\n",
+             "repeated ambient header: # ambient n=2 q=0"),
         ],
         ids=["no-m", "no-q", "short-point", "junk-field", "bare-q",
-             "odd-two", "even-not-int", "k-not-int", "even-negative"],
+             "odd-two", "even-not-int", "k-not-int", "even-negative",
+             "repeated-k", "repeated-n", "repeated-ambient"],
     )
     def test_malformed_exponent_file_exits_two(
         self, tmp_path, text, message, capsys
@@ -961,6 +968,35 @@ class TestErrorsAndConfig:
             "internal error: ProgramFault: level bookkeeping mismatch in "
             "semigroup check\n"
         )
+
+    @pytest.mark.parametrize("extra", ["duplicate", "outside"])
+    def test_builder_fault_exits_three(self, monkeypatch, sl3_cfg, extra, capsys):
+        # the bundled builders emit independent entry maps inside the p|q
+        # square; a map that breaks either is a builder bug, not an input
+        # error
+        import superflag.liesuper as liesuper
+
+        real = liesuper._build_gl
+
+        def faulty(m, n, special):
+            algebra = real(m, n, special)
+            size = sum(algebra.space)
+            bad = algebra.basis[-1] if extra == "duplicate" else {(size, 0): 1}
+            return liesuper.LieSuperalgebra(
+                algebra.family, algebra.params, algebra.space,
+                algebra.basis + [bad], len(algebra.cartan_indices),
+            )
+
+        monkeypatch.setattr(liesuper, "_build_gl", faulty)
+        code, out, err = run(["essential", "--config", sl3_cfg], capsys)
+        assert (code, out) == (3, "")
+        first = err.splitlines()[0]
+        assert first == {
+            "duplicate": "internal error: ProgramFault: algebra basis is "
+                         "linearly dependent",
+            "outside": "internal error: ProgramFault: entry (3, 0) lies "
+                       "outside size p+q=3",
+        }[extra]
 
     def test_readme_config_example_lists_every_setting(self):
         # the INI example under "Job configuration", commented keys included

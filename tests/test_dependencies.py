@@ -174,12 +174,8 @@ KEPT = {
         "the tensor weight law",
     "tensor_power": "reference oracle: tensor powers against the tower's levels",
     "exponent_weight": "reference oracle: the weight of a scanned monomial",
-    "SuperMatrix.supertrace":
-        "reference check: the sl and osp bases are supertraceless",
     "parse_essential_set": "round-trip twin of serialize_essential_set",
     "serialize_system": "round-trip twin of parse_system",
-    "SuperMatrix.rows":
-        "reference view: the dense rows the algebra-basis golden records",
     "CatalogMatch.kind": "checked against an exhaustive search in the tests",
     "CatalogMatch.permutation": "checked against an exhaustive search in the tests",
     "CatalogMatch.essential": "checked against an exhaustive search in the tests",

@@ -354,10 +354,14 @@ class TestSerialization:
             ("I=- m=(1) k=1\nI=- m=(2) k=2\n", "I=- m=(2) k=2"),
             ("# ambient n=1 q=0\n# order graded-lex perm=1,0\n",
              "# order graded-lex perm=1,0"),
+            ("I=1 m=(0) k=1 k=2\n", "I=1 m=(0) k=1 k=2"),
+            ("# ambient n=1 q=1 n=2\n", "# ambient n=1 q=1 n=2"),
+            ("# ambient n=1 q=0\n# order graded-lex\n# order graded-revlex\n",
+             "# order graded-revlex"),
         ],
         ids=["no-I", "no-k", "odd-two", "even-negative", "short-even",
              "short-odd", "no-q", "negative-n", "late-ambient", "mixed-levels",
-             "perm-too-long"],
+             "perm-too-long", "repeated-k", "repeated-n", "repeated-order"],
     )
     def test_malformed_lines_are_named(self, text, line):
         with pytest.raises(ValueError, match=re.escape(line) + "$"):

@@ -8,16 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from superflag.linalg import Rat
+from superflag.linalg import ProgramFault, Rat
 from superflag.liesuper import (
     LieSuperalgebra,
     ParameterError,
     RootDecompositionError,
-    SuperMatrix,
     build_algebra,
     build_context,
     choose_borel,
     negative_basis,
+    parity,
     root_decomposition,
     superbracket,
 )
@@ -26,18 +26,28 @@ from superflag.liesuper import (
 GOLDEN = Path(__file__).parent / "data"
 
 
-def brackets_of(algebra):
-    return [(x, px) for x, px in zip(algebra.basis, algebra.parities)]
-
-
 def scaled(x, c):
-    """c times the matrix x."""
-    return SuperMatrix(x.p, x.q, {ij: c * v for ij, v in x.entries.items()})
+    """c times the entry map x."""
+    return {ij: c * v for ij, v in x.items() if c * v}
+
+
+def combine(*terms):
+    """The entry map of the sum of c * x over the (c, x) terms."""
+    out = {}
+    for c, x in terms:
+        for ij, v in x.items():
+            out[ij] = out.get(ij, 0) + c * v
+    return {ij: v for ij, v in out.items() if v}
+
+
+def rows_of(x, size):
+    """The dense rows of the entry map x."""
+    return tuple(tuple(x.get((i, j), 0) for j in range(size)) for i in range(size))
 
 
 class DenseSuperMatrix:
-    """The dense rows-of-Fractions matrix that SuperMatrix used to be; the
-    reference for the arithmetic on its nonzero entries."""
+    """A dense rows-of-Fractions matrix on a p|q-graded space; the reference
+    for the bracket computed on entry maps."""
 
     def __init__(self, p, q, rows):
         self.p = p
@@ -46,6 +56,11 @@ class DenseSuperMatrix:
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError("matrix size must match p+q")
         self.rows = tuple(tuple(Rat(x) for x in r) for r in rows)
+
+    @classmethod
+    def of(cls, x, p, q):
+        """The dense form of the entry map x."""
+        return cls(p, q, rows_of(x, p + q))
 
     @property
     def size(self):
@@ -98,15 +113,6 @@ class DenseSuperMatrix:
             Rat(0),
         )
 
-    def flatten(self):
-        size = self.size
-        return {
-            i * size + j: c
-            for i, row in enumerate(self.rows)
-            for j, c in enumerate(row)
-            if c != 0
-        }
-
 
 def dense_superbracket(x, y):
     px, py = x.parity(), y.parity()
@@ -118,68 +124,77 @@ def dense_superbracket(x, y):
 
 
 def random_sparse(rng, p, q, kind):
-    """A matrix with up to four random entries (zeros among them) in the
-    even or odd cells, or anywhere ("mixed"), or none ("zero")."""
+    """An entry map with up to four random nonzero entries in the even or
+    odd cells, or anywhere ("mixed"), or none ("zero")."""
     size = p + q
     cells = [
         (i, j) for i in range(size) for j in range(size)
         if kind == "mixed" or ((i < p) != (j < p)) == (kind == "odd")
     ]
     if kind == "zero" or not cells:
-        return SuperMatrix(p, q, {})
+        return {}
     picked = rng.sample(cells, rng.randint(1, min(4, len(cells))))
-    return SuperMatrix(
-        p, q, {ij: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for ij in picked}
-    )
+    values = {ij: Rat(rng.randint(-3, 3), rng.randint(1, 2)) for ij in picked}
+    return {ij: c for ij, c in values.items() if c}
 
 
-def assert_agrees_with_dense(x, y):
-    """Every SuperMatrix operation on x, y equals the dense reference, and
-    no result stores a zero entry."""
-    dx = DenseSuperMatrix(x.p, x.q, x.rows)
-    dy = DenseSuperMatrix(y.p, y.q, y.rows)
-    pairs = [
-        (x + y, dx + dy), (x - y, dx - dy), (x @ y, dx @ dy), (x, dx), (y, dy),
-    ]
+def assert_agrees_with_dense(x, y, p, q):
+    """The parities and the bracket of the entry maps x, y equal the dense
+    reference, and the bracket stores no zero entry."""
+    dx, dy = DenseSuperMatrix.of(x, p, q), DenseSuperMatrix.of(y, p, q)
+    assert (parity(x, p), parity(y, p)) == (dx.parity(), dy.parity())
     if dx.parity() is None or dy.parity() is None:
         with pytest.raises(ValueError, match="homogeneous"):
-            superbracket(x, y)
+            superbracket(x, y, p)
         with pytest.raises(ValueError, match="homogeneous"):
             dense_superbracket(dx, dy)
-    else:
-        pairs.append((superbracket(x, y), dense_superbracket(dx, dy)))
-    for got, want in pairs:
-        assert got.rows == want.rows
-        assert 0 not in got.entries.values()
-        assert got.parity() == want.parity()
-        assert got.supertrace() == want.supertrace()
-        # same entries in the same (row-major) order
-        assert list(got.flatten().items()) == list(want.flatten().items())
-    assert x + y == y + x and hash(x + y) == hash(y + x)
+        return
+    got, want = superbracket(x, y, p), dense_superbracket(dx, dy)
+    assert rows_of(got, p + q) == want.rows
+    assert 0 not in got.values()
+    assert parity(got, p) == want.parity()
+
+
+def checked_bracket(p, q):
+    """``superbracket`` on a p|q space that also checks each distinct pair
+    of arguments against the dense reference, once."""
+    seen = set()
+
+    def bracket(x, y):
+        key = (frozenset(x.items()), frozenset(y.items()))
+        if key not in seen:
+            seen.add(key)
+            assert_agrees_with_dense(x, y, p, q)
+        return superbracket(x, y, p)
+
+    return bracket
 
 
 # "family m n" keys of data/algebra_basis_rows.json: the dense rows, parities
 # and Cartan positions of every basis element, recorded from the dense builders
 BASIS_GOLDEN = ["gl 1 1", "sl 2 1", "sl 3 0", "osp 1 2"]
+# the algebras whose bracket axioms are checked on every basis triple
+AXIOM_FAMILIES = ["gl 1 1", "sl 1 2", "sl 3 0", "gl 2 1", "osp 1 2"]
 
 
-class TestSuperMatrix:
+def build_key(key):
+    """The algebra a "family m n" key names."""
+    family, m, n = key.split()
+    return build_algebra(family, int(m), int(n))
+
+
+class TestBracket:
     def test_unit_and_parity(self):
-        e = SuperMatrix(1, 2, {(0, 2): 1})
-        assert e.parity() == 1  # crosses the block boundary
-        assert SuperMatrix(1, 2, {(1, 2): 1}).parity() == 0
+        assert parity({(0, 2): 1}, 1) == 1  # crosses the block boundary
+        assert parity({(1, 2): 1}, 1) == 0
+        assert parity({}, 1) == 0
+        assert parity({(0, 0): 1, (0, 1): 1}, 1) is None
 
-    def test_supertrace_sign(self):
-        top = SuperMatrix(1, 1, {(0, 0): 1})
-        bottom = SuperMatrix(1, 1, {(1, 1): 1})
-        assert top.supertrace() == 1
-        assert bottom.supertrace() == -1
-
-    def test_matmul(self):
-        a = SuperMatrix(1, 1, {(0, 1): 1})
-        b = SuperMatrix(1, 1, {(1, 0): 1})
-        assert (a @ b).rows[0][0] == 1
-        assert (b @ a).rows[1][1] == 1
+    def test_odd_units_anticommute(self):
+        a, b = {(0, 1): 1}, {(1, 0): 1}
+        assert superbracket(a, b, 1) == {(0, 0): 1, (1, 1): 1}
+        assert superbracket(a, {(0, 0): 1}, 1) == {(0, 1): -1}
+        assert superbracket({(0, 0): 1}, {(0, 0): 1}, 1) == {}
 
     def test_random_sparse_matrices_agree_with_dense(self):
         rng = random.Random(8)
@@ -189,27 +204,22 @@ class TestSuperMatrix:
             p, q = rng.choice([(1, 0), (0, 2), (1, 1), (2, 1), (1, 3), (3, 2)])
             x = random_sparse(rng, p, q, rng.choice(kinds))
             y = random_sparse(rng, p, q, rng.choice(kinds))
-            assert_agrees_with_dense(x, y)
-            seen.update((x.parity(), y.parity()))
+            assert_agrees_with_dense(x, y, p, q)
+            seen.update((parity(x, p), parity(y, p)))
         assert seen == {0, 1, None}  # even/zero, odd and mixed all occurred
 
     @pytest.mark.parametrize("key", BASIS_GOLDEN)
     def test_basis_pairs_agree_with_dense(self, key):
-        family, m, n = key.split()
-        algebra = build_algebra(family, int(m), int(n))
+        algebra = build_key(key)
         for x, y in itertools.product(algebra.basis, repeat=2):
-            assert_agrees_with_dense(x, y)
+            assert_agrees_with_dense(x, y, *algebra.space)
 
     @pytest.mark.parametrize("entry", [(0, 2), (2, 0), (-1, 0), (1, -1)])
-    def test_entry_outside_the_space_is_rejected(self, entry):
-        with pytest.raises(ValueError, match="outside size p\\+q=2"):
-            SuperMatrix(1, 1, {entry: 1})
-
-    def test_zero_entries_are_dropped(self):
-        m = SuperMatrix(1, 1, {(0, 0): 0, (0, 1): Fraction(1, 2)})
-        assert m.entries == {(0, 1): Fraction(1, 2)}
-        assert m == SuperMatrix(1, 1, {(0, 1): Fraction(1, 2)})
-        assert SuperMatrix(2, 1, {(1, 1): 0}) == SuperMatrix(2, 1, {})
+    def test_entry_outside_the_space_is_a_program_fault(self, entry):
+        with pytest.raises(ProgramFault, match="outside size p\\+q=2"):
+            LieSuperalgebra("gl", (1, 1), (1, 1), [{(0, 0): 1}, {entry: 1}], 1)
+        with pytest.raises(ProgramFault, match="outside size p\\+q=2"):
+            build_algebra("gl", 1, 1).coordinates({entry: 1})
 
 
 class TestBasisGolden:
@@ -218,15 +228,18 @@ class TestBasisGolden:
         golden = json.loads(
             (GOLDEN / "algebra_basis_rows.json").read_text(encoding="utf-8")
         )[key]
-        family, m, n = key.split()
-        algebra = build_algebra(family, int(m), int(n))
+        algebra = build_key(key)
+        size = sum(algebra.space)
         rows = [
-            [" ".join(str(c) for c in row) for row in x.rows]
+            [" ".join(str(c) for c in row) for row in rows_of(x, size)]
             for x in algebra.basis
         ]
         assert rows == golden["rows"]
         assert algebra.parities == golden["parities"]
         assert algebra.cartan_indices == golden["cartan_indices"]
+        # the basis is the builders' entry maps: exact, with no zero entry
+        values = [c for x in algebra.basis for c in x.values()]
+        assert all(type(c) in (int, Fraction) and c != 0 for c in values)
 
 
 class TestAlgebraConstruction:
@@ -266,45 +279,42 @@ class TestAlgebraConstruction:
         for family, m, n in (("sl", 1, 2), ("sl", 3, 0), ("osp", 1, 2)):
             algebra = build_algebra(family, m, n)
             for x in algebra.basis:
-                assert x.supertrace() == 0
+                assert DenseSuperMatrix.of(x, *algebra.space).supertrace() == 0
 
     def test_closure_under_bracket(self):
         for family, m, n in (("gl", 1, 1), ("sl", 1, 2), ("osp", 1, 2)):
             algebra = build_algebra(family, m, n)
+            p = algebra.space[0]
             for x in algebra.basis:
                 for y in algebra.basis:
-                    algebra.coordinates(superbracket(x, y))  # raises if outside
+                    algebra.coordinates(superbracket(x, y, p))  # raises if outside
 
-    def test_super_skew_symmetry(self):
-        for family, m, n in (("gl", 1, 1), ("osp", 1, 2)):
-            algebra = build_algebra(family, m, n)
-            for (x, px), (y, py) in itertools.product(
-                brackets_of(algebra), repeat=2
-            ):
-                lhs = superbracket(x, y)
-                rhs = scaled(superbracket(y, x), -1 if px * py == 0 else 1)
-                assert lhs == rhs
+    @pytest.mark.parametrize("key", AXIOM_FAMILIES)
+    def test_super_skew_symmetry(self, key):
+        algebra = build_key(key)
+        bracket = checked_bracket(*algebra.space)
+        elems = list(zip(algebra.basis, algebra.parities))
+        for (x, px), (y, py) in itertools.product(elems, repeat=2):
+            sign = -1 if px * py == 0 else 1
+            assert bracket(x, y) == scaled(bracket(y, x), sign)
 
-    def test_super_jacobi(self):
-        # graded Jacobi on every basis triple of the smaller algebras
-        for family, m, n in (("gl", 1, 1), ("sl", 1, 2)):
-            algebra = build_algebra(family, m, n)
-            elems = brackets_of(algebra)
-            for (x, px), (y, py), (z, pz) in itertools.product(elems, repeat=3):
-                t1 = superbracket(x, superbracket(y, z))
-                t2 = superbracket(superbracket(x, y), z)
-                t3 = scaled(superbracket(y, superbracket(x, z)), -1 if px * py else 1)
-                assert t1 == t2 + t3
-
-    def test_super_jacobi_osp_sampled(self):
-        algebra = build_algebra("osp", 1, 2)
-        elems = brackets_of(algebra)
-        # all triples on a 14-element basis: 2744 bracket triples, still fast
-        for (x, px), (y, py), (z, pz) in itertools.product(elems, repeat=3):
-            t1 = superbracket(x, superbracket(y, z))
-            t2 = superbracket(superbracket(x, y), z)
-            t3 = scaled(superbracket(y, superbracket(x, z)), -1 if px * py else 1)
-            assert t1 == t2 + t3
+    @pytest.mark.parametrize("key", AXIOM_FAMILIES)
+    def test_super_jacobi(self, key):
+        # [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]] on every
+        # basis triple, each distinct bracket also taken densely
+        algebra = build_key(key)
+        bracket = checked_bracket(*algebra.space)
+        basis, parities = algebra.basis, algebra.parities
+        inner = {
+            (i, j): bracket(x, y)
+            for (i, x), (j, y) in itertools.product(enumerate(basis), repeat=2)
+        }
+        for i, j, k in itertools.product(range(algebra.dim), repeat=3):
+            t1 = bracket(basis[i], inner[j, k])
+            t2 = bracket(inner[i, j], basis[k])
+            t3 = bracket(basis[j], inner[i, k])
+            sign = -1 if parities[i] * parities[j] else 1
+            assert t1 == combine((1, t2), (sign, t3))
 
 
 def parity_counts(datum):
@@ -336,7 +346,8 @@ class TestRootDecomposition:
         for r in datum.roots:
             vector = scaled(algebra.basis[r.generator], r.scale)
             for k, h in enumerate(algebra.cartan):
-                assert superbracket(h, vector) == scaled(vector, r.coords[k])
+                bracket = superbracket(h, vector, algebra.space[0])
+                assert bracket == scaled(vector, r.coords[k])
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negated"])
     @pytest.mark.parametrize("family, m, n, functional", [
@@ -363,9 +374,9 @@ class TestRootDecomposition:
     def test_a_non_diagonal_cartan_is_rejected(self):
         # weights are read off the entries, which needs a diagonal Cartan
         basis = [
-            SuperMatrix(2, 0, {(0, 0): 1, (0, 1): 1}),
-            SuperMatrix(2, 0, {(1, 1): 1}),
-            SuperMatrix(2, 0, {(1, 0): 1}),
+            {(0, 0): 1, (0, 1): 1},
+            {(1, 1): 1},
+            {(1, 0): 1},
         ]
         algebra = LieSuperalgebra("gl", (2, 0), (2, 0), basis, 2)
         with pytest.raises(RootDecompositionError, match="not diagonal"):
@@ -440,7 +451,8 @@ class TestRootDecomposition:
         ]
         for r in datum.roots:
             vector = scaled(algebra.basis[r.generator], r.scale)
-            first = next(c for row in vector.rows for c in row if c != 0)
+            rows = rows_of(vector, sum(algebra.space))
+            first = next(c for row in rows for c in row if c != 0)
             assert first == 1
 
     @pytest.mark.parametrize(

@@ -375,6 +375,28 @@ class TestSerialization:
                 "I=0 m=(0,0) k=1\nI=01 m=(1,0) k=1\n",
                 "expected q=1 and n=2: I=01 m=(1,0) k=1",
             ),
+            ("I=1 m=(0) k=1 k=2\n", "repeated key k=: I=1 m=(0) k=1 k=2"),
+            ("I=1 I=0 m=(0) k=1\n", "repeated key I=: I=1 I=0 m=(0) k=1"),
+            (
+                "# ambient n=1 q=1 n=2\nI=0 m=(0) k=1\n",
+                "repeated key n=: # ambient n=1 q=1 n=2",
+            ),
+            (
+                "# labels x1=a x1=b\nI=- m=(0) k=1\n",
+                "repeated key x1=: # labels x1=a x1=b",
+            ),
+            (
+                "# ambient n=1 q=0\n# ambient n=2 q=0\nI=- m=(0,0) k=1\n",
+                "repeated ambient header: # ambient n=2 q=0",
+            ),
+            (
+                "# ambient n=1 q=0\nI=- m=(0) k=1\n# ambient n=1 q=0\n",
+                "repeated ambient header: # ambient n=1 q=0",
+            ),
+            (
+                "# labels x1=a\n# labels x1=b\nI=- m=(0) k=1\n",
+                "repeated labels header: # labels x1=b",
+            ),
         ],
     )
     def test_malformed_files_name_the_line(self, text, message):
