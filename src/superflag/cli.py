@@ -361,11 +361,7 @@ def _degeneration(
     except LiftError as exc:
         # a negative outcome for this order, not an input error
         return {**report, "lift_failure": str(exc)}, ring, None
-    try:
-        weight = find_weight_vector(lifted)
-    except LiftError as exc:
-        # a bottom relation the weight vector cannot grade: a verdict too
-        return {**report, "weight_failure": str(exc)}, ring, lifted
+    weight = find_weight_vector(lifted, ring)
     if weight is None:
         failure = (
             "no integer weight vector separates the correction components; "

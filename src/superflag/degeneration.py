@@ -64,8 +64,7 @@ __all__ = [
 
 class LiftError(RuntimeError):
     """A verdict on the input, not a fault: a residual component has no
-    essential-chain decomposition, or a bottom relation has corrections
-    that no weight vector can grade."""
+    essential-chain decomposition."""
 
 
 def _add(dst: dict, key, c: Rat) -> None:
@@ -228,6 +227,7 @@ class SRing:
         self.q_mod = es1.q
         self._gamma_cache: dict[MultiExponent, tuple[object, int]] = {}
         self._factors: dict[MultiExponent, tuple[MultiExponent, ...]] = {}
+        self._leads: dict[MultiExponent, MultiExponent] = {}
         self._components: dict[int, dict[object, list[tuple[MultiExponent, int]]]] = {}
         self._shifts: dict[int, list[dict[int, tuple[int, int]]]] = {}
 
@@ -242,6 +242,22 @@ class SRing:
                 g for g, m in zip(self.even_gens, sexp.even) for _ in range(m)
             )
             self._factors[sexp] = out
+        return out
+
+    def lead_exponent(self, poly: SuperPolynomial) -> MultiExponent:
+        """The unreduced sum of the factor exponents of ``poly``'s first
+        monomial, odd coordinates adding with multiplicity: the exponent the
+        filtration grades a product by.  Every monomial of a component's
+        relation sums to that component's exponent; a bottom monomial gets a
+        2 where its factors collide.  Memoized per ring monomial."""
+        sexp = next(iter(poly.terms))
+        out = self._leads.get(sexp)
+        if out is None:
+            factors = self.factors(sexp)
+            out = self._leads[sexp] = MultiExponent(
+                tuple(map(sum, zip(*(f.odd for f in factors)))),
+                tuple(map(sum, zip(*(f.even for f in factors)))),
+            )
         return out
 
     def exponent_of_chain(self, chain: Sequence[MultiExponent]) -> MultiExponent:
@@ -440,12 +456,13 @@ def lift_relations(
     While the residual (the value of the running polynomial) is nonzero,
     take its smallest component, subtract the signed ring monomial of an
     essential-chain decomposition of that component and add that monomial's
-    value to the residual.  The tower's law makes this triangular: the value
-    leads at its component with only later terms, so the smallest component
-    strictly climbs from the floor (the lead's component, none for a bottom
-    relation, then each step's own); one that fails to climb is a
-    ProgramFault.  So the corrections ascend, one monomial per component,
-    at most |es(h)| of them.  All relations share one chain memo and one
+    value to the residual.  The tower's law makes this triangular: a
+    product's value has terms only at or after the sum of its factors'
+    exponents, and only after it when that sum collides in an odd
+    coordinate, so the smallest component strictly climbs from the floor
+    (``SRing.lead_exponent``, then each step's own); one that fails to
+    climb is a ProgramFault.  So the corrections ascend, one monomial per
+    component, at most |es(h)| of them.  All relations share one chain memo and one
     level map, grown as they need.
     """
     key = tower.order.key
@@ -457,11 +474,11 @@ def lift_relations(
         for k in range(len(es_by_level) + 1, h + 1):
             es_by_level[k] = tower.essential(k)
         residual = evaluate_in_tower(tower, ring, rel.lead)
-        floor = None if rel.component is BOTTOM else rel.component[0]
+        floor = ring.lead_exponent(rel.lead)
         corrections: list[tuple[tuple[MultiExponent, int], SuperPolynomial]] = []
         while residual:
             u_min = min((u for (u, _) in residual), key=key)
-            if floor is not None and not key(floor) < key(u_min):
+            if not key(floor) < key(u_min):
                 raise ProgramFault(
                     f"residual component {u_min} does not climb above "
                     f"component {floor}"
@@ -492,41 +509,26 @@ def lift_relations(
 
 def find_weight_vector(
     relations: Sequence[GradedRelation],
+    ring: SRing,
 ) -> tuple[int, ...] | None:
     """An integer vector w (in module exponent coordinates, even block first)
-    with w . (correction - lead) >= 1 for every correction component of every
-    lifted relation; None when infeasible.
-
-    Raises LiftError for a bottom-component relation with corrections: its
-    lead has no module exponent, so no weight vector grades the corrections.
-    That is a property of the input, not a fault: the leading-coefficient
-    law only says such a product has no term at the exponent sum.
+    with w . (u - lead) >= 1 for every correction component u of every
+    lifted relation, where lead is the relation's ``SRing.lead_exponent``;
+    None when infeasible, and () when there is no relation.
     """
+    nvars = ring.n_mod + ring.q_mod if relations else 0
     diffs: set[tuple[int, ...]] = set()  # distinct u - lead: w . diff >= 1 each
-    nvars = None
     for rel in relations:
-        if rel.component is BOTTOM:
-            if rel.corrections:
-                raise LiftError(
-                    f"bottom-component relation {rel.lead.to_text()} has "
-                    "corrections but no lead exponent for a weight vector "
-                    "to grade them"
+        lead_vec = ring.lead_exponent(rel.lead).as_vector()
+        for (u, _level), _poly in rel.corrections:
+            if len(u.as_vector()) != nvars:
+                raise ProgramFault(  # the relations come from the ring's tower
+                    f"correction component {u} does not have the ring's "
+                    f"{nvars} module exponent coordinates"
                 )
-            continue
-        lead_vec = rel.component[0].as_vector()
-        if nvars is None:
-            nvars = len(lead_vec)
-        elif nvars != len(lead_vec):
-            raise ProgramFault(  # every relation comes from one tower
-                "relations mix module exponent dimensions "
-                f"{nvars} and {len(lead_vec)}"
-            )
-        diffs.update(
-            tuple(b - a for a, b in zip(lead_vec, u.as_vector()))
-            for (u, _level), _poly in rel.corrections
-        )
+            diffs.add(tuple(b - a for a, b in zip(lead_vec, u.as_vector())))
     if not diffs:
-        return (0,) * (nvars or 0)
+        return (0,) * nvars
     sol = fourier_motzkin_solve([([-d for d in diff], -1) for diff in diffs], nvars)
     if sol is None:
         return None
@@ -565,19 +567,15 @@ def family_ideal(
     ring: SRing,
 ) -> DegenerationFamily:
     """Assemble the t-family of the lifted relations: each correction enters
-    at t^{w.(u - lead)}, a power >= 1 for ``find_weight_vector``'s w."""
+    at t^{w.(u - lead)}, lead the relation's ``SRing.lead_exponent``, a power
+    >= 1 for ``find_weight_vector``'s w."""
     generators: list[dict[int, SuperPolynomial]] = []
     for rel in lifted:
         pieces: dict[int, SuperPolynomial] = {0: rel.lead}
-        if rel.component is BOTTOM and rel.corrections:
-            raise ProgramFault(
-                "family_ideal: bottom-component relation with corrections "
-                "cannot be graded by a weight vector"
-            )
+        lead_vec = ring.lead_exponent(rel.lead).as_vector()
         for (u, _level), poly in rel.corrections:
             power = sum(
-                w * (b - a)
-                for w, a, b in zip(weight, rel.component[0].as_vector(), u.as_vector())
+                w * (b - a) for w, a, b in zip(weight, lead_vec, u.as_vector())
             )
             if power < 1:
                 raise ProgramFault(

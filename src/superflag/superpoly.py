@@ -35,7 +35,10 @@ class MultiExponent(NamedTuple):
     """Exponent pair (I, m): odd bits I in {0,1}^q, even exponents m in N^n.
 
     Not validated here: outside data enters through ``ExponentFile.parse``,
-    and the program only builds exponents in range.
+    and the program only builds exponents in range, except one: a relation's
+    lead exponent (``SRing.lead_exponent``), the unreduced sum of its
+    factors' exponents, whose odd coordinates may exceed 1 where factors
+    collide.  It is only compared and subtracted, never combined or split.
     """
 
     odd: tuple[int, ...]
@@ -254,11 +257,12 @@ class ExponentFile(NamedTuple):
     def parse(cls, text: str) -> "ExponentFile":
         """Inverse of ``__str__``, ignoring other comment lines.  The one
         check of outside exponent data: a malformed field, header or order,
-        a key repeated on a line, a repeated header, a missing I, m or k, a non-integer, an odd bit other than 0 or 1, a
-        negative even exponent, k < 1, and lengths that disagree with the
-        ambient header (or the first point) raise ValueError ending with the
-        offending line."""
-        n = q = order = order_line = None
+        a key repeated on a line, a repeated header, a missing I, m or k, a
+        non-integer, an odd bit other than 0 or 1, a negative even exponent,
+        k < 1, a label key other than x1..xn, xi1..xiq, and lengths that
+        disagree with the ambient header (or the first point) raise
+        ValueError ending with the offending line."""
+        n = q = order = order_line = labels_line = None
         labels: dict[str, str] = {}
         points: list[tuple[MultiExponent, int]] = []
         headers: set[str] = set()
@@ -280,7 +284,7 @@ class ExponentFile(NamedTuple):
                         if n < 0 or q < 0:
                             raise ValueError("ambient n and q must be >= 0")
                     elif word == "labels":
-                        labels = _key_values(rest)
+                        labels, labels_line = _key_values(rest), line
                     elif word == "order":
                         order, order_line = MonomialOrder.parse(" ".join(rest)), line
                     continue
@@ -315,6 +319,13 @@ class ExponentFile(NamedTuple):
                 order.check(n + q)
             except ValueError as exc:
                 raise ValueError(f"{exc}: {order_line}") from None
+        names = {f"x{i}" for i in range(1, n + 1)} | {f"xi{s}" for s in range(1, q + 1)}
+        unknown = sorted(labels.keys() - names)
+        if unknown:
+            raise ValueError(
+                f"labels name no variable of n={n} q={q}: "
+                f"{' '.join(unknown)}: {labels_line}"
+            )
         return cls(n=n, q=q, points=points, labels=labels, order=order)
 
 

@@ -250,7 +250,7 @@ def test_criterion_07_family_fibers_match_module_dimensions(acceptance):
     tower = LevelTower(context.basis, real)
     ring = SRing(tower.essential(1))
     lifted = lift_relations(gr_ideal(ring, 2), tower, ring)
-    weight = find_weight_vector(lifted)
+    weight = find_weight_vector(lifted, ring)
     family = family_ideal(lifted, weight, ring)
     reports.append(hilbert_check(family, tower, [0, 1, 2, 5], 2))
 
@@ -258,7 +258,7 @@ def test_criterion_07_family_fibers_match_module_dimensions(acceptance):
     otower = LevelTower(octx.basis, oreal)
     oring = SRing(otower.essential(1))
     olifted = lift_relations(gr_ideal(oring, 2), otower, oring)
-    oweight = find_weight_vector(olifted)
+    oweight = find_weight_vector(olifted, oring)
     ofamily = family_ideal(olifted, oweight, oring)
     reports.append(hilbert_check(ofamily, otower, [0, 1, 2, 5], 2))
 

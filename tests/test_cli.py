@@ -270,7 +270,7 @@ class TestDegenerateCommand:
     ):
         # no bundled job reaches this outcome, so force it
         monkeypatch.setattr(
-            "superflag.cli.find_weight_vector", lambda lifted: None
+            "superflag.cli.find_weight_vector", lambda lifted, ring: None
         )
         argv = ["degenerate", "--config", sl3_cfg]
         code, out, err = run(argv, capsys)
@@ -290,48 +290,33 @@ class TestDegenerateCommand:
             "weight_failure": self.WEIGHT_FAILURE,
         }
 
-    def test_ungradable_bottom_relation_is_a_negative_report(
-        self, sl3_cfg, monkeypatch, capsys
-    ):
-        # no bundled job lifts a bottom relation with corrections, so add one
-        import superflag.cli as cli
-        from superflag.degeneration import BOTTOM, GradedRelation
-        from superflag.superpoly import SuperPolynomial
-
-        real_lift = cli.lift_relations
-
-        def lift_with_bottom(graded, tower, ring):
-            lifted = real_lift(graded, tower, ring)
-            poly = SuperPolynomial.parse("x1*x2", 8, 0)
-            bottom = GradedRelation(
-                degree=2, component=BOTTOM, lead=poly,
-                corrections=[(lifted[0].component, poly)],
-            )
-            return lifted + [bottom]
-
-        monkeypatch.setattr(cli, "lift_relations", lift_with_bottom)
-        code, out, err = run(["degenerate", "--config", sl3_cfg], capsys)
-        assert (code, err) == (1, "")
-        assert out.splitlines()[-1] == (
-            "bottom-component relation x1*x2 has corrections but no lead "
-            "exponent for a weight vector to grade them"
-        )
-
-    def test_odd_product_that_survives_is_an_ungradable_bottom_relation(
+    def test_odd_product_that_survives_is_graded_by_its_unreduced_sum(
         self, capsys
     ):
         # two odd factors on one odd coordinate collapse to BOTTOM, but their
-        # product in the tower is not zero
+        # product in the tower is not zero: its correction is graded against
+        # the factors' unreduced exponent sum, and the family is flat
         cfg = str(GOLDEN / "gl21_natural_flip_dual.cfg")
         argv = ["degenerate", "--config", cfg, "--degree-bound", "2"]
         code, out, err = run(argv, capsys)
-        assert (code, err) == (1, "")
-        assert out.splitlines() == [
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:3] == [
             "level-1 essential monomials: 8",
             "presentation ring: 4 even, 4 odd variables",
             "graded kernel generators (degree <= 2): 20",
-            "bottom-component relation xi3*xi1 has corrections but no lead "
-            "exponent for a weight vector to grade them",
+        ]
+        assert (
+            "  degree 2 @ bottom: xi3*xi1  corrections: x2*x4 @ I=11 m=(2) level=2"
+            in lines
+        )
+        assert "weight vector: (0, 0, -1)" in lines
+        assert "  degree 2 @ bottom: t^0*(xi3*xi1) + t^1*(x2*x4)" in lines
+        assert lines[-4:] == [
+            "hilbert comparison: PASS",
+            "  fiber t=0: h=1:8 h=2:12",
+            "  fiber t=1: h=1:8 h=2:12",
+            "  expected:  h=1:8 h=2:12",
         ]
 
 
@@ -493,7 +478,7 @@ class TestVerifyExample:
 
     def test_infeasible_weight_fails_the_family_stage(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            "superflag.cli.find_weight_vector", lambda lifted: None
+            "superflag.cli.find_weight_vector", lambda lifted, ring: None
         )
         code, out, _ = run(["verify-example"], capsys)
         assert code == 1
@@ -909,11 +894,41 @@ class TestErrorsAndConfig:
         assert first.startswith("internal error: ProgramFault: ")
         assert "I=- m=(2,2,0)" in first
 
+    def test_bottom_residual_that_fails_to_climb_exits_three(
+        self, monkeypatch, capsys
+    ):
+        # a bottom lead's value lies strictly above the unreduced sum of its
+        # factors' exponents; a value term at the zero exponent, below every
+        # sum, fails to climb from that floor: a fault, not a verdict
+        import superflag.degeneration as degeneration
+        from superflag.degeneration import BOTTOM
+
+        real = degeneration.evaluate_in_tower
+
+        def low_bottom_term(tower, ring, poly):
+            out = real(tower, ring, poly)
+            (sexp, *rest) = poly.terms
+            if not rest and ring.gamma_and_sign(sexp)[0] is BOTTOM:
+                zero = degeneration.MultiExponent.zero(ring.n_mod, ring.q_mod)
+                out[(zero, sexp.degree)] = 1
+            return out
+
+        monkeypatch.setattr(degeneration, "evaluate_in_tower", low_bottom_term)
+        cfg = str(GOLDEN / "gl21_natural_flip_dual.cfg")
+        code, out, err = run(
+            ["degenerate", "--config", cfg, "--degree-bound", "2"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == (
+            "internal error: ProgramFault: residual component I=00 m=(0) "
+            "does not climb above component I=20 m=(1)"
+        )
+
     def test_family_fault_exits_three(self, monkeypatch, sl3_cfg, capsys):
         # a weight vector that fails to separate the corrections is a bug:
         # find_weight_vector only returns separating ones
         monkeypatch.setattr(
-            "superflag.cli.find_weight_vector", lambda lifted: (0,) * 8
+            "superflag.cli.find_weight_vector", lambda lifted, ring: (0,) * 8
         )
         code, out, err = run(["degenerate", "--config", sl3_cfg], capsys)
         assert (code, out) == (3, "")

@@ -12,7 +12,6 @@ from superflag.degeneration import (
     DegenerationFamily,
     GradedRelation,
     LevelTower,
-    LiftError,
     SRing,
     evaluate_in_tower,
     family_ideal,
@@ -243,7 +242,7 @@ def pipeline_family(tower, bound):
     """Graded kernel, lifts, weight vector and t-family up to ``bound``."""
     ring = SRing(tower.essential(1))
     lifted = lift_relations(gr_ideal(ring, bound), tower, ring)
-    weight = find_weight_vector(lifted)
+    weight = find_weight_vector(lifted, ring)
     return family_ideal(lifted, weight, ring)
 
 
@@ -665,26 +664,35 @@ class TestLifting:
 
     def test_sweep_job_verdicts(self):
         """Every sweep job at bound 3 reaches a verdict without a fault: a
-        lift whose smallest component failed to climb would raise."""
+        lift whose smallest component failed to climb would raise.  Every
+        lifted relation's lead exponent is its component's exponent off
+        BOTTOM, and each bottom relation's corrections lie strictly above
+        its lead exponent under the tower's order."""
         from superflag.cli import _degeneration
 
-        ungradable = (
-            "bottom-component relation xi3*xi1 has corrections but no lead "
-            "exponent for a weight vector to grade them"
-        )
         verdicts = {}
+        corrected_bottom = 0
         for name, text in SWEEP_JOBS:
-            report, _, _ = _degeneration(_job_tower(text), 3, [Rat(0), Rat(1)], 3)
+            tower = _job_tower(text)
+            report, ring, lifted = _degeneration(tower, 3, [Rat(0), Rat(1)], 3)
             verdicts[name] = (
                 report["hilbert"]["passed"] if "hilbert" in report
                 else report.get("lift_failure") or report["weight_failure"]
             )
+            key = tower.order.key
+            for rel in lifted or ():
+                lead = ring.lead_exponent(rel.lead)
+                if rel.component is BOTTOM:
+                    corrected_bottom += bool(rel.corrections)
+                    assert all(
+                        key(lead) < key(u) for (u, _), _ in rel.corrections
+                    )
+                else:
+                    assert lead == rel.component[0]
         failed = {name: v for name, v in verdicts.items() if v is not True}
-        assert failed == {
-            "sweep-gl21-natural:0+flip-dual-natural:2": ungradable,
-            "sweep-sl12-natural:0+flip-dual-natural:2": ungradable,
-        }
+        assert failed == {}
         assert len(verdicts) == 32
+        assert corrected_bottom == 6  # 3 each on the gl(2|1) and sl(1|2) walls
 
 
 def _atlas_line(name, text):
@@ -706,12 +714,25 @@ def _atlas_line(name, text):
     return f"{name}: es {sizes}; favourable {favourable}; degenerate-b3 {verdict}"
 
 
+# rank-3 atlas rows after the sweep: gl(2|2) and its unfavourable control
+# gl(3|1), on the same functional and blocks
+ATLAS_RANK3_JOBS = [
+    (
+        f"rank3-{family}{m}{n}-natural:0+flip-dual-natural:3",
+        _job_text(family, m, n, "7 5 3 1", "natural:0, flip-dual-natural:3"),
+    )
+    for family, m, n in (("gl", 2, 2), ("gl", 3, 1))
+]
+
+
 def test_atlas_matches_its_golden():
-    """A byte oracle over the 32 sweep jobs, built in process: every line
-    of ``tests/data/atlas.txt`` is one job's ``_atlas_line``."""
+    """A byte oracle over the 32 sweep jobs and the rank-3 rows, built in
+    process: every line of ``tests/data/atlas.txt`` is one job's
+    ``_atlas_line``."""
     from pathlib import Path
 
-    lines = [_atlas_line(name, text) for name, text in SWEEP_JOBS]
+    jobs = SWEEP_JOBS + ATLAS_RANK3_JOBS
+    lines = [_atlas_line(name, text) for name, text in jobs]
     golden = Path(__file__).parent / "data" / "atlas.txt"
     assert "\n".join(lines) + "\n" == golden.read_text(encoding="utf-8")
 
@@ -720,53 +741,55 @@ class TestWeightVector:
     def test_rank_three_frozen_vector(self, sl3_tower):
         ring = SRing(sl3_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl3_tower, ring)
-        assert find_weight_vector(lifted) == (0, 0, -1)
+        assert find_weight_vector(lifted, ring) == (0, 0, -1)
 
     def test_no_corrections_gives_zero_vector(self, sl2_tower):
         ring = SRing(sl2_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl2_tower, ring)
-        assert find_weight_vector(lifted) == (0,)
+        assert find_weight_vector(lifted, ring) == (0,)
 
-    def test_infeasible_corrections_return_none(self):
-        zero = SuperPolynomial.zero(2, 0)
-        a = (me((), (1, 0)), 2)
-        b = (me((), (0, 1)), 2)
+    def test_infeasible_corrections_return_none(self, sl3_tower):
+        # two relations, each corrected at the other's lead exponent
+        ring = SRing(sl3_tower.essential(1))
+        zero = SuperPolynomial.zero(8, 0)
+        leads = [SuperPolynomial.parse(text, 8, 0) for text in ("x1*x2", "x1*x3")]
+        a, b = ((ring.lead_exponent(lead), 2) for lead in leads)
         rels = [
-            GradedRelation(degree=2, component=a, lead=zero,
+            GradedRelation(degree=2, component=a, lead=leads[0],
                            corrections=[(b, zero)]),
-            GradedRelation(degree=2, component=b, lead=zero,
+            GradedRelation(degree=2, component=b, lead=leads[1],
                            corrections=[(a, zero)]),
         ]
-        assert find_weight_vector(rels) is None
+        assert find_weight_vector(rels, ring) is None
 
-    def test_mixed_exponent_dimensions_are_a_fault(self):
-        # every relation of one call comes from one tower
-        zero = SuperPolynomial.zero(2, 0)
+    def test_mixed_exponent_dimensions_are_a_fault(self, sl2_tower):
+        # every relation of one call comes from the ring's tower
+        ring = SRing(sl2_tower.essential(1))
+        zero = SuperPolynomial.zero(3, 0)
         rels = [
-            GradedRelation(degree=2, component=(exp, 2), lead=zero, corrections=[])
-            for exp in (me((), (1, 0)), me((), (1, 0, 0)))
-        ]
-        with pytest.raises(ProgramFault, match="mix module exponent dimensions"):
-            find_weight_vector(rels)
-
-    def test_bottom_relation_with_corrections_is_a_verdict(self):
-        # xi1*xi2 collides in an odd coordinate, yet lifting corrected it:
-        # its lead has no exponent to grade the corrections by
-        lead = SuperPolynomial.parse("xi2*xi1", 0, 2)
-        correction = ((me((1,), (2,)), 2), SuperPolynomial.parse("-xi2*xi1", 0, 2))
-        rels = [
-            GradedRelation(degree=2, component=BOTTOM, lead=lead, corrections=[]),
             GradedRelation(
-                degree=2, component=BOTTOM, lead=lead, corrections=[correction]
-            ),
+                degree=2, component=(me((), (2,)), 2),
+                lead=SuperPolynomial.parse("x1*x3", 3, 0),
+                corrections=[((me((), (1, 0)), 2), zero)],
+            )
         ]
-        assert find_weight_vector(rels[:1]) == ()
-        with pytest.raises(
-            LiftError,
-            match=r"^bottom-component relation xi2\*xi1 has corrections but no "
-            "lead exponent",
-        ):
-            find_weight_vector(rels)
+        with pytest.raises(ProgramFault, match="module exponent coordinates"):
+            find_weight_vector(rels, ring)
+
+    def test_bottom_relation_with_corrections_is_graded_by_its_unreduced_sum(self):
+        # xi3*xi1 collides in odd coordinate 2, yet lifting corrected it: its
+        # lead exponent is the unreduced sum I=02 m=(1) of its factors
+        tower = _job_tower("gl21_natural_flip_dual.cfg")
+        ring = SRing(tower.essential(1))
+        lifted = lift_relations(gr_ideal(ring, 2), tower, ring)
+        bottom = [rel for rel in lifted if rel.component is BOTTOM]
+        (rel,) = [rel for rel in bottom if rel.corrections]
+        assert rel.lead.to_text() == "xi3*xi1"
+        assert ring.lead_exponent(rel.lead) == me((0, 2), (1,))
+        assert [comp for comp, _ in rel.corrections] == [(me((1, 1), (2,)), 2)]
+        assert find_weight_vector([r for r in bottom if r is not rel], ring) == (0,) * 3
+        # w . ((2, 1, 1) - (1, 0, 2)) = 1
+        assert find_weight_vector(bottom, ring) == (0, 0, -1)
 
 
 class TestFamily:
@@ -783,7 +806,7 @@ class TestFamily:
     def test_rank_three_family_structure(self, sl3_tower):
         ring = SRing(sl3_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl3_tower, ring)
-        weight = find_weight_vector(lifted)
+        weight = find_weight_vector(lifted, ring)
         family = family_ideal(lifted, weight, ring)
         assert len(family.generators) == 9
         for pieces in family.generators:
@@ -825,7 +848,7 @@ class TestHilbert:
     def test_rank_three_fibers_agree(self, sl3_tower):
         ring = SRing(sl3_tower.essential(1))
         lifted = lift_relations(gr_ideal(ring, 2), sl3_tower, ring)
-        weight = find_weight_vector(lifted)
+        weight = find_weight_vector(lifted, ring)
         family = family_ideal(lifted, weight, ring)
         report = hilbert_check(family, sl3_tower, [0, 1, 2, 5], 2)
         assert report.passed

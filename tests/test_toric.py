@@ -397,6 +397,14 @@ class TestSerialization:
                 "# labels x1=a\n# labels x1=b\nI=- m=(0) k=1\n",
                 "repeated labels header: # labels x1=b",
             ),
+            (
+                "# ambient n=1 q=0\n# labels x9=foo\nI=- m=(0) k=1\n",
+                "labels name no variable of n=1 q=0: x9: # labels x9=foo",
+            ),
+            (
+                "# labels x1=a xi1=b zz=c\nI=- m=(0) k=1\n",
+                "labels name no variable of n=1 q=0: xi1 zz: # labels x1=a xi1=b zz=c",
+            ),
         ],
     )
     def test_malformed_files_name_the_line(self, text, message):
@@ -416,7 +424,11 @@ class TestSerialization:
         )
         points = data.draw(st.lists(point, max_size=6))
         token = st.text("abcxyz0123+-", min_size=1, max_size=5)
-        labels = data.draw(st.dictionaries(token, token, max_size=3))
+        names = [f"x{i}" for i in range(1, n + 1)] + [f"xi{s}" for s in range(1, q + 1)]
+        labels = data.draw(
+            st.dictionaries(st.sampled_from(names), token, max_size=3)
+            if names else st.just({})
+        )
         back = parse_exponent_set(str(ExponentFile(n, q, points, labels)))
         assert (back.n, back.q) == (n, q)
         assert back.labels == labels
